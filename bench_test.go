@@ -353,6 +353,69 @@ end
 		})
 	}
 
+	// Data-dependent branch shape: the same loop with an i&1 arm, so the
+	// head trace side-exits every other iteration into the OSR tail of the
+	// odd arm, which rejoins the head at the back edge. The register
+	// column tracks linked exits: both transitions stay in-register.
+	branchProg, err := bytecode.Assemble("microbranch", `
+global n
+func main() locals i acc
+  const 0
+  store acc
+  const 0
+  store i
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  load i
+  const 1
+  iand
+  jnz odd
+  load acc
+  load i
+  ixor
+  store acc
+  iinc i 1
+  jmp loop
+odd:
+  load acc
+  load i
+  iadd
+  store acc
+  iinc i 1
+  jmp loop
+done:
+  load acc
+  ret
+end
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tier := range tiers {
+		b.Run("branch/"+tier.name, func(b *testing.B) {
+			e := interp.NewEngine(branchProg)
+			run := func() {
+				e.Reset()
+				tier.configure(e)
+				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+
 	// Call-heavy shape: the same loop with a small non-recursive callee in
 	// the body. Before CALL inlining this shape degraded out of the
 	// register tier entirely; the register/register-noinline spread is the
@@ -656,8 +719,6 @@ func BenchmarkServeHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkGCSelection runs the §VI extension (E8): learned per-input
-// garbage-collector choice on the server workload.
 // BenchmarkColdStartServe measures first-request latency for tenants
 // the server has never seen: each iteration submits from a fresh tenant,
 // with the cross-run code cache off so every run compiles its own tier
@@ -696,6 +757,8 @@ func BenchmarkColdStartServe(b *testing.B) {
 	b.Run("async", func(b *testing.B) { run(b, exec.Substrate{AsyncCompile: true}) })
 }
 
+// BenchmarkGCSelection runs the §VI extension (E8): learned per-input
+// garbage-collector choice on the server workload.
 func BenchmarkGCSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.GCSelection(testCtx, io.Discard, quickOpts(int64(i)+1))

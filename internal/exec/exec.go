@@ -210,7 +210,8 @@ func releaseMachine(m *vm.Machine) {
 
 // Run executes spec under ctx. On success it returns the run's outcome;
 // on failure the error is either the program's own runtime error or, for
-// a canceled/expired context, a *interp.CanceledError wrapping ctx.Err().
+// a canceled/expired context, a *interp.CanceledError wrapping
+// context.Cause(ctx).
 func Run(ctx context.Context, spec *RunSpec) (*RunOutcome, error) {
 	out := &RunOutcome{}
 	if err := RunInto(ctx, spec, out); err != nil {
@@ -235,8 +236,8 @@ func RunInto(ctx context.Context, spec *RunSpec, out *RunOutcome) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return &interp.CanceledError{Prog: spec.Prog.Name, Cause: err}
+	if ctx.Err() != nil {
+		return &interp.CanceledError{Prog: spec.Prog.Name, Cause: context.Cause(ctx)}
 	}
 	m := acquireMachine(spec.Prog, spec.Jit)
 	defer releaseMachine(m)

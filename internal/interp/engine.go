@@ -403,10 +403,12 @@ type runScratch struct {
 	// current callee code per inlined call site of the running trace;
 	// deopt carries a callee-frame materialization request out of
 	// runTrace; trapFn re-attributes a trace trap to an inlined callee
-	// (-1: none).
+	// (-1: none); tc counts the run's trace-tier activity, flushed to the
+	// process totals when Run returns (stats.go).
 	curCodes []*Code
 	deopt    deoptState
 	trapFn   int32
+	tc       traceCounts
 }
 
 var scratchPool = sync.Pool{

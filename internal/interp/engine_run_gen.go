@@ -42,6 +42,7 @@ func (e *Engine) Run() (bytecode.Value, error) {
 		clear(sc.curCodes)
 		sc.curCodes = sc.curCodes[:0]
 		sc.deopt = deoptState{}
+		sc.tc.flush()
 		e.rootLocals, e.rootStack = nil, nil
 		scratchPool.Put(sc)
 	}()
@@ -113,27 +114,17 @@ func (e *Engine) Run() (bytecode.Value, error) {
 			// the same way and run the iteration's remainder (on-stack
 			// replacement; any interpreter stack values stay untouched
 			// beneath the trace, which is entry-stack-neutral by
-			// construction). Side exits and traps roll back the unexecuted
-			// suffix and land on exactly the accounted loop's state; exits
-			// inside an inlined callee materialize a real callee frame.
+			// construction). mayRun is the same gate runTrace asks before
+			// following a linked exit into the next trace in-register.
+			// Side exits and traps roll back the unexecuted suffix and
+			// land on exactly the accounted loop's state; exits inside an
+			// inlined callee materialize a real callee frame.
 			if tp != nil {
-				run := (*trace)(nil)
-				if tr := tp.tr[pc]; tr != nil {
-					if e.Cycles+tr.cost < e.nextSample &&
-						(e.EagerRegTier || tr.entries.Add(1) >= traceHotEntries) {
-						run = tr
-					}
-				} else if !e.DisableOSR {
-					if os := tp.osr[pc]; os != nil && e.Cycles+os.cost < e.nextSample &&
-						(e.EagerOSR || e.EagerRegTier || os.parent.entries.Load() >= traceHotEntries) {
-						run = os
-					}
-				}
-				if run != nil {
+				if run := tp.at(pc); run != nil && e.mayRun(run) {
 					var npc int
 					var tpc int32
 					var msg string
-					stack, npc, tpc, msg = e.runTrace(run, sc, len(frames), locals, lb, stack, workP, cycP)
+					stack, npc, tpc, msg = e.runTrace(tp, run, sc, len(frames), locals, lb, stack, workP, cycP)
 					if msg != "" {
 						if fn := sc.trapFn; fn >= 0 {
 							sc.trapFn = -1

@@ -355,14 +355,55 @@ func TestCallInliningRunsInRegisterTier(t *testing.T) {
 	checkTraceLadder(t, callLoopSrc, g)
 }
 
+// zeroArgCallSrc calls a zero-argument callee at an empty operand stack,
+// so the inline guard's exit resumes at the CALL with nothing to
+// rematerialize — the shape where a trace entered at that CALL would fail
+// the same guard again forever.
+const zeroArgCallSrc = `
+global n
+global k
+func main() locals i s
+  const 0
+  store s
+  const 0
+  store i
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  call leaf 0
+  load s
+  iadd
+  store s
+  iinc i 1
+  jmp loop
+done:
+  load s
+  ret
+end
+func leaf()
+  gload k
+  const 1
+  iadd
+  ret
+end
+`
+
 // TestInlineGuardFailureDeopts swaps the callee's code mid-run — the
 // recompilation pattern — so the inline guard's fingerprint check fails
 // and the trace must side-exit at the CALL and replay it through the
 // interpreter, which then serves the new code. Reference and traced runs
-// apply the identical swap, so every observable must still match.
+// apply the identical swap, so every observable must still match. The
+// zero-argument shape hangs if any trace may start at the CALL.
 func TestInlineGuardFailureDeopts(t *testing.T) {
-	p := mustProg(t, callLoopSrc)
-	g := map[string]bytecode.Value{"n": bytecode.Int(400)}
+	checkGuardFailure(t, callLoopSrc, map[string]bytecode.Value{"n": bytecode.Int(400)})
+	checkGuardFailure(t, zeroArgCallSrc, map[string]bytecode.Value{"n": bytecode.Int(400), "k": bytecode.Int(3)})
+}
+
+func checkGuardFailure(t *testing.T, src string, g map[string]bytecode.Value) {
+	t.Helper()
+	p := mustProg(t, src)
 	leafIdx, ok := p.FuncIndex("leaf")
 	if !ok {
 		t.Fatal("no leaf function")

@@ -147,6 +147,9 @@ type rexit struct {
 	callIdx      int32 // -1 for plain exits
 	cpc          int32 // callee resume pc (callee exits only)
 	cpush        []rpush
+	// link is the trace the engine loop would run at pc, set by
+	// tracePlan.link for plain exits with nothing to rematerialize.
+	link *trace
 }
 
 // rtrap is the rollback record of one trapping instruction: suffix

@@ -4,13 +4,19 @@ import "sync/atomic"
 
 // This file exports the trace tier's build- and run-time counters: why
 // loops degrade off the register tier (per reason), how often traces are
-// entered at their head vs through an OSR entry point, and how often they
-// deoptimize back to the switch loop. The counters are process-global and
-// host-side only — they never feed back into any virtual observable — and
-// exist so a benchmark regression is attributable: a call-heavy shape that
-// stops inlining shows up as a guard-failure or degradation count, not
-// just a slower wall clock. Surfaced by `evolvevm serve` /v1/stats and
-// `expdriver -tracestats`.
+// entered at their head vs through an OSR entry point or an in-register
+// link, and how often they deoptimize back to the switch loop. The
+// counters are host-side only — they never feed back into any virtual
+// observable — and exist so a benchmark regression is attributable: a
+// call-heavy shape that stops inlining shows up as a guard-failure or
+// degradation count, not just a slower wall clock. Surfaced by
+// `evolvevm serve` /v1/stats and `expdriver -tracestats`.
+//
+// Build-time counters are process-global atomics (plans are built rarely,
+// possibly on background goroutines). Run-time counters are plain
+// per-run counts in the run's scratch (traceCounts), added to the process
+// totals once when Engine.Run returns: the register tier's hot loop never
+// touches a cache line another worker shares.
 
 // Degradation reasons, in the order of the DegradeReasons names.
 const (
@@ -35,18 +41,47 @@ var DegradeReasons = [degCount]string{
 	"unbalanced-stack", "cold", "inner-loop", "callee", "other",
 }
 
+// Run-time counters, indexes into traceCounts (see TraceStats for their
+// meaning).
+const (
+	tcHeadEntries = iota
+	tcOSREntries
+	tcLinked
+	tcSideExits
+	tcTraps
+	tcDeopts
+	tcGuardFails
+	tcInlinedCalls
+	tcInlineDeopts
+	tcCount
+)
+
+// traceCounts is one run's trace-tier activity, counted without atomics.
+type traceCounts [tcCount]int64
+
+// activate counts one activation of t, by its kind.
+func (c *traceCounts) activate(t *trace) {
+	if t.once {
+		c[tcOSREntries]++
+	} else {
+		c[tcHeadEntries]++
+	}
+}
+
+// flush adds the run's counts to the process totals and zeroes them.
+func (c *traceCounts) flush() {
+	for i, n := range c {
+		if n != 0 {
+			traceStats.run[i].Add(n)
+			c[i] = 0
+		}
+	}
+}
+
 var traceStats struct {
 	built    atomic.Int64
 	degraded [degCount]atomic.Int64
-
-	headEntries  atomic.Int64
-	osrEntries   atomic.Int64
-	sideExits    atomic.Int64
-	traps        atomic.Int64
-	deopts       atomic.Int64
-	guardFails   atomic.Int64
-	inlinedCalls atomic.Int64
-	inlineDeopts atomic.Int64
+	run      [tcCount]atomic.Int64
 }
 
 // TraceStats is a point-in-time snapshot of the trace tier's counters.
@@ -57,14 +92,21 @@ type TraceStats struct {
 	Degrade map[string]int64 `json:"degrade,omitempty"`
 
 	// HeadEntries counts trace activations at a loop head; OSREntries
-	// counts mid-iteration activations through an OSR entry point.
+	// counts mid-iteration activations through an OSR entry point. Both
+	// count every activation, from the engine loop or through a link.
+	// Linked counts the activations that came straight from another
+	// trace without leaving the register tier — a side exit into the
+	// trace at its resume pc, or an OSR tail back into its head trace —
+	// so HeadEntries + OSREntries − Linked activations came from the
+	// engine loop.
 	HeadEntries int64 `json:"head_entries"`
 	OSREntries  int64 `json:"osr_entries"`
+	Linked      int64 `json:"linked"`
 
-	// SideExits counts deoptimizations through a side exit (symbolic
-	// stack rematerialized, suffix charge rolled back); Traps counts
-	// trapping deoptimizations; Deopts counts forced per-iteration
-	// returns under StressDeopt.
+	// SideExits counts deoptimizations through a side exit back to the
+	// engine loop (symbolic stack rematerialized, suffix charge rolled
+	// back); Traps counts trapping deoptimizations; Deopts counts forced
+	// per-iteration returns under StressDeopt.
 	SideExits int64 `json:"side_exits"`
 	Traps     int64 `json:"traps"`
 	Deopts    int64 `json:"stress_deopts"`
@@ -78,18 +120,21 @@ type TraceStats struct {
 	InlineDeopts int64 `json:"inline_deopts"`
 }
 
-// ReadTraceStats snapshots the process-global trace-tier counters.
+// ReadTraceStats snapshots the process-global trace-tier counters. Runs
+// still executing have not added their counts yet.
 func ReadTraceStats() TraceStats {
+	r := &traceStats.run
 	st := TraceStats{
 		Built:        traceStats.built.Load(),
-		HeadEntries:  traceStats.headEntries.Load(),
-		OSREntries:   traceStats.osrEntries.Load(),
-		SideExits:    traceStats.sideExits.Load(),
-		Traps:        traceStats.traps.Load(),
-		Deopts:       traceStats.deopts.Load(),
-		GuardFails:   traceStats.guardFails.Load(),
-		InlinedCalls: traceStats.inlinedCalls.Load(),
-		InlineDeopts: traceStats.inlineDeopts.Load(),
+		HeadEntries:  r[tcHeadEntries].Load(),
+		OSREntries:   r[tcOSREntries].Load(),
+		Linked:       r[tcLinked].Load(),
+		SideExits:    r[tcSideExits].Load(),
+		Traps:        r[tcTraps].Load(),
+		Deopts:       r[tcDeopts].Load(),
+		GuardFails:   r[tcGuardFails].Load(),
+		InlinedCalls: r[tcInlinedCalls].Load(),
+		InlineDeopts: r[tcInlineDeopts].Load(),
 	}
 	for i := 0; i < degCount; i++ {
 		if n := traceStats.degraded[i].Load(); n != 0 {
@@ -108,14 +153,9 @@ func ResetTraceStats() {
 	for i := range traceStats.degraded {
 		traceStats.degraded[i].Store(0)
 	}
-	traceStats.headEntries.Store(0)
-	traceStats.osrEntries.Store(0)
-	traceStats.sideExits.Store(0)
-	traceStats.traps.Store(0)
-	traceStats.deopts.Store(0)
-	traceStats.guardFails.Store(0)
-	traceStats.inlinedCalls.Store(0)
-	traceStats.inlineDeopts.Store(0)
+	for i := range traceStats.run {
+		traceStats.run[i].Store(0)
+	}
 }
 
 func noteDegrade(reason int) {

@@ -73,6 +73,18 @@ import (
 // Engine.EagerRegTier short-circuits both gates for the equivalence
 // suites; Engine.EagerOSR only the OSR gate. Neither gate feeds back
 // into any virtual observable.
+//
+// Linked exits. A plain side exit (no inlined-callee frame, empty
+// symbolic stack) whose resume pc holds a trace is linked to it at plan
+// build: the trace the engine loop would pick there (tracePlan.at). An
+// OSR tail's back edge links to its parent head trace the same way. When
+// the exit fires, runTrace rolls back the suffix exactly as a hand-back
+// would and then asks the same activation gate the engine loop asks
+// (Engine.mayRun); if it passes, the next trace starts in-register — the
+// locals are already in regs[0:nloc], the operand stack is untouched, and
+// the target's batched debit is charged under the same window guard. The
+// charge sequence is the engine loop's; only the host-side write-back,
+// re-dispatch, and re-entry copy are skipped.
 
 // traceHotEntries is the per-trace back-edge arrival count after which a
 // built trace starts executing. Arrivals are counted only when the
@@ -111,9 +123,17 @@ type trace struct {
 	parent *trace
 
 	// entries counts hot-loop arrivals across every engine sharing the
-	// Code (host-side only; the gate for traceHotEntries).
+	// Code until it reaches traceHotEntries, then stays put: the gate is
+	// read-only once the trace is hot (host-side only).
 	entries atomic.Int64
 }
+
+// hot reports whether the trace has passed its back-edge hotness gate.
+func (t *trace) hot() bool { return t.entries.Load() >= traceHotEntries }
+
+// arrive records one back-edge arrival while the trace is still cold and
+// reports whether it is hot.
+func (t *trace) arrive() bool { return t.hot() || t.entries.Add(1) >= traceHotEntries }
 
 // tracePlan indexes traces by pc: tr[pc] is the head trace of a loop
 // starting at pc, osr[pc] the partial trace entering mid-iteration at pc
@@ -122,6 +142,12 @@ type tracePlan struct {
 	tr  []*trace
 	osr []*trace
 
+	// nregs and ncalls are the largest register file and call-site table
+	// of any trace in the plan: one activation can run several traces
+	// through links, so the scratch is sized once for all of them.
+	nregs  int32
+	ncalls int
+
 	// missing lists callees that defeated an inlining attempt only
 	// because they had never been compiled when the plan was built (a
 	// lazy provider compiles on first invocation, which may come after
@@ -129,6 +155,15 @@ type tracePlan struct {
 	// them exists; each callee flips nil→non-nil at most once per code
 	// table, so rebuilds are bounded.
 	missing []int32
+}
+
+// at returns the trace the engine loop runs at pc, or nil: the head trace
+// of a loop starting there, else an OSR entry point.
+func (tp *tracePlan) at(pc int) *trace {
+	if t := tp.tr[pc]; t != nil {
+		return t
+	}
+	return tp.osr[pc]
 }
 
 // retry reports whether rebuilding the plan could now succeed: some
@@ -254,7 +289,29 @@ func buildTracePlan(c *Code, inline bool, peek func(int) *Code) *tracePlan {
 			tp.osr[epc] = ot
 		}
 	}
+	tp.link()
 	return tp
+}
+
+// link sizes the plan's shared scratch and points every plain side exit
+// with an empty symbolic stack at the trace the engine loop would pick at
+// its resume pc. Callee exits materialize a frame and exits with pending
+// stack values must rematerialize them, so both always hand back.
+func (tp *tracePlan) link() {
+	for _, ts := range [2][]*trace{tp.tr, tp.osr} {
+		for _, t := range ts {
+			if t == nil {
+				continue
+			}
+			tp.nregs = max(tp.nregs, t.nregs)
+			tp.ncalls = max(tp.ncalls, len(t.calls))
+			for i := range t.exits {
+				if ex := &t.exits[i]; ex.callIdx < 0 && len(ex.push) == 0 {
+					ex.link = tp.at(int(ex.pc))
+				}
+			}
+		}
+	}
 }
 
 // linearizeFrom walks plan segments from start, linearizing the
@@ -268,6 +325,12 @@ func buildTracePlan(c *Code, inline bool, peek func(int) *Code) *tracePlan {
 // loop's back edge — the inner loop earns its own trace instead), or the
 // path exceeds the size cap.
 func linearizeFrom(c *Code, p *plan, start, head int, inline bool) ([]int, int) {
+	// No trace starts at a CALL: its guard-failure exit resumes at the
+	// CALL itself with the call's whole charge rolled back, so entering a
+	// trace there again would fail the same guard without progress.
+	if start < len(c.Instrs) && c.Instrs[start].Op == bytecode.CALL {
+		return nil, degCall
+	}
 	var pcs []int
 	seen := make(map[int]bool)
 	cur := start
@@ -344,36 +407,33 @@ func rpushVal(stack []bytecode.Value, tr *trace, regs []bytecode.Value, p rpush)
 
 // runTrace executes iterations of tr until the next one would not fit
 // the sample window (normal return at the head; after a single pass for
-// once-traces), a side exit fires, or a trap fires. The caller has
-// already verified the first iteration fits and charged nothing; every
-// path out of this function leaves the engine's ledgers, locals, operand
-// stack, frames-to-be, and resume pc bit-identical to the
-// per-instruction loop's. depth is the current frame-stack depth (the
-// inlined-call depth check).
+// once-traces), a side exit fires, or a trap fires. A side exit or an
+// OSR tail's back edge whose link passes the activation gate continues
+// in the linked trace instead of returning. The caller has already
+// verified the first iteration fits and charged nothing; every path out
+// of this function leaves the engine's ledgers, locals, operand stack,
+// frames-to-be, and resume pc bit-identical to the per-instruction
+// loop's. depth is the current frame-stack depth (the inlined-call depth
+// check).
 //
 // Returns the (possibly grown) operand stack, the resume pc, and — for
 // traps only — the trap's successor pc and message (msg == "" means no
 // trap). Two further outcomes travel through sc: sc.deopt asks the
 // engine loop to materialize an inlined-callee frame, and sc.trapFn
 // re-attributes a trap to an inlined callee.
-func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
-	if cap(sc.regs) < int(tr.nregs) {
-		sc.regs = make([]bytecode.Value, tr.nregs)
+func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
+	if cap(sc.regs) < int(tp.nregs) {
+		sc.regs = make([]bytecode.Value, tp.nregs)
 	}
-	regs := sc.regs[:tr.nregs]
-	nloc := int(tr.nloc)
+	if cap(sc.curCodes) < tp.ncalls {
+		sc.curCodes = make([]*Code, tp.ncalls)
+	}
+	regs := sc.regs[:tp.nregs]
+	sc.curCodes = sc.curCodes[:tp.ncalls]
+	nloc := int(tr.nloc) // every trace of a plan mirrors the same locals
 	copy(regs[:nloc], locals[lb:lb+nloc])
-	if len(tr.calls) > 0 {
-		if cap(sc.curCodes) < len(tr.calls) {
-			sc.curCodes = make([]*Code, len(tr.calls))
-		}
-		sc.curCodes = sc.curCodes[:len(tr.calls)]
-	}
-	if tr.once {
-		traceStats.osrEntries.Add(1)
-	} else {
-		traceStats.headEntries.Add(1)
-	}
+	tc := &sc.tc
+	tc.activate(tr)
 
 	for {
 		// One batched debit per iteration, split per charged function;
@@ -386,6 +446,8 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 			e.FnCycles[fn] += tr.xcost[k]
 		}
 
+		x := int32(-1) // the side exit taken, if any
+	body:
 		for i := range tr.ins {
 			in := &tr.ins[i]
 			switch in.op {
@@ -464,23 +526,28 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				e.Output = append(e.Output, regs[in.a])
 			case rBrTrue:
 				if regs[in.a].IsTrue() {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					x = in.x
+					break body
 				}
 			case rBrFalse:
 				if !regs[in.a].IsTrue() {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					x = in.x
+					break body
 				}
 			case rBrCmp:
 				if intCmp(in.sub, regs[in.a].I, regs[in.b].I) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					x = in.x
+					break body
 				}
 			case rBrCmpI:
 				if intCmp(in.sub, regs[in.a].I, int64(in.b)) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					x = in.x
+					break body
 				}
 			case rBrFCmp:
 				if fltCmp(in.sub, regs[in.a].AsFloat(), regs[in.b].AsFloat()) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					x = in.x
+					break body
 				}
 			case rCall:
 				rc := &tr.calls[in.x]
@@ -492,8 +559,9 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				// current code.
 				cur := e.PeekCode(int(rc.fnIdx))
 				if cur != rc.code && (cur == nil || cur.Fingerprint() != rc.fp) {
-					traceStats.guardFails.Add(1)
-					return e.traceLeave(tr, sc, rc.exitX, regs, locals, lb, stack, workP, cycP)
+					tc[tcGuardFails]++
+					x = rc.exitX
+					break body
 				}
 				sc.curCodes[in.x] = cur
 				// Depth check, before the invocation is recorded — the
@@ -504,7 +572,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 					e.rollbackPost(tr, rc, workP, cycP)
 					copy(locals[lb:lb+nloc], regs[:nloc])
 					sc.trapFn = rc.fnIdx
-					traceStats.traps.Add(1)
+					tc[tcTraps]++
 					return stack, 0, 0, fmt.Sprintf("call depth exceeds %d", maxCallDepth)
 				}
 				e.Invocations[rc.fnIdx]++
@@ -521,7 +589,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 					e.rollbackPost(tr, rc, workP, cycP)
 					e.OnInvoke(int(rc.fnIdx), e.Invocations[rc.fnIdx])
 					if e.Cycles+int64(rc.ptot) >= e.nextSample {
-						traceStats.inlineDeopts.Add(1)
+						tc[tcInlineDeopts]++
 						copy(locals[lb:lb+nloc], regs[:nloc])
 						for _, p := range rc.push {
 							stack = rpushVal(stack, tr, regs, p)
@@ -540,27 +608,82 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				for j := rc.lbase + rc.nargs; j < rc.lbase+rc.nloc; j++ {
 					regs[j] = bytecode.Value{}
 				}
-				traceStats.inlinedCalls.Add(1)
+				tc[tcInlinedCalls]++
 			}
 		}
 
-		// Back at the head. A once-trace (OSR tail) always hands back —
-		// the head trace takes over from here — and StressDeopt forces a
-		// hand-back every iteration to hammer the exit/re-entry machinery.
-		// Otherwise loop only while the next full iteration still fits the
-		// sample window; the engine loop crosses the boundary on the
-		// accounted path exactly as the other tiers do.
-		if tr.once || e.StressDeopt {
-			if e.StressDeopt && !tr.once {
-				traceStats.deopts.Add(1)
+		if x >= 0 {
+			ex := &tr.exits[x]
+			e.unwind(tr, ex.tot, ex.rem, ex.remBase, ex.crem, workP, cycP)
+			// StressDeopt forces every hand-back, so it never links.
+			if ex.link != nil && !e.StressDeopt && e.mayRun(ex.link) {
+				tr = ex.link
+				tc.activate(tr)
+				tc[tcLinked]++
+				continue
 			}
-			copy(locals[lb:lb+nloc], regs[:nloc])
-			return stack, int(tr.head), 0, ""
+			return e.traceLeave(tr, sc, ex, regs, locals, lb, stack)
+		}
+
+		// Back at the head. StressDeopt forces a hand-back every
+		// iteration to hammer the exit/re-entry machinery. A once-trace
+		// (OSR tail) always leaves its own program here: into its parent
+		// head trace when the gate lets the engine loop enter it, else
+		// back to the engine loop. A head trace loops only while the next
+		// full iteration still fits the sample window; the engine loop
+		// crosses the boundary on the accounted path exactly as the other
+		// tiers do.
+		if e.StressDeopt {
+			if !tr.once {
+				tc[tcDeopts]++
+			}
+			break
+		}
+		if tr.once {
+			if !e.mayRun(tr.parent) {
+				break
+			}
+			tr = tr.parent
+			tc.activate(tr)
+			tc[tcLinked]++
+			continue
 		}
 		if e.Cycles+tr.cost >= e.nextSample {
-			copy(locals[lb:lb+nloc], regs[:nloc])
-			return stack, int(tr.head), 0, ""
+			break
 		}
+	}
+	copy(locals[lb:lb+nloc], regs[:nloc])
+	return stack, int(tr.head), 0, ""
+}
+
+// mayRun is the register tier's activation gate, asked by the engine
+// loop before entering a trace and by runTrace before taking a link, so
+// an in-register transition makes exactly the engine loop's decision.
+// The whole next iteration must fit the current sample window, and the
+// trace must be hot: a head trace by its own back-edge arrivals (this
+// call is one), an OSR tail by its parent's; DisableOSR refuses every
+// OSR tail.
+func (e *Engine) mayRun(t *trace) bool {
+	if e.Cycles+t.cost >= e.nextSample {
+		return false
+	}
+	if !t.once {
+		return e.EagerRegTier || t.arrive()
+	}
+	return !e.DisableOSR && (e.EagerOSR || e.EagerRegTier || t.parent.hot())
+}
+
+// unwind subtracts the charges of an iteration's unexecuted suffix: tot
+// off the engine clock, rem/remBase off the trace function's ledgers,
+// and crem off each inlined callee's.
+func (e *Engine) unwind(tr *trace, tot, rem, remBase int32, crem []slotRem, workP, cycP *int64) {
+	e.Cycles -= int64(tot)
+	*workP -= int64(remBase)
+	*cycP -= int64(rem)
+	for _, sr := range crem {
+		fn := tr.xfns[sr.slot-1]
+		e.Work[fn] -= int64(sr.remBase)
+		e.FnCycles[fn] -= int64(sr.rem)
 	}
 }
 
@@ -568,14 +691,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 // accounted post-CALL position of call site rc: the suffix after the
 // CALL item, split per charged function.
 func (e *Engine) rollbackPost(tr *trace, rc *rcall, workP, cycP *int64) {
-	e.Cycles -= int64(rc.ptot)
-	*workP -= int64(rc.premBase)
-	*cycP -= int64(rc.prem)
-	for _, sr := range rc.pcrem {
-		fn := tr.xfns[sr.slot-1]
-		e.Work[fn] -= int64(sr.remBase)
-		e.FnCycles[fn] -= int64(sr.rem)
-	}
+	e.unwind(tr, rc.ptot, rc.prem, rc.premBase, rc.pcrem, workP, cycP)
 }
 
 // chargePost re-adds what rollbackPost subtracted, returning the clock to
@@ -591,28 +707,19 @@ func (e *Engine) chargePost(tr *trace, rc *rcall, workP, cycP *int64) {
 	}
 }
 
-// traceLeave takes side exit x: roll back the unexecuted suffix (per
-// charged function), write the register file back to the locals, and
+// traceLeave hands side exit ex back to the engine loop once its suffix
+// is unwound: write the register file back to the locals and
 // rematerialize the symbolic operand stack, resuming at the exit's
 // bytecode pc. A callee exit additionally deposits a frame
 // materialization request in sc.deopt: the engine loop reconstructs the
 // inlined callee as a real frame resuming at the branch target, with the
 // caller set to resume after the CALL.
-func (e *Engine) traceLeave(tr *trace, sc *runScratch, x int32, regs, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
-	ex := &tr.exits[x]
-	e.Cycles -= int64(ex.tot)
-	*workP -= int64(ex.remBase)
-	*cycP -= int64(ex.rem)
-	for _, sr := range ex.crem {
-		fn := tr.xfns[sr.slot-1]
-		e.Work[fn] -= int64(sr.remBase)
-		e.FnCycles[fn] -= int64(sr.rem)
-	}
+func (e *Engine) traceLeave(tr *trace, sc *runScratch, ex *rexit, regs, locals []bytecode.Value, lb int, stack []bytecode.Value) ([]bytecode.Value, int, int32, string) {
 	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])
 	for _, p := range ex.push {
 		stack = rpushVal(stack, tr, regs, p)
 	}
-	traceStats.sideExits.Add(1)
+	sc.tc[tcSideExits]++
 	if ex.callIdx >= 0 {
 		rc := &tr.calls[ex.callIdx]
 		sc.deopt = deoptState{
@@ -631,18 +738,11 @@ func (e *Engine) traceLeave(tr *trace, sc *runScratch, x int32, regs, locals []b
 // sc.trapFn when the trapping instruction was inlined from a callee.
 func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, regs, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64, msg string) ([]bytecode.Value, int, int32, string) {
 	t := &tr.traps[x]
-	e.Cycles -= int64(t.tot)
-	*workP -= int64(t.remBase)
-	*cycP -= int64(t.rem)
-	for _, sr := range t.crem {
-		fn := tr.xfns[sr.slot-1]
-		e.Work[fn] -= int64(sr.remBase)
-		e.FnCycles[fn] -= int64(sr.rem)
-	}
+	e.unwind(tr, t.tot, t.rem, t.remBase, t.crem, workP, cycP)
 	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])
 	if t.fn >= 0 {
 		sc.trapFn = t.fn
 	}
-	traceStats.traps.Add(1)
+	sc.tc[tcTraps]++
 	return stack, 0, t.tpc, msg
 }

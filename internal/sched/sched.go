@@ -83,7 +83,9 @@ func (g *Graph) Done(key string) {
 // failures over the cancellation errors they induce in downstream
 // tasks — so the reported error is the same regardless of worker count.
 // On error, remaining tasks are abandoned and the shared context is
-// canceled.
+// canceled with the failing task's error as its cause, so a task stopped
+// by that cancellation reports the root reason (context.Cause), not a
+// bare context.Canceled.
 func (g *Graph) Run(ctx context.Context, workers int) error {
 	if workers < 1 {
 		workers = 1
@@ -91,8 +93,8 @@ func (g *Graph) Run(ctx context.Context, workers int) error {
 	if len(g.tasks) == 0 {
 		return nil
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	runCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 
 	var (
 		mu       sync.Mutex
@@ -101,6 +103,7 @@ func (g *Graph) Run(ctx context.Context, workers int) error {
 		state    = make([]int, len(g.tasks)) // 0 waiting, 1 running, 2 done
 		errs     = make([]error, len(g.tasks))
 		failed   bool
+		root     = -1 // the task whose error canceled runCtx
 		remained = 0
 	)
 	dependents := make([][]int, len(g.tasks))
@@ -162,8 +165,10 @@ func (g *Graph) Run(ctx context.Context, workers int) error {
 				remained--
 				if err != nil {
 					errs[idx] = err
-					failed = true
-					cancel()
+					if !failed {
+						failed, root = true, idx
+						cancel(err)
+					}
 				} else {
 					for _, d := range dependents[idx] {
 						pending[d]--
@@ -176,21 +181,23 @@ func (g *Graph) Run(ctx context.Context, workers int) error {
 	}
 	wg.Wait()
 
-	// Deterministic error selection: lowest-index non-cancellation error,
-	// falling back to the lowest-index error of any kind.
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
+	// Deterministic error selection: the lowest-index error that is
+	// neither a cancellation nor induced by the root failure's
+	// cancellation (wrapping its error as the cause), falling back to the
+	// root error itself.
+	if root < 0 {
+		return nil
+	}
+	for i, err := range errs {
+		if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			continue
 		}
-		if fallback == nil {
-			fallback = err
+		if i != root && errors.Is(err, errs[root]) {
+			continue
 		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return err
-		}
+		return err
 	}
-	return fallback
+	return errs[root]
 }
 
 // runTask executes one task, under a pprof label set when profiling is

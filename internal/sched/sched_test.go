@@ -113,6 +113,32 @@ func TestErrorPrefersRealOverCancellation(t *testing.T) {
 	}
 }
 
+// TestCancelCarriesRootCause: a task stopped by the scheduler's own
+// cancellation sees the failing task's error as the context's cause, and
+// when the root failure is itself a deadline abort, Run reports it rather
+// than the lower-index victim's induced error.
+func TestCancelCarriesRootCause(t *testing.T) {
+	deadline := fmt.Errorf("run aborted: %w", context.DeadlineExceeded)
+	var seen error
+	g := NewGraph()
+	g.Add("victim", func(ctx context.Context) error {
+		<-ctx.Done()
+		seen = context.Cause(ctx)
+		return fmt.Errorf("victim stopped: %w", seen)
+	})
+	g.Add("deadline", func(ctx context.Context) error {
+		time.Sleep(5 * time.Millisecond)
+		return deadline
+	})
+	err := g.Run(context.Background(), 2)
+	if seen != deadline {
+		t.Errorf("victim saw cause %v, want the failing task's error", seen)
+	}
+	if err != deadline {
+		t.Fatalf("got %v, want the root deadline error", err)
+	}
+}
+
 // TestDoneSkipsTask: pre-satisfied tasks never run, and their dependents
 // become ready immediately — the checkpoint-resume mechanism.
 func TestDoneSkipsTask(t *testing.T) {

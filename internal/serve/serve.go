@@ -993,9 +993,10 @@ type Stats struct {
 	WallP50 int64 `json:"wall_p50_ns"`
 	WallP99 int64 `json:"wall_p99_ns"`
 	// Trace reports the register-trace tier's activity — builds,
-	// per-reason degradations, head/OSR entries, side exits, deopts,
-	// guard failures, inlined calls. Process-global (the counters
-	// aggregate every engine in the process, not only this server's);
+	// per-reason degradations, head/OSR entries, linked (in-register)
+	// transitions, side exits, deopts, guard failures, inlined calls.
+	// Process-global (the counters aggregate every engine in the process,
+	// not only this server's, and a run adds its counts when it returns);
 	// host-side diagnostics only, never a virtual observable.
 	Trace interp.TraceStats `json:"trace"`
 

@@ -206,30 +206,28 @@ func (m *Machine) AddOverhead(cycles int64) {
 }
 
 // SetContext arranges for the run to abort with a *interp.CanceledError at
-// the next sample boundary once ctx is done. A nil or never-canceled
-// context clears the hook. Call before Run.
+// the next sample boundary once ctx is done, wrapping context.Cause(ctx)
+// so an abort reports why the context was canceled. A nil or
+// never-canceled context clears the hook. Call before Run.
 func (m *Machine) SetContext(ctx context.Context) {
 	if ctx == nil || ctx.Done() == nil {
 		m.Engine.Interrupt = nil
 		return
 	}
-	if dl, ok := ctx.Deadline(); ok {
+	dl, hasDeadline := ctx.Deadline()
+	m.Engine.Interrupt = func() error {
+		if ctx.Err() != nil {
+			return context.Cause(ctx)
+		}
 		// Check the deadline against the wall clock rather than relying
 		// on ctx.Err() alone: Err() only flips after the runtime timer
 		// fires, and timer delivery latency can exceed a tight deadline
 		// by more than the run's own wall time on coarse-tick kernels.
-		m.Engine.Interrupt = func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !time.Now().Before(dl) {
-				return context.DeadlineExceeded
-			}
-			return nil
+		if hasDeadline && !time.Now().Before(dl) {
+			return context.DeadlineExceeded
 		}
-		return
+		return nil
 	}
-	m.Engine.Interrupt = ctx.Err
 }
 
 // Run executes the program to completion.
