@@ -719,6 +719,50 @@ func BenchmarkServeHotPath(b *testing.B) {
 	})
 }
 
+// BenchmarkTierPublish times one hand-off through the serving tier's
+// shared learning state: capture the best chain's state at an epoch
+// barrier, then install it into a new chain. The state is compress
+// trained for 175 Evolve runs over a corpus of 4 — one warm-closed
+// chain's history (1400 requests over 8 chains). snapshot+restore goes
+// through the JSON encoding that checkpoints use, freeze+adopt through
+// the copy-on-write capture that serve publishes.
+func BenchmarkTierPublish(b *testing.B) {
+	r, err := harness.NewRunner(programs.ByName("compress"), 4, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 175; i++ {
+		if _, err := r.RunOne(testCtx, harness.ScenarioEvolve, r.Inputs[i%len(r.Inputs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dst := r.Fork().State
+	b.Run("snapshot+restore", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			blob, err := r.State.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := dst.Restore(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("freeze+adopt", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			f, err := r.State.Freeze()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := dst.Adopt(f); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkColdStartServe measures first-request latency for tenants
 // the server has never seen: each iteration submits from a fresh tenant,
 // with the cross-run code cache off so every run compiles its own tier

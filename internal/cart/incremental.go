@@ -29,6 +29,23 @@ func NewIncremental(p Params) *Incremental {
 	return &Incremental{params: p, RebuildEvery: 1}
 }
 
+// Fork returns a learner over inc's examples under params p, in the state
+// a fresh learner reaches after Adding them in order: RebuildEvery 1 and
+// the tree stale. The example slice is shared with its capacity clipped,
+// so the first Add on either side copies it and neither learner ever sees
+// the other's later examples. Examples are never modified in place (Build
+// and CrossValidate only read them), so sharing is safe across goroutines.
+func (inc *Incremental) Fork(p Params) *Incremental {
+	n := len(inc.examples)
+	return &Incremental{
+		params:       p,
+		examples:     inc.examples[:n:n],
+		stale:        n > 0,
+		RebuildEvery: 1,
+		sinceRebuild: n,
+	}
+}
+
 // Add records one observation.
 func (inc *Incremental) Add(ex Example) {
 	inc.examples = append(inc.examples, ex)

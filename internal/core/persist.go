@@ -112,6 +112,43 @@ func LoadGCSelector(cfg Config, r io.Reader) (*GCSelector, error) {
 	return s, nil
 }
 
+// Fork returns the learner LoadEvolver(prog, cfg, ·) builds from ev's Save
+// output, without the encoding: ev's confidence, run count and per-method
+// examples, matched to prog by function name, with an empty run history
+// and stale trees. Example histories are shared copy-on-write
+// (cart.Incremental.Fork), so forking costs O(methods) and later training
+// on either learner never reaches the other.
+func (ev *Evolver) Fork(prog *bytecode.Program, cfg Config) (*Evolver, error) {
+	if ev.prog.Name != prog.Name {
+		return nil, fmt.Errorf("core: state is for program %q, not %q", ev.prog.Name, prog.Name)
+	}
+	out := NewEvolver(prog, cfg)
+	out.conf = ev.conf
+	out.runs = ev.runs
+	for fn, m := range ev.models {
+		if m == nil || m.Len() == 0 {
+			continue
+		}
+		name := ev.prog.Funcs[fn].Name
+		idx, ok := prog.FuncIndex(name)
+		if !ok {
+			return nil, fmt.Errorf("core: state references unknown function %q", name)
+		}
+		out.models[idx] = m.Fork(cfg.Tree)
+	}
+	return out, nil
+}
+
+// Fork returns the selector LoadGCSelector(cfg, ·) builds from s's Save
+// output, sharing its examples copy-on-write like Evolver.Fork.
+func (s *GCSelector) Fork(cfg Config) *GCSelector {
+	out := NewGCSelector(cfg)
+	out.conf = s.conf
+	out.runs = s.runs
+	out.model = s.model.Fork(cfg.Tree)
+	return out
+}
+
 // LoadEvolver restores a learner saved by Save, binding it to prog. The
 // program must declare every function named in the state (extra functions
 // are fine — they simply have no model yet).

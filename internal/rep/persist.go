@@ -31,16 +31,30 @@ func LoadRepository(prog *bytecode.Program, rd io.Reader) (*Repository, error) {
 	if err := json.NewDecoder(rd).Decode(&st); err != nil {
 		return nil, fmt.Errorf("rep: load: %w", err)
 	}
-	if st.Program != prog.Name {
-		return nil, fmt.Errorf("rep: state is for program %q, not %q", st.Program, prog.Name)
+	return bind(prog, st.Program, st.Work)
+}
+
+// Fork returns the repository LoadRepository(prog, ·) builds from r's
+// Save output, without the encoding: the same work history and an empty
+// plan cache. The history is shared with its capacity clipped, so the
+// first Record on either side copies it; recorded rows are never modified.
+func (r *Repository) Fork(prog *bytecode.Program) (*Repository, error) {
+	n := len(r.workHist)
+	return bind(prog, r.prog.Name, r.workHist[:n:n])
+}
+
+// bind checks a recorded history against prog and wraps it.
+func bind(prog *bytecode.Program, name string, work [][]int64) (*Repository, error) {
+	if name != prog.Name {
+		return nil, fmt.Errorf("rep: state is for program %q, not %q", name, prog.Name)
 	}
 	nf := len(prog.Funcs)
-	for i, run := range st.Work {
+	for i, run := range work {
 		if len(run) != nf {
 			return nil, fmt.Errorf("rep: run %d records %d functions, program has %d", i, len(run), nf)
 		}
 	}
 	repo := NewRepository(prog)
-	repo.workHist = st.Work
+	repo.workHist = work
 	return repo, nil
 }

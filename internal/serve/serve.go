@@ -15,9 +15,9 @@
 //     (sched.Chains), so each learner sees a deterministic run sequence.
 //  2. The shared cross-tenant tier is read and written only at epoch
 //     barriers — every Config.EpochLength sequence numbers, a barrier
-//     drains the pool and publishes, per benchmark, a snapshot of the
-//     most-trained chain (ties to the lexicographically smallest
-//     tenant). A chain created between barriers seeds from the snapshot
+//     drains the pool and publishes, per benchmark, a frozen copy of the
+//     most-trained chain's state (ties to the lexicographically smallest
+//     tenant). A chain created between barriers adopts the state
 //     published at its epoch's start, so a cold tenant's first request
 //     benefits from what other tenants already learned, by exactly the
 //     same amount in every replay.
@@ -35,7 +35,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -44,6 +43,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -296,12 +296,12 @@ type Server struct {
 	traps     atomic.Int64
 	canceled  atomic.Int64
 
-	// tier is the shared cross-tenant state: per-benchmark snapshots
+	// tier is the shared cross-tenant state: per-benchmark frozen states
 	// published only at epoch barriers. Tasks read it (RLock) when a new
 	// chain is created; only the barrier writes it, with the pool empty.
 	// This is the one remaining epoch-scoped lock on the request path.
 	tierMu sync.RWMutex
-	tier   map[string]json.RawMessage
+	tier   map[string]*session.Frozen
 
 	// chains and out are lock-striped; see chainMap and outcomeMap.
 	chains chainMap
@@ -331,7 +331,7 @@ func New(cfg Config) (*Server, error) {
 		pool:      sched.NewChains(cfg.Workers),
 		sess:      session.New(),
 		perTenant: make(map[string]int),
-		tier:      make(map[string]json.RawMessage),
+		tier:      make(map[string]*session.Frozen),
 		lastEpoch: -1,
 	}
 	s.chains.init()
@@ -712,7 +712,8 @@ func (s *Server) execute(req traffic.Request) *Response {
 	var cerr *interp.CanceledError
 	canceled := err != nil && errors.As(err, &cerr)
 	if !canceled {
-		s.sess.CompleteUnit(fmt.Sprintf("seq:%d", req.Seq), nil)
+		var key [24]byte
+		s.sess.CompleteUnit(string(strconv.AppendInt(append(key[:0], "seq:"...), req.Seq, 10)), nil)
 		ch.runs++
 	}
 	ch.runner.State.EndRun()
@@ -748,7 +749,7 @@ func (s *Server) execute(req traffic.Request) *Response {
 }
 
 // chain returns (or creates) the request's learning chain. Creation
-// seeds from the shared tier's snapshot for the benchmark — published at
+// adopts the shared tier's frozen state for the benchmark — published at
 // the current epoch's barrier — unless the server is Isolated.
 func (s *Server) chain(req traffic.Request) *chain {
 	key := req.Chain()
@@ -765,11 +766,11 @@ func (s *Server) chain(req traffic.Request) *chain {
 		sh.mu.Unlock()
 		if !s.cfg.Isolated {
 			s.tierMu.RLock()
-			blob := s.tier[req.Bench]
+			f := s.tier[req.Bench]
 			s.tierMu.RUnlock()
-			if blob != nil {
+			if f != nil {
 				// A failed seed leaves the chain cold — it still serves.
-				_ = ch.runner.State.Restore(blob)
+				_ = ch.runner.State.Adopt(f)
 			}
 		}
 		// Attach after seeding so a checkpoint taken later captures the
@@ -781,10 +782,10 @@ func (s *Server) chain(req traffic.Request) *chain {
 	return ch
 }
 
-// publish is the epoch barrier body: with the pool drained, snapshot the
+// publish is the epoch barrier body: with the pool drained, freeze the
 // most-trained chain of each benchmark (ties to the smallest tenant
 // name) into the shared tier. Runs and tenant names are deterministic,
-// so the published snapshots are too.
+// so the published states are too.
 func (s *Server) publish() {
 	// Pre-warm host execution plans for every hot cached form, so cold
 	// tenants inherit compiled code along with the learned state below.
@@ -811,12 +812,12 @@ func (s *Server) publish() {
 		}
 	}
 	for bench, ch := range best {
-		blob, err := ch.runner.State.Snapshot()
+		f, err := ch.runner.State.Freeze()
 		if err != nil {
 			continue
 		}
 		s.tierMu.Lock()
-		s.tier[bench] = blob
+		s.tier[bench] = f
 		s.tierMu.Unlock()
 	}
 }
@@ -900,13 +901,29 @@ func (s *Server) Close() {
 }
 
 // checksum folds a response's virtual observables into one value. Wall
-// time deliberately excluded.
+// time deliberately excluded. The hashed bytes are
+// "tenant|bench|input|status|trap|kind|i|fbits|cycles|predicted", with
+// the integers in decimal (Value.Kind as its number) and predicted as
+// true/false; they are built with strconv, not fmt, because this runs on
+// every request.
 func checksum(resp *Response) uint64 {
+	var buf [128]byte
+	b := buf[:0]
+	for _, f := range [...]string{resp.Tenant, resp.Bench, resp.InputID, resp.Status, resp.Trap} {
+		b = append(b, f...)
+		b = append(b, '|')
+	}
+	b = strconv.AppendUint(b, uint64(resp.Value.Kind), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, resp.Value.I, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(resp.Value.F), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, resp.Cycles, 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, resp.Predicted)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%d|%d|%d|%t",
-		resp.Tenant, resp.Bench, resp.InputID, resp.Status, resp.Trap,
-		resp.Value.Kind, resp.Value.I, math.Float64bits(resp.Value.F),
-		resp.Cycles, resp.Predicted)
+	h.Write(b)
 	return h.Sum64()
 }
 

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"hash/fnv"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"evolvevm/internal/bytecode"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/session"
 	"evolvevm/internal/traffic"
@@ -456,5 +460,28 @@ func TestColdTenantBenefitsFromSharedTier(t *testing.T) {
 	defer isolated.Close()
 	if firstColdPredicted(isolated) {
 		t.Error("isolated: cold tenant's first request was predicted without shared learning")
+	}
+}
+
+// TestChecksumBytes pins the bytes checksum hashes to the format string
+// the server hashed through fmt before it switched to strconv: recorded
+// traces carry these checksums, so the bytes may never change.
+func TestChecksumBytes(t *testing.T) {
+	for _, resp := range []*Response{
+		{Tenant: "t0", Bench: "compress", InputID: "compress-003", Status: traffic.StatusOK,
+			Value: bytecode.Int(-42), Cycles: 123456789, Predicted: true},
+		{Tenant: "t1", Bench: "search", Status: traffic.StatusTrap, Trap: "division by zero"},
+		{Status: traffic.StatusOK, Value: bytecode.Float(math.NaN()), Cycles: -1},
+		{Value: bytecode.Value{Kind: 255, I: math.MinInt64, F: math.Inf(-1)}, Cycles: math.MaxInt64},
+		{Tenant: strings.Repeat("tenant", 40), Trap: strings.Repeat("x", 300)}, // outgrows the stack buffer
+	} {
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%d|%d|%d|%t",
+			resp.Tenant, resp.Bench, resp.InputID, resp.Status, resp.Trap,
+			resp.Value.Kind, resp.Value.I, math.Float64bits(resp.Value.F),
+			resp.Cycles, resp.Predicted)
+		if got, want := checksum(resp), h.Sum64(); got != want {
+			t.Errorf("checksum(%+v) = %#x, want %#x", resp, got, want)
+		}
 	}
 }

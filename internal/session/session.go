@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -110,30 +111,59 @@ func (s *Session) UnitKeys() []string {
 // it, so a run that committed into a component while Save was in flight
 // could appear in the component snapshot without its completed unit — a
 // checkpoint whose resume would replay that run against a learner that
-// had already learned it. Save now acquires the commit lock of every
-// BenchState component (in name order, deduplicated by identity) before
-// the session lock. A writer that brackets [run commit, CompleteUnit]
+// had already learned it. Save therefore acquires the commit lock of
+// every BenchState component (in name order, deduplicated by identity)
+// before the session lock, and under them freezes each bench state and
+// copies the units. A writer that brackets [run commit, CompleteUnit]
 // with BeginRun/EndRun therefore cannot be split by a Save: the
 // checkpoint's units and component states always describe the same run
-// boundary. Lock order everywhere: component commit lock → session lock;
-// components must never call back into their session from
-// Snapshot/Restore.
+// boundary. Freezing is cheap (see Frozen), and the JSON encoding and the
+// write to w run after every lock is released, so chains keep committing
+// while a checkpoint is written. Lock order everywhere: component commit
+// lock → session lock; components must never call back into their
+// session from Snapshot/Restore.
 func (s *Session) Save(w io.Writer) error {
 	s.mu.Lock()
-	type comp struct {
-		name string
-		c    CrossRunState
-	}
-	comps := make([]comp, 0, len(s.components))
+	comps := make([]namedComponent, 0, len(s.components))
 	for name, c := range s.components {
-		comps = append(comps, comp{name, c})
+		comps = append(comps, namedComponent{name, c})
 	}
 	s.mu.Unlock()
 	sort.Slice(comps, func(i, j int) bool { return comps[i].name < comps[j].name })
 
-	// Hold the commit lock of every bench-state component across the
-	// capture. Deduplicate by identity: the same state attached under two
-	// names must be locked once.
+	saved, frozen, err := s.capture(comps)
+	if err != nil {
+		return err
+	}
+	for _, nf := range frozen {
+		blob, err := nf.f.encode()
+		if err != nil {
+			return fmt.Errorf("session: snapshot component %q: %w", nf.name, err)
+		}
+		saved.Components[nf.name] = blob
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(saved)
+}
+
+type namedComponent struct {
+	name string
+	c    CrossRunState
+}
+
+type namedFrozen struct {
+	name string
+	f    *Frozen
+}
+
+// capture is Save's locked phase. It holds the commit lock of every
+// bench-state component, then the session lock, while it copies the
+// pending blobs and units, freezes each bench state, and snapshots any
+// other component; it returns with every lock released.
+func (s *Session) capture(comps []namedComponent) (savedSession, []namedFrozen, error) {
+	// Deduplicate by identity: the same state attached under two names
+	// must be locked once.
 	locked := make(map[*BenchState]bool)
 	for _, cp := range comps {
 		if bs, ok := cp.c.(*BenchState); ok && !locked[bs] {
@@ -144,39 +174,28 @@ func (s *Session) Save(w io.Writer) error {
 	}
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	saved := savedSession{
 		Version:    formatVersion,
 		Components: make(map[string]json.RawMessage, len(comps)+len(s.pending)),
-		Units:      make(map[string]json.RawMessage, len(s.units)),
+		Units:      maps.Clone(s.units),
 	}
-	for name, blob := range s.pending {
-		saved.Components[name] = blob
-	}
-	for k, v := range s.units {
-		saved.Units[k] = v
-	}
-	var snapErr error
+	maps.Copy(saved.Components, s.pending)
+	var frozen []namedFrozen
 	for _, cp := range comps {
-		var blob json.RawMessage
 		var err error
 		if bs, ok := cp.c.(*BenchState); ok {
-			blob, err = bs.snapshotLocked() // commit lock already held above
+			var f *Frozen
+			f, err = bs.freezeLocked() // commit lock already held above
+			frozen = append(frozen, namedFrozen{cp.name, f})
 		} else {
-			blob, err = cp.c.Snapshot()
+			saved.Components[cp.name], err = cp.c.Snapshot()
 		}
 		if err != nil {
-			snapErr = fmt.Errorf("session: snapshot component %q: %w", cp.name, err)
-			break
+			return savedSession{}, nil, fmt.Errorf("session: snapshot component %q: %w", cp.name, err)
 		}
-		saved.Components[cp.name] = blob
 	}
-	s.mu.Unlock()
-	if snapErr != nil {
-		return snapErr
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(saved)
+	return saved, frozen, nil
 }
 
 // Load reads a session checkpoint written by Save. Component blobs stay

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -140,65 +141,170 @@ func TestLoadRejectsGarbageAndWrongVersion(t *testing.T) {
 	}
 }
 
-// TestBenchStateResumeBitIdentical is the session-level persistence
-// guarantee: snapshot a benchmark's learned state mid-sequence, restore
-// it into a fresh process-worth of state, and the remaining runs must be
-// bit-identical in every recorded observable.
-func TestBenchStateResumeBitIdentical(t *testing.T) {
-	ctx := context.Background()
-	mk := func() *harness.Runner {
-		r, err := harness.NewRunner(programs.ByName("mtrt"), 8, 9)
+// transfers are the two ways one BenchState's learned state reaches
+// another: the JSON encoding that checkpoints use, and the in-memory
+// freeze the serving tier publishes. They must be interchangeable.
+var transfers = []struct {
+	name string
+	move func(t *testing.T, from, to *session.BenchState)
+}{
+	{"snapshot+restore", func(t *testing.T, from, to *session.BenchState) {
+		t.Helper()
+		blob, err := from.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r
-	}
-	a := mk()
-	order := a.Order(stats.Stream(9, "session-test", "order"), 20)
-	half := len(order) / 2
+		if err := to.Restore(blob); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"freeze+adopt", func(t *testing.T, from, to *session.BenchState) {
+		t.Helper()
+		f, err := from.Freeze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := to.Adopt(f); err != nil {
+			t.Fatal(err)
+		}
+	}},
+}
 
-	if _, err := a.RunSequence(ctx, harness.ScenarioEvolve, order[:half]); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := a.State.Snapshot()
+func newRunner(t *testing.T, bench string) *harness.Runner {
+	t.Helper()
+	r, err := harness.NewRunner(programs.ByName(bench), 8, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
 
-	b := mk()
-	if err := b.State.Restore(blob); err != nil {
+// sameRun fails unless two runs of one input agree in every recorded
+// observable, the Evolve learning record included.
+func sameRun(t *testing.T, what string, ra, rb *harness.RunResult) {
+	t.Helper()
+	if ra.Cycles != rb.Cycles || ra.Speedup != rb.Speedup ||
+		!ra.Result.Equal(rb.Result) {
+		t.Fatalf("%s: input %s: run diverged:\nwant %+v\ngot  %+v", what, ra.InputID, ra, rb)
+	}
+	if (ra.Scenario == harness.ScenarioEvolve && (ra.Evolve == nil || rb.Evolve == nil)) ||
+		!reflect.DeepEqual(ra.Evolve, rb.Evolve) {
+		t.Fatalf("%s: input %s: learning record diverged:\nwant %+v\ngot  %+v",
+			what, ra.InputID, ra.Evolve, rb.Evolve)
+	}
+}
+
+// run executes one input on r, failing the test on error.
+func run(t *testing.T, r *harness.Runner, sc harness.Scenario, idx int) *harness.RunResult {
+	t.Helper()
+	res, err := r.RunOne(context.Background(), sc, r.Inputs[idx])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Evolver().Confidence() != b.Evolver().Confidence() ||
-		a.Evolver().Runs() != b.Evolver().Runs() {
-		t.Fatalf("restored learner differs: %.6f/%d vs %.6f/%d",
-			a.Evolver().Confidence(), a.Evolver().Runs(),
-			b.Evolver().Confidence(), b.Evolver().Runs())
+	return res
+}
+
+// runTwins runs one input under both learning scenarios — Evolve trains
+// the per-method models, Rep the work history — on a learner and on its
+// twin, and requires identical outcomes and identical learned state.
+func runTwins(t *testing.T, what string, twin, r *harness.Runner, idx int) {
+	t.Helper()
+	for _, sc := range []harness.Scenario{harness.ScenarioEvolve, harness.ScenarioRep} {
+		sameRun(t, what, run(t, twin, sc, idx), run(t, r, sc, idx))
+	}
+	want, err := twin.State.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.State.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("%s: learned state diverged from its twin's", what)
+	}
+}
+
+// TestBenchStateResumeBitIdentical is the session-level persistence
+// guarantee: move a benchmark's learned state mid-sequence into a fresh
+// process-worth of state, along either transfer path, and the remaining
+// runs must be bit-identical in every recorded observable.
+func TestBenchStateResumeBitIdentical(t *testing.T) {
+	for _, tc := range transfers {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			a := newRunner(t, "mtrt")
+			order := a.Order(stats.Stream(9, "session-test", "order"), 20)
+			half := len(order) / 2
+
+			if _, err := a.RunSequence(ctx, harness.ScenarioEvolve, order[:half]); err != nil {
+				t.Fatal(err)
+			}
+			b := newRunner(t, "mtrt")
+			tc.move(t, a.State, b.State)
+			if a.Evolver().Confidence() != b.Evolver().Confidence() ||
+				a.Evolver().Runs() != b.Evolver().Runs() {
+				t.Fatalf("transferred learner differs: %.6f/%d vs %.6f/%d",
+					a.Evolver().Confidence(), a.Evolver().Runs(),
+					b.Evolver().Confidence(), b.Evolver().Runs())
+			}
+			for _, idx := range order[half:] {
+				sameRun(t, "resumed", run(t, a, harness.ScenarioEvolve, idx), run(t, b, harness.ScenarioEvolve, idx))
+			}
+		})
+	}
+}
+
+// TestFreezeAdoptNeverAliases trains on both sides of a freeze. The
+// frozen state shares its example and work histories with the source and
+// with every adopter; if any of them could append into another's backing
+// array, a learner would train on examples it never saw. Each learner is
+// checked run for run against a twin whose state moved by JSON, which
+// shares nothing: the source keeps training after the freeze, then two
+// adopters of the one frozen state train, interleaved, on different
+// inputs, and the source trains again.
+func TestFreezeAdoptNeverAliases(t *testing.T) {
+	src, srcJSON := newRunner(t, "compress"), newRunner(t, "compress")
+	order := src.Order(stats.Stream(9, "session-test", "alias"), 30)
+	for _, idx := range order[:10] {
+		runTwins(t, "source before freeze", srcJSON, src, idx)
+	}
+	frozen, err := src.State.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := srcJSON.State.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range order[10:15] {
+		runTwins(t, "source after freeze", srcJSON, src, idx)
 	}
 
-	for _, idx := range order[half:] {
-		ra, err := a.RunOne(ctx, harness.ScenarioEvolve, a.Inputs[idx])
-		if err != nil {
+	var adopters, twins [2]*harness.Runner
+	for i := range adopters {
+		adopters[i], twins[i] = newRunner(t, "compress"), newRunner(t, "compress")
+		if err := adopters[i].State.Adopt(frozen); err != nil {
 			t.Fatal(err)
 		}
-		rb, err := b.RunOne(ctx, harness.ScenarioEvolve, b.Inputs[idx])
-		if err != nil {
+		if err := twins[i].State.Restore(blob); err != nil {
 			t.Fatal(err)
 		}
-		if ra.Cycles != rb.Cycles || ra.Speedup != rb.Speedup ||
-			!ra.Result.Equal(rb.Result) {
-			t.Fatalf("input %s: run diverged after resume:\noriginal %+v\nresumed  %+v",
-				ra.InputID, ra, rb)
+	}
+	n := len(src.Inputs)
+	for step, idx := range order[15:] {
+		for i := range adopters {
+			in := (idx + i*(n/2+1)) % n // the adopters see different inputs
+			runTwins(t, fmt.Sprintf("adopter %d step %d", i, step), twins[i], adopters[i], in)
 		}
-		if ra.Evolve == nil || rb.Evolve == nil ||
-			!reflect.DeepEqual(ra.Evolve, rb.Evolve) {
-			t.Fatalf("input %s: learning record diverged:\noriginal %+v\nresumed  %+v",
-				ra.InputID, ra.Evolve, rb.Evolve)
+		if step%3 == 2 {
+			runTwins(t, fmt.Sprintf("source step %d", step), srcJSON, src, idx)
 		}
 	}
 }
 
-// TestBenchStateRejectsWrongProgram: a snapshot binds to its program.
+// TestBenchStateRejectsWrongProgram: a snapshot or frozen state binds to
+// its program.
 func TestBenchStateRejectsWrongProgram(t *testing.T) {
 	mtrt, err := programs.ByName("mtrt").Program()
 	if err != nil {
@@ -216,6 +322,13 @@ func TestBenchStateRejectsWrongProgram(t *testing.T) {
 	b := session.NewBenchState(compress, core.DefaultConfig())
 	if err := b.Restore(blob); err == nil {
 		t.Error("mtrt snapshot restored into compress state")
+	}
+	f, err := a.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Adopt(f); err == nil {
+		t.Error("frozen mtrt state adopted into compress state")
 	}
 	if err := b.Restore(json.RawMessage("{nope")); err == nil {
 		t.Error("garbage snapshot accepted")
