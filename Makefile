@@ -36,5 +36,7 @@ benchcmp:
 	$(GO) run ./cmd/benchreport -flat -o bench.new.json bench.out
 	$(GO) run ./cmd/benchreport compare BENCH_substrate.json bench.new.json
 
+# clean removes scratch benchmark outputs only: BENCH_substrate.json is
+# the committed trajectory and the baseline benchcmp compares against.
 clean:
-	rm -f bench.out bench.new.json BENCH_substrate.json
+	rm -f bench.out bench.new.json

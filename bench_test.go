@@ -61,10 +61,9 @@ func BenchmarkFigure8(b *testing.B) {
 
 // substrateColumns are the host-tier variants the loop-heavy experiment
 // benchmarks record: the full substrate (register traces included) vs
-// the previous fastest configuration (register tier off, closure tier
-// and below unchanged). Virtual results are bit-identical across the
-// columns (substrate equivalence suites); the ns/op spread is the
-// register tier's end-to-end host-side win.
+// the fused switch alone (register tier off). Virtual results are
+// bit-identical across the columns (substrate equivalence suites); the
+// ns/op spread is the register tier's end-to-end host-side win.
 var substrateColumns = []struct {
 	name string
 	sub  exec.Substrate
@@ -170,120 +169,26 @@ func BenchmarkAblation(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-// BenchmarkInterpreterDispatch measures the raw execution engine on a
-// tight arithmetic loop.
-func BenchmarkInterpreterDispatch(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  ixor
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := interp.NewEngine(prog)
-		if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterpDispatch measures the same tight loop with the host
-// performance substrate fully on, batching without fusion, and fully off
-// — the spread between the sub-benchmarks is the dispatch saving of
-// block-batched accounting and superinstruction fusion (the virtual
-// results are bit-identical in all three modes; see the substrate suites
-// in internal/difftest and internal/harness).
-func BenchmarkInterpDispatch(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  ixor
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	modes := []struct {
-		name               string
-		noFuse, noBatching bool
-		closures           bool
-	}{
-		{name: "closure", closures: true},
-		{name: "substrate"},
-		{name: "nofuse", noFuse: true},
-		{name: "off", noBatching: true},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := interp.NewEngine(prog)
-				e.DisableFusion = mode.noFuse
-				e.DisableBatching = mode.noBatching
-				e.DisableClosures = !mode.closures
-				e.EagerClosures = mode.closures
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchTiers compares the four dispatch tiers — batched
-// switch, fused switch, closure-threaded, and register-converted traces —
-// on the same tight loop, honestly: one engine per tier, warmed before
-// the timer so every mode runs its steady state (plans decoded, closures
-// compiled, traces converted, pools populated) rather than paying
-// one-time build costs inside the measurement. The virtual results are
-// bit-identical across all four (see the substrate suites); the spread is
-// pure host dispatch cost.
+// BenchmarkDispatchTiers compares the host dispatch tiers on the same
+// tight loop, honestly: one engine per tier, warmed before the timer so
+// every mode runs its steady state (plans decoded, traces converted,
+// pools populated) rather than paying one-time build costs inside the
+// measurement. The columns are off (per-instruction dispatch and
+// charging), switch (block-batched, unfused), fused (batched with
+// superinstructions), and register (register-converted traces). The
+// virtual results are bit-identical across all of them (see the
+// substrate suites); the spread is pure host dispatch cost.
 func BenchmarkDispatchTiers(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
+	tiers := []struct {
+		name string
+		sub  interp.Substrate
+	}{
+		{"off", interp.Substrate{NoBatching: true}},
+		{"switch", interp.Substrate{NoFusion: true, NoRegTier: true}},
+		{"fused", interp.Substrate{NoRegTier: true}},
+		{"register", interp.Substrate{EagerRegTier: true}},
+	}
+	prog := assembleBench(b, "microloop", `
 global n
 func main() locals i acc
   const 0
@@ -306,58 +211,12 @@ done:
   ret
 end
 `)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tiers := []struct {
-		name      string
-		configure func(*interp.Engine)
-	}{
-		{"switch", func(e *interp.Engine) {
-			e.DisableFusion = true
-			e.DisableClosures = true
-			e.DisableRegTier = true
-		}},
-		{"fused", func(e *interp.Engine) {
-			e.DisableClosures = true
-			e.DisableRegTier = true
-		}},
-		{"closure", func(e *interp.Engine) {
-			e.EagerClosures = true
-			e.DisableRegTier = true
-		}},
-		{"register", func(e *interp.Engine) {
-			e.EagerClosures = true
-			e.EagerRegTier = true
-		}},
-	}
-	for _, tier := range tiers {
-		b.Run(tier.name, func(b *testing.B) {
-			e := interp.NewEngine(prog)
-			run := func() {
-				e.Reset()
-				tier.configure(e)
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // warm: plans, closures, traces, pooled scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
 
 	// Data-dependent branch shape: the same loop with an i&1 arm, so the
 	// head trace side-exits every other iteration into the OSR tail of the
 	// odd arm, which rejoins the head at the back edge. The register
 	// column tracks linked exits: both transitions stay in-register.
-	branchProg, err := bytecode.Assemble("microbranch", `
+	branchProg := assembleBench(b, "microbranch", `
 global n
 func main() locals i acc
   const 0
@@ -391,36 +250,12 @@ done:
   ret
 end
 `)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tier := range tiers {
-		b.Run("branch/"+tier.name, func(b *testing.B) {
-			e := interp.NewEngine(branchProg)
-			run := func() {
-				e.Reset()
-				tier.configure(e)
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
 
 	// Call-heavy shape: the same loop with a small non-recursive callee in
 	// the body. Before CALL inlining this shape degraded out of the
 	// register tier entirely; the register/register-noinline spread is the
 	// per-commit tracking signal for the inlining win.
-	callProg, err := bytecode.Assemble("microcall", `
+	callProg := assembleBench(b, "microcall", `
 global n
 func main() locals i acc
   const 0
@@ -452,37 +287,49 @@ func leaf(x)
   ret
 end
 `)
+
+	for _, shape := range []struct {
+		prefix string
+		prog   *bytecode.Program
+	}{{"", prog}, {"branch/", branchProg}, {"call/", callProg}} {
+		for _, tier := range tiers {
+			b.Run(shape.prefix+tier.name, func(b *testing.B) { runDispatch(b, shape.prog, tier.sub) })
+		}
+	}
+	b.Run("call/register-noinline", func(b *testing.B) {
+		runDispatch(b, callProg, interp.Substrate{EagerRegTier: true, NoCallInline: true})
+	})
+}
+
+// assembleBench assembles a microbenchmark program or fails the benchmark.
+func assembleBench(b *testing.B, name, src string) *bytecode.Program {
+	b.Helper()
+	prog, err := bytecode.Assemble(name, src)
 	if err != nil {
 		b.Fatal(err)
 	}
-	callTiers := append(tiers[:len(tiers):len(tiers)], struct {
-		name      string
-		configure func(*interp.Engine)
-	}{"register-noinline", func(e *interp.Engine) {
-		e.EagerClosures = true
-		e.EagerRegTier = true
-		e.DisableCallInline = true
-	}})
-	for _, tier := range callTiers {
-		b.Run("call/"+tier.name, func(b *testing.B) {
-			e := interp.NewEngine(callProg)
-			run := func() {
-				e.Reset()
-				tier.configure(e)
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+	return prog
+}
+
+// runDispatch times prog under one substrate setting: a single engine,
+// warmed untimed, then reset and rerun with n = 10000 per iteration.
+func runDispatch(b *testing.B, prog *bytecode.Program, sub interp.Substrate) {
+	e := interp.NewEngine(prog)
+	run := func() {
+		e.Reset()
+		e.Substrate = sub
+		if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm: plans, traces, pooled scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
 

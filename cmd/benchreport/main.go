@@ -254,6 +254,10 @@ func compareReports(oldRep, newRep *Report, warn, fail float64, w io.Writer) int
 	for _, e := range oldRep.Benchmarks {
 		oldBy[e.Name] = e
 	}
+	inNew := make(map[string]bool, len(newRep.Benchmarks))
+	for _, e := range newRep.Benchmarks {
+		inNew[e.Name] = true
+	}
 	status := 0
 	fresh := 0
 	// The basis column shows which statistic the row was judged on (min
@@ -322,8 +326,22 @@ func compareReports(oldRep, newRep *Report, warn, fail float64, w io.Writer) int
 				ne.Name+" ["+unit+"]", ov, nv, delta*100, mark, basis)
 		}
 	}
+	// Baseline rows the new run lacks (a benchmark deleted or renamed)
+	// are listed too, so none vanishes silently. Like new rows they are
+	// informational only and never gate.
+	gone := 0
+	for _, oe := range oldRep.Benchmarks {
+		if inNew[oe.Name] {
+			continue
+		}
+		gone++
+		fmt.Fprintf(w, "%-34s %14.0f %14s %8s  %5s  %9s\n", oe.Name, oe.MeanNsPerOp, "-", "gone", "-", fmt.Sprintf("%d/-", oe.Runs))
+	}
 	if fresh > 0 {
 		fmt.Fprintf(w, "note: %d benchmark(s) not in baseline; comparison skipped for them\n", fresh)
+	}
+	if gone > 0 {
+		fmt.Fprintf(w, "note: %d baseline benchmark(s) missing from the new run\n", gone)
 	}
 	return status
 }

@@ -336,6 +336,31 @@ func TestCompareNewBenchmarkIsNotRegression(t *testing.T) {
 	}
 }
 
+func TestCompareReportsGoneBenchmarks(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnapshot(t, dir, "old.json", []Entry{
+		{Name: "BenchmarkA", MeanNsPerOp: 1000, Runs: 5},
+		{Name: "BenchmarkRemoved", MeanNsPerOp: 4321, Runs: 5},
+	})
+	newer := writeSnapshot(t, dir, "new.json", []Entry{{Name: "BenchmarkA", MeanNsPerOp: 1000, Runs: 5}})
+	var stdout, stderr bytes.Buffer
+	if got := runCompare([]string{old, newer}, &stdout, &stderr); got != 0 {
+		t.Errorf("exit %d, want 0: a missing benchmark is informational\n%s", got, stdout.String())
+	}
+	var row string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkRemoved ") {
+			row = line
+		}
+	}
+	if !strings.Contains(row, "4321") || !strings.Contains(row, "gone") {
+		t.Errorf("removed benchmark not listed as gone with its baseline value:\n%s", stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "note: 1 baseline benchmark(s) missing from the new run") {
+		t.Errorf("gone count note missing:\n%s", stdout.String())
+	}
+}
+
 func TestCompareMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if got := runCompare([]string{"/nonexistent/a.json", "/nonexistent/b.json"}, &stdout, &stderr); got != 2 {

@@ -88,8 +88,7 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		corpus    = fs.Int("corpus", 0, "per-benchmark input corpus size (0 = default)")
 		isolated  = fs.Bool("isolated", false, "disable the shared cross-tenant learning tier")
 		benches   = fs.String("benches", "", "comma-separated benchmarks to serve (default: all)")
-		asyncComp = fs.Bool("async-compile", false, "build tier plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
-		syncComp  = fs.Bool("sync-compile", false, "force inline tier-plan builds, overriding -async-compile and the env knob")
+		asyncComp = fs.Bool("async-compile", false, "build tier plans on a background pool instead of inline at the promotion point")
 	)
 	return func() (serve.Config, error) {
 		sc, err := serveScenario(*scenario)
@@ -107,7 +106,6 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			Isolated:    *isolated,
 		}
 		cfg.Substrate.AsyncCompile = *asyncComp
-		cfg.Substrate.SyncCompile = *syncComp
 		if *benches != "" {
 			cfg.Benches = strings.Split(*benches, ",")
 		}

@@ -60,7 +60,7 @@ func run(args []string, w, werr io.Writer) int {
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 		blockprofile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
 		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and background-compile counters to stderr on exit")
-		asynccompile = fs.Bool("asynccompile", false, "build tier plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
+		asynccompile = fs.Bool("asynccompile", false, "build tier plans on a background pool instead of inline at the promotion point")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -257,8 +257,7 @@ func printTraceStats(werr io.Writer) {
 // diagnostics must never touch the schedule-stable stdout stream.
 func printCompileStats(werr io.Writer) {
 	pi := interp.ReadPlanInstallStats()
-	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_closures=%d lost_traces=%d\n",
-		pi.LostPlans, pi.LostClosures, pi.LostTraces)
+	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_traces=%d\n", pi.LostPlans, pi.LostTraces)
 	st := exec.CompilePoolStats()
 	if st == nil {
 		fmt.Fprintf(werr, "compile pool: not used\n")
@@ -266,7 +265,6 @@ func printCompileStats(werr io.Writer) {
 	}
 	fmt.Fprintf(werr, "compile pool: enqueued=%d built=%d lost_installs=%d dropped=%d deduped=%d queue_high_water=%d\n",
 		st.Enqueued, st.Built, st.LostInstalls, st.Dropped, st.Deduped, st.QueueHighWater)
-	fmt.Fprintf(werr, "compile pool: closure builds n=%d mean=%dns p50=%dns p99=%dns; trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
-		st.Closure.Count, st.Closure.MeanNs, st.Closure.P50Ns, st.Closure.P99Ns,
+	fmt.Fprintf(werr, "compile pool: trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
 		st.Trace.Count, st.Trace.MeanNs, st.Trace.P50Ns, st.Trace.P99Ns)
 }

@@ -2,7 +2,7 @@ package main
 
 // The Engine.Run tier scaffolding, spliced verbatim around the generated
 // per-opcode arms. runTop opens Run and carries the frame loop, the trace
-// and closure tier entries, and the fused plan's batched-segment entry up
+// tier entry, and the fused plan's batched-segment entry up
 // to the micro-op switch; runMid carries the fused superinstruction arms
 // and the accounted loop's sampling prologue up to the per-instruction
 // switch; runBottom closes both switches and the function. Indentation is
@@ -23,8 +23,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 	locals := sc.locals[:0]
 	stack := sc.stack[:0]
 	frames := sc.frames[:0]
-	st := &sc.st
-	st.e = e
 	sc.deopt = deoptState{}
 	sc.trapFn = -1
 	e.rootLocals, e.rootStack = nil, nil
@@ -37,7 +35,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 		sc.frames = frames[:cap(frames)]
 		clear(sc.frames)
 		sc.frames = sc.frames[:0]
-		sc.st = cstate{}
 		sc.curCodes = sc.curCodes[:cap(sc.curCodes)]
 		clear(sc.curCodes)
 		sc.curCodes = sc.curCodes[:0]
@@ -81,18 +78,12 @@ func (e *Engine) Run() (bytecode.Value, error) {
 		workP := &e.Work[code.FnIdx]
 		cycP := &e.FnCycles[code.FnIdx]
 		var pl *plan
-		var cp *closPlan
 		var tp *tracePlan
-		if !e.DisableBatching {
-			if !e.DisableRegTier {
+		if !e.NoBatching {
+			if !e.NoRegTier {
 				tp = e.traceTier(code)
 			}
-			if !e.DisableClosures {
-				cp = e.closureTier(code)
-			}
-			if cp == nil {
-				pl = code.planFor(!e.DisableFusion)
-			}
+			pl = code.planFor(!e.NoFusion)
 		}
 		rerr := func(format string, args ...interface{}) error {
 			return &RuntimeError{Prog: e.Prog.Name, Fn: code.Name, PC: fr.pc,
@@ -161,40 +152,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 						frames = append(frames, nf)
 						break body // switch to the reconstructed callee frame
 					}
-					fr.pc = npc
-					continue
-				}
-			}
-
-			// Next: the closure-threaded tier. Same segment
-			// geometry and batched charge as the fused plan below — the
-			// closure program is compiled from it fop for fop — but each
-			// micro-op is a pre-bound closure, so there is no operand
-			// decoding and no dispatch switch. A trapping closure deposits
-			// the identical suffix-charge rollback in st.
-			if cp != nil {
-				if s := cp.seg[pc]; s != nil && e.Cycles+s.cost < e.nextSample {
-					e.Cycles += s.cost
-					*workP += s.base
-					*cycP += s.cost
-					st.locals, st.lb = locals, lb
-					npc := int(s.end)
-					sp := stack
-					for _, fn := range s.fns {
-						var r int
-						if sp, r = fn(st, sp); r != closFall {
-							if r == closTrap {
-								stack = sp
-								e.Cycles -= int64(st.rem)
-								*workP -= int64(st.remBase)
-								*cycP -= int64(st.rem)
-								fr.pc = int(st.tpc)
-								return result, rerr("%s", st.msg)
-							}
-							npc = r // branches only terminate segments
-						}
-					}
-					stack = sp
 					fr.pc = npc
 					continue
 				}
@@ -352,19 +309,14 @@ const runMid = `
 						e.OnSample(code.FnIdx)
 					}
 				}
-				// A sampler tick is the promotion point of the closure
-				// tier: re-ask for the threaded form so code that just got
-				// hot (or was recompiled hot in OnSample) starts threading
+				// A sampler tick is the promotion point of the register
+				// tier: re-ask for the trace plan so code that just got
+				// hot (or was recompiled hot in OnSample) starts tracing
 				// without leaving the frame. With a background compile
 				// queue attached the re-ask enqueues instead of building
 				// and keeps returning nil until the plan lands; either
 				// way, host-side only — the virtual stream is untouched.
-				if cp == nil && !e.DisableBatching && !e.DisableClosures {
-					if cp = e.closureTier(code); cp != nil {
-						pl = nil
-					}
-				}
-				if tp == nil && !e.DisableBatching && !e.DisableRegTier {
+				if tp == nil && !e.NoBatching && !e.NoRegTier {
 					tp = e.traceTier(code)
 				}
 				if e.Cycles > e.MaxCycles {

@@ -23,7 +23,7 @@
 // Layout:
 //
 //	internal/bytecode   instruction set, assembler, verifier
-//	internal/interp     execution engine, cycle accounting, sampler
+//	internal/interp     execution engine (three host tiers), cycle accounting, sampler
 //	internal/opt        optimization passes (fold, DCE, inline, LICM, unroll)
 //	internal/jit        multi-level compiler driver and cost model
 //	internal/vm         machine = engine + JIT + pluggable controller

@@ -26,17 +26,16 @@ func programByName(t *testing.T, name string) *programs.Benchmark {
 // produce byte-identical virtual outcomes, and the serve path must agree
 // with a direct interpreter-harness oracle run outside the server.
 
-// serveTiers pins the serving front end onto each of the four host
+// serveTiers pins the serving front end onto each of the three host
 // execution tiers: the original per-instruction switch, the fused
-// batching switch, the closure-threaded tier, and the register-converted
-// trace tier (entered eagerly so short serving runs reach it).
+// batching switch, and the register-converted trace tier (entered eagerly
+// so short serving runs reach it).
 var serveTiers = []struct {
 	name string
 	sub  exec.Substrate
 }{
 	{"switch", exec.Substrate{NoBatching: true}},
-	{"fused", exec.Substrate{NoClosures: true, NoRegTier: true}},
-	{"closure", exec.Substrate{NoRegTier: true}},
+	{"fused", exec.Substrate{NoRegTier: true}},
 	{"reg", exec.Substrate{EagerRegTier: true}},
 }
 
@@ -87,7 +86,7 @@ func serveTrace(t *testing.T, cfg serve.Config, tr *traffic.Trace) []traffic.Out
 }
 
 // TestServeSoakAcrossHostTiers serves one trace under the Evolve
-// scenario on all four host tiers plus the production default and
+// scenario on all three host tiers plus the production default and
 // asserts every virtual outcome — status, trap, cycles, and the full
 // response checksum (which folds the result value and the prediction
 // bit) — is identical. The host execution tier must be unobservable

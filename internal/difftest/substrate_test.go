@@ -2,7 +2,6 @@ package difftest
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,76 +24,49 @@ import (
 // instruction under every substrate mode, so trapped executions are
 // compared bit-for-bit like completed ones.
 
-// substrateModes enumerates the metamorphic ladder: the original
-// per-instruction loop, batching without fusion, the full fused switch,
-// the closure-threaded tier (eager, so every tier from baseline up is
-// threaded from the first instruction), fused and unfused, and the
-// register-converted trace tier (eager, entered from the first back-edge
-// arrival), again fused and unfused. "full" leaves closures and traces on
-// their production hotness gates, so it also covers mid-run promotion
-// from the fused switch to the threaded and register forms.
-var substrateModes = []struct {
-	name      string
-	configure func(*interp.Engine)
-}{
-	{"off", func(e *interp.Engine) { e.DisableBatching = true }},
-	{"batch-nofuse", func(e *interp.Engine) { e.DisableFusion = true; e.DisableClosures = true; e.DisableRegTier = true }},
-	{"full", nil},
-	{"closure", func(e *interp.Engine) { e.EagerClosures = true; e.DisableRegTier = true }},
-	{"closure-nofuse", func(e *interp.Engine) { e.EagerClosures = true; e.DisableFusion = true; e.DisableRegTier = true }},
-	{"noclosure", func(e *interp.Engine) { e.DisableClosures = true }},
-	{"reg", func(e *interp.Engine) { e.EagerRegTier = true }},
-	{"reg-nofuse", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableFusion = true }},
-	{"reg-noclosure", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableClosures = true }},
-	{"noreg", func(e *interp.Engine) { e.DisableRegTier = true }},
-	// OSR / deopt / inlining ladder: forced mid-iteration entry at every
-	// OSR point, forced deoptimization back to the accounted loop after a
-	// single trace iteration (every exit boundary's state mapping fires),
-	// OSR disabled entirely (loop-head entries only), and CALL inlining
-	// refused (traces degrade at calls, pre-inlining behaviour).
-	{"osr-eager", func(e *interp.Engine) { e.EagerRegTier = true; e.EagerOSR = true }},
-	{"osr-deopt", func(e *interp.Engine) { e.EagerRegTier = true; e.EagerOSR = true; e.StressDeopt = true }},
-	{"noosr", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableOSR = true }},
-	{"noinline", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableCallInline = true }},
+// substrateMode is one named setting of the host-performance toggles.
+type substrateMode struct {
+	name string
+	sub  interp.Substrate
 }
 
-// withEagerReg layers the CI force-enable knobs over a mode: when
-// EVOLVEVM_EAGER_REGTIER is set, every mode that leaves the register tier
-// enabled enters traces eagerly, so the soak exercises the register
-// executor on all generated code rather than only on loops that cross the
-// hotness thresholds; EVOLVEVM_EAGER_OSR additionally forces OSR entry at
-// every mid-loop entry point. EVOLVEVM_ASYNC_COMPILE attaches a shared
-// background compilation pool to every engine, so the whole mode ladder
-// reruns with plans built by pool workers and CAS-installed mid-run
-// (eager modes still build inline — they need plans before the first
-// instruction). Modes that disable a tier (or batching entirely) are
-// unaffected — their configure runs last and wins.
-func withEagerReg(configure func(*interp.Engine)) func(*interp.Engine) {
-	eagerReg := os.Getenv("EVOLVEVM_EAGER_REGTIER") != ""
-	eagerOSR := os.Getenv("EVOLVEVM_EAGER_OSR") != ""
-	async := os.Getenv("EVOLVEVM_ASYNC_COMPILE") != ""
-	if !eagerReg && !eagerOSR && !async {
-		return configure
-	}
-	return func(e *interp.Engine) {
-		if eagerReg {
-			e.EagerRegTier = true
-		}
-		if eagerOSR {
-			e.EagerOSR = true
-		}
-		if async {
-			e.BgCompile = sharedAsyncPool()
-		}
-		if configure != nil {
-			configure(e)
-		}
+// substrateModes enumerates the metamorphic ladder: the original
+// per-instruction loop, batching without fusion, the full fused switch,
+// and the register-converted trace tier (eager, entered from the first
+// back-edge arrival), fused and unfused. "full" leaves traces on their
+// production hotness gates, so it also covers mid-run promotion from the
+// fused switch to the register form; "async" does the same with trace
+// plans built by a shared background pool and CAS-installed mid-run. The
+// OSR / deopt / inlining rows force deoptimization back to the accounted
+// loop after a single trace iteration (every exit boundary's state
+// mapping fires), disable OSR entirely (loop-head entries only), and
+// refuse CALL inlining (traces degrade at calls, pre-inlining behaviour).
+var substrateModes = []substrateMode{
+	{"off", interp.Substrate{NoBatching: true}},
+	{"batch-nofuse", interp.Substrate{NoFusion: true, NoRegTier: true}},
+	{"full", interp.Substrate{}},
+	{"reg", interp.Substrate{EagerRegTier: true}},
+	{"reg-nofuse", interp.Substrate{EagerRegTier: true, NoFusion: true}},
+	{"noreg", interp.Substrate{NoRegTier: true}},
+	{"reg-deopt", interp.Substrate{EagerRegTier: true, ForcedDeopt: true}},
+	{"noosr", interp.Substrate{EagerRegTier: true, NoOSR: true}},
+	{"noinline", interp.Substrate{EagerRegTier: true, NoCallInline: true}},
+	{"async", interp.Substrate{AsyncCompile: true}},
+}
+
+// configure installs the mode on an engine, attaching the shared
+// background pool when the mode compiles asynchronously — the engine-level
+// mirror of exec.RunInto.
+func (m substrateMode) configure(e *interp.Engine) {
+	e.Substrate = m.sub
+	if m.sub.AsyncCompile {
+		e.BgCompile = sharedAsyncPool()
 	}
 }
 
 // sharedAsyncPool lazily builds the one background compilation pool the
-// env-layered soak passes share. Never closed: it lives for the test
-// process, like the exec layer's default pool.
+// async mode shares across every run. Never closed: it lives for the
+// test process, like the exec layer's default pool.
 var (
 	asyncPoolOnce sync.Once
 	asyncPool     *bgcompile.Pool
@@ -159,7 +131,7 @@ func TestSubstrateBitIdentical(t *testing.T) {
 				}
 				for _, mode := range substrateModes[1:] {
 					got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-						g.NumericGlobals, input, withEagerReg(mode.configure))
+						g.NumericGlobals, input, mode.configure)
 					if err != nil {
 						t.Fatalf("seed %d mode %s: %v", seed, mode.name, err)
 					}
@@ -178,7 +150,7 @@ func TestSubstrateBitIdentical(t *testing.T) {
 }
 
 // TestSubstrateAsyncCompile holds background tier compilation to the
-// bit-identity bar: runs whose closure and trace plans are built by pool
+// bit-identity bar: runs whose trace plans are built by pool
 // workers and CAS-installed at arbitrary wall-clock moments mid-run —
 // including several submitters racing each other on one pool, where
 // in-flight dedup leaves some runs executing in lower tiers the whole
@@ -218,9 +190,9 @@ func TestSubstrateAsyncCompile(t *testing.T) {
 				ctx := fmt.Sprintf("seed %d input %d level %d async", seed, k, level)
 				execBitIdentical(t, ctx, ref, got)
 
-				// Concurrent-submitter leg (top tier only, where every plan
-				// kind is in play): four goroutines run the same execution
-				// against the shared pool while its workers install plans.
+				// Concurrent-submitter leg (top tier only): four
+				// goroutines run the same execution against the shared
+				// pool while its workers install plans.
 				if level == jit.MaxLevel {
 					errc := make(chan error, 4)
 					for w := 0; w < 4; w++ {
@@ -283,7 +255,7 @@ func TestSubstrateBitIdenticalGC(t *testing.T) {
 					}
 					for _, mode := range substrateModes[1:] {
 						got, err := RunTierConfigured(g.Prog, level, cfg, preCap,
-							g.NumericGlobals, input, withEagerReg(mode.configure))
+							g.NumericGlobals, input, mode.configure)
 						if err != nil {
 							t.Fatalf("seed %d gc=%s mode %s: %v", seed, cfg.Policy, mode.name, err)
 						}
@@ -372,7 +344,7 @@ func TestSubstrateMachine(t *testing.T) {
 			continue
 		}
 		ref := runMachine(t, g, seed, func(m *vm.Machine) {
-			m.Engine.DisableBatching = true
+			m.Engine.NoBatching = true
 		})
 		full := runMachine(t, g, seed, func(m *vm.Machine) {
 			m.Compiler.UseShared(cache)

@@ -2,7 +2,7 @@ package exec
 
 // Allocation-regression tests for the steady-state hot paths. Each test
 // warms its path once (first runs pay one-time costs: plan decode,
-// closure compilation, pool population) and then asserts the steady
+// trace conversion, pool population) and then asserts the steady
 // state stays allocation-free with testing.AllocsPerRun, so the
 // zero-allocation property is locked in by CI rather than measured once
 // in a benchmark. Under -race the numeric bounds are skipped (see
@@ -55,7 +55,7 @@ func allocLoopProg(t *testing.T) *bytecode.Program {
 // random by design).
 func checkAllocs(t *testing.T, name string, maxAllocs float64, fn func()) {
 	t.Helper()
-	fn() // warm: plans, closures, pools
+	fn() // warm: plans, traces, pools
 	got := testing.AllocsPerRun(20, fn)
 	if raceEnabled {
 		t.Logf("%s: %.1f allocs/run (bound %.0f not enforced under -race)", name, got, maxAllocs)
@@ -84,25 +84,17 @@ func engineRun(t *testing.T, e *interp.Engine, setup func(e *interp.Engine)) fun
 // with batching disabled the engine still runs out of pooled scratch.
 func TestAllocsInterpStepLoop(t *testing.T) {
 	e := interp.NewEngine(allocLoopProg(t))
-	run := engineRun(t, e, func(e *interp.Engine) { e.DisableBatching = true })
+	run := engineRun(t, e, func(e *interp.Engine) { e.NoBatching = true })
 	checkAllocs(t, "step loop", 0, run)
 }
 
-// TestAllocsFusedPlanExecution locks in the fused block-batched path
-// (the default substrate with the closure tier held off).
+// TestAllocsFusedPlanExecution locks in the fused block-batched path:
+// the default substrate, where a fresh NewEngine runs level −1 code that
+// never earns a trace plan.
 func TestAllocsFusedPlanExecution(t *testing.T) {
 	e := interp.NewEngine(allocLoopProg(t))
-	run := engineRun(t, e, func(e *interp.Engine) { e.DisableClosures = true })
+	run := engineRun(t, e, func(*interp.Engine) {})
 	checkAllocs(t, "fused plan", 0, run)
-}
-
-// TestAllocsClosureTierExecution locks in the closure-threaded tier:
-// after the one-time closure compilation (paid in the warm-up run via
-// the shared Code), steady-state segment dispatch is allocation-free.
-func TestAllocsClosureTierExecution(t *testing.T) {
-	e := interp.NewEngine(allocLoopProg(t))
-	run := engineRun(t, e, func(e *interp.Engine) { e.EagerClosures = true })
-	checkAllocs(t, "closure tier", 0, run)
 }
 
 // TestAllocsRegTier locks in the register-converted trace tier: after

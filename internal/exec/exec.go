@@ -23,7 +23,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -36,62 +35,15 @@ import (
 	"evolvevm/internal/vm"
 )
 
-// Substrate toggles the host-performance mechanisms of a run. The zero
-// value enables everything; each switch exists so the determinism suites
-// can prove bit-identical virtual results with any combination disabled.
-type Substrate struct {
-	NoCodeCache bool // skip the shared cross-run code cache
-	NoFusion    bool // batch blocks but without superinstruction fusion
-	NoBatching  bool // original per-instruction dispatch only
-	NoClosures  bool // fused switch only, no closure-threaded tier
-	NoRegTier   bool // no register-converted hot-loop traces
-
-	// EagerRegTier builds and enters register traces without any hotness
-	// gate, at every tier including baseline. The equivalence suites and
-	// CI use it to force the register tier over code that would otherwise
-	// stay below the promotion thresholds.
-	EagerRegTier bool
-
-	// NoOSR disables mid-iteration (on-stack replacement) trace entries;
-	// traces activate at loop heads only. EagerOSR activates OSR entry
-	// points without the parent trace's back-edge hotness gate (forced
-	// OSR entry, EVOLVEVM_EAGER_OSR in the difftest soak). ForcedDeopt
-	// makes every trace run deoptimize back to the accounted loop after
-	// one iteration, exercising the exit/re-entry state mapping on every
-	// boundary. NoCallInline refuses CALL during trace building (the
-	// pre-inlining per-loop degradation). All host-side only.
-	NoOSR        bool
-	EagerOSR     bool
-	ForcedDeopt  bool
-	NoCallInline bool
-
-	// AsyncCompile routes closure- and trace-plan builds through a
-	// background compilation pool (RunSpec.Compile when set, else the
-	// process-global DefaultCompilePool) instead of building them inline
-	// at the promotion point; the engine keeps executing in its current
-	// best tier until the built plan lands. The EVOLVEVM_ASYNC_COMPILE
-	// environment knob turns it on for every run that does not pin
-	// SyncCompile, which forces inline builds regardless — the
-	// equivalence suites use the pair to hold both modes to bit-identical
-	// virtual results. Host-side only, like every other switch here.
-	AsyncCompile bool
-	SyncCompile  bool
-}
-
-// asyncCompileEnv caches the EVOLVEVM_ASYNC_COMPILE knob: set non-empty,
-// every run without Substrate.SyncCompile compiles through the
-// background pool, so CI can sweep the whole difftest and harness
-// matrix in async mode without touching each suite.
-var asyncCompileEnv = os.Getenv("EVOLVEVM_ASYNC_COMPILE") != ""
-
-// AsyncCompileEnv reports whether the EVOLVEVM_ASYNC_COMPILE knob was
-// set at process start. Serving and test layers use it to decide whether
-// to attach their own compile pools.
-func AsyncCompileEnv() bool { return asyncCompileEnv }
+// Substrate toggles the host-performance mechanisms of a run; see
+// interp.Substrate. The engine reads the execution switches, and RunInto
+// reads NoCodeCache, AsyncCompile, and SyncCompile to pick the code cache
+// and the compile queue.
+type Substrate = interp.Substrate
 
 // defaultCompilePool is the lazily created process-global background
-// compilation pool used by batch runs (env knob or Substrate.AsyncCompile
-// without an explicit RunSpec.Compile). It lives for the process — batch
+// compilation pool used by batch runs (Substrate.AsyncCompile without an
+// explicit RunSpec.Compile). It lives for the process — batch
 // drivers have no shutdown point, and an idle pool costs a few parked
 // goroutines.
 var (
@@ -150,7 +102,7 @@ type RunSpec struct {
 	// Compile, when non-nil, is the background compilation queue for this
 	// run's plan builds (the serving front end passes its per-server
 	// pool). Ignored under Substrate.SyncCompile; when nil, the
-	// AsyncCompile switch or env knob falls back to DefaultCompilePool.
+	// AsyncCompile switch falls back to DefaultCompilePool.
 	Compile interp.CompileQueue
 
 	// Controller builds the run's optimization controller once the machine
@@ -246,20 +198,11 @@ func RunInto(ctx context.Context, spec *RunSpec, out *RunOutcome) error {
 	}
 	m.SetContext(ctx)
 	m.Engine.GC = spec.GC
-	m.Engine.DisableBatching = spec.Substrate.NoBatching
-	m.Engine.DisableFusion = spec.Substrate.NoFusion
-	m.Engine.DisableClosures = spec.Substrate.NoClosures
-	m.Engine.DisableRegTier = spec.Substrate.NoRegTier
-	m.Engine.EagerRegTier = spec.Substrate.EagerRegTier
-	m.Engine.DisableOSR = spec.Substrate.NoOSR
-	m.Engine.EagerOSR = spec.Substrate.EagerOSR
-	m.Engine.StressDeopt = spec.Substrate.ForcedDeopt
-	m.Engine.DisableCallInline = spec.Substrate.NoCallInline
-	m.Engine.SyncCompile = spec.Substrate.SyncCompile
+	m.Engine.Substrate = spec.Substrate
 	if !spec.Substrate.SyncCompile {
 		if spec.Compile != nil {
 			m.Engine.BgCompile = spec.Compile
-		} else if spec.Substrate.AsyncCompile || asyncCompileEnv {
+		} else if spec.Substrate.AsyncCompile {
 			m.Engine.BgCompile = DefaultCompilePool()
 		}
 	}

@@ -116,20 +116,20 @@ func BaselineCacheStats() jit.CacheStats {
 }
 
 // WarmCompiledPlans sweeps the process-wide code cache and enqueues
-// background builds for every cached form that has earned a host
-// execution plan (by level and sampler count) but does not yet carry it
-// in the given fusion/inline modes, returning the number of jobs
-// submitted. The serving front end calls this at epoch barriers so cold
-// tenants inherit compiled plans along with the published learned state;
-// plans build without a code table, so call-inlining trace builds are
-// deferred to the first executing engine (see interp.Code.WarmJobs).
-func WarmCompiledPlans(q interp.CompileQueue, fuse, inline bool) int {
+// background builds for every cached form that has earned a register
+// trace plan (by level and sampler count) but does not yet carry it in
+// the given inline mode, returning the number of jobs submitted. The
+// serving front end calls this at epoch barriers so cold tenants inherit
+// compiled plans along with the published learned state; plans build
+// without a code table, so call-inlining trace builds are deferred to
+// the first executing engine (see interp.Code.WarmJobs).
+func WarmCompiledPlans(q interp.CompileQueue, inline bool) int {
 	if q == nil {
 		return 0
 	}
 	n := 0
 	codeCache.Range(func(code *interp.Code) {
-		for _, job := range code.WarmJobs(fuse, inline, nil) {
+		for _, job := range code.WarmJobs(inline, nil) {
 			q.Submit(job)
 			n++
 		}

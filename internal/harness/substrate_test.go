@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
@@ -10,27 +9,28 @@ import (
 	"evolvevm/internal/programs"
 )
 
-// substrateVariant is one setting of the host-performance toggles.
+// substrateVariant is one named setting of the host-performance toggles.
 type substrateVariant struct {
-	name                                             string
-	noCache, noFusion, noBatching, noClosures, noReg bool
-	eagerReg                                         bool
-	noOSR, eagerOSR, forcedDeopt, noInline           bool
-	asyncCompile                                     bool
+	name string
+	sub  exec.Substrate
 }
 
+// substrateVariants is the harness ladder. "async" and "async-nofuse"
+// build trace plans on exec's default background pool, so the ledger
+// and results must stay identical regardless of when (wall-clock) a plan
+// lands.
 var substrateVariants = []substrateVariant{
-	{name: "off", noCache: true, noFusion: true, noBatching: true, noClosures: true, noReg: true},
-	{name: "nofuse", noFusion: true},
-	{name: "noclos", noClosures: true},
-	{name: "noreg", noReg: true},
-	{name: "reg", eagerReg: true},
-	{name: "osr-eager", eagerReg: true, eagerOSR: true},
-	{name: "osr-deopt", eagerReg: true, eagerOSR: true, forcedDeopt: true},
-	{name: "noosr", eagerReg: true, noOSR: true},
-	{name: "noinline", eagerReg: true, noInline: true},
-	{name: "async", asyncCompile: true},
-	{name: "full"},
+	{"off", exec.Substrate{NoCodeCache: true, NoFusion: true, NoBatching: true, NoRegTier: true}},
+	{"nofuse", exec.Substrate{NoFusion: true}},
+	{"noreg", exec.Substrate{NoRegTier: true}},
+	{"reg", exec.Substrate{EagerRegTier: true}},
+	{"reg-nofuse", exec.Substrate{EagerRegTier: true, NoFusion: true}},
+	{"reg-deopt", exec.Substrate{EagerRegTier: true, ForcedDeopt: true}},
+	{"noosr", exec.Substrate{EagerRegTier: true, NoOSR: true}},
+	{"noinline", exec.Substrate{EagerRegTier: true, NoCallInline: true}},
+	{"async", exec.Substrate{AsyncCompile: true}},
+	{"async-nofuse", exec.Substrate{AsyncCompile: true, NoFusion: true}},
+	{"full", exec.Substrate{}},
 }
 
 // runVariant executes one benchmark sequence under a scenario with the
@@ -43,23 +43,7 @@ func runVariant(t *testing.T, b *programs.Benchmark, scenario Scenario,
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
-	r.Substrate = exec.Substrate{
-		NoCodeCache: v.noCache, NoFusion: v.noFusion, NoBatching: v.noBatching,
-		NoClosures: v.noClosures, NoRegTier: v.noReg,
-		// The CI soak job force-enables the register tier (and OSR entries)
-		// everywhere they are not explicitly disabled, mirroring difftest's
-		// withEagerReg.
-		EagerRegTier: v.eagerReg || (os.Getenv("EVOLVEVM_EAGER_REGTIER") != "" && !v.noReg && !v.noBatching),
-		NoOSR:        v.noOSR,
-		EagerOSR:     v.eagerOSR || (os.Getenv("EVOLVEVM_EAGER_OSR") != "" && !v.noOSR && !v.noReg && !v.noBatching),
-		ForcedDeopt:  v.forcedDeopt,
-		NoCallInline: v.noInline,
-		// Background plan building moves tier promotion off the hot path;
-		// the "async" variant proves the ledger and results stay identical
-		// regardless of when (wall-clock) a plan lands. EVOLVEVM_ASYNC_COMPILE
-		// additionally layers a shared pool over every other variant via exec.
-		AsyncCompile: v.asyncCompile,
-	}
+	r.Substrate = v.sub
 	order := r.Order(rand.New(rand.NewSource(seed+7)), runs)
 	results, err := r.RunSequence(testCtx, scenario, order)
 	if err != nil {
@@ -102,11 +86,11 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 
 // TestSubstrateBenchmarksBitIdentical runs every benchmark of the suite
 // (plus the GC-selection extension) through Default, Rep, and Evolve
-// sequences with the substrate fully off, fusion disabled, closure-tier
-// disabled, register-tier disabled, register-tier eager, OSR forced /
-// stress-deopted / disabled, CALL inlining refused, and fully on
-// (hotness-promoted closures and traces included) — cross-run code cache
-// included — and asserts the recorded RunResults
+// sequences under every substrateVariants row — fully off, fusion
+// disabled, register tier disabled or eager (fused and unfused), forced
+// deopt, OSR disabled, CALL inlining refused, background compilation
+// (fused and unfused), and fully on (hotness-promoted traces and the
+// cross-run code cache included) — and asserts the recorded RunResults
 // are identical field for field. This is the harness-level counterpart
 // of the difftest substrate soak: it covers the real benchmark programs,
 // cross-run learning state, and the speedup bookkeeping.

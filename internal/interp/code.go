@@ -52,19 +52,13 @@ type Code struct {
 	// code cache does exactly that).
 	plans [2]atomic.Pointer[plan]
 
-	// closures caches the closure-threaded forms of the plans (see
-	// closure.go), same slot convention. Built once hot, immutable after,
-	// shared exactly like plans — a Code that travels through jit.Cache
-	// carries its closure program to every later run.
-	closures [2]atomic.Pointer[closPlan]
-
 	// traces caches the register-converted hot-loop traces (trace.go,
 	// regir.go): slot 0 without CALL inlining, slot 1 with it. Trace
 	// conversion reads the raw instruction stream over the plan's segment
 	// geometry, which is identical with and without superinstruction
 	// fusion, so fused and unfused runs share one trace program per
 	// inline mode. Built once hot, immutable after, shared across engines
-	// and runs exactly like plans and closures — a Code cached in
+	// and runs exactly like plans — a Code cached in
 	// jit.Cache carries its register plans, OSR entry maps, and inline
 	// guards to every later run (the guards re-validate against each
 	// run's own code table, so a stale inlined body can never execute).
@@ -75,30 +69,25 @@ type Code struct {
 
 	// samples counts deterministic sampler ticks attributed to this code
 	// across every engine and run sharing it — the hotness signal that
-	// triggers the closure tier. Host-side only: the count never feeds
+	// triggers the register tier. Host-side only: the count never feeds
 	// back into any virtual observable.
 	samples atomic.Int64
 
 	// pending is the in-flight background-compile bitmask (one bit per
-	// CompileKind × mode, see pendingBit in compile.go). While a bit is
+	// inline mode, see pendingBit in compile.go). While a bit is
 	// held, engines sharing the Code skip re-enqueueing that build, so
 	// the hot path touches the compile queue at most once per missing
 	// plan.
 	pending atomic.Uint32
 }
 
-// ClosureHotSamples is the number of sampler ticks after which an
-// optimized Code (level ≥ 0) is closure-threaded. One tick equals a full
-// sample stride of executed cycles attributed to the function, so two
-// ticks mark genuinely hot code while staying early enough that the
-// threaded form covers most of the remaining execution.
-const ClosureHotSamples = 2
-
 // TraceHotSamples is the sampler-tick threshold after which an optimized
-// Code's loops are register-converted (trace.go). Same threshold as the
-// closure tier: both forms are built at the same promotion point, and a
-// trace additionally proves itself by back-edge arrivals before it runs
-// (traceHotEntries).
+// Code's (level ≥ 0) loops are register-converted (trace.go). One tick
+// equals a full sample stride of executed cycles attributed to the
+// function, so two ticks mark genuinely hot code while staying early
+// enough that the register form covers most of the remaining execution;
+// a trace additionally proves itself by back-edge arrivals before it
+// runs (traceHotEntries).
 const TraceHotSamples = 2
 
 // noteSample records one sampler tick for hotness tracking.
@@ -108,29 +97,6 @@ func (c *Code) noteSample() { c.samples.Add(1) }
 // (diagnostics).
 func (c *Code) Samples() int64 { return c.samples.Load() }
 
-// installClosurePlan builds the closure-threaded form for the given
-// fusion mode and installs it CAS-once: of concurrent builders, exactly
-// one plan lands and every loser discards its build (counted in
-// PlanInstallStats). Promotion policy — hotness, eagerness, sync vs
-// async — lives in Engine.closureTier; this is only the build step, so
-// background workers and the engine's own goroutine share one path.
-// Reports whether this caller's plan was installed.
-func (c *Code) installClosurePlan(fuse bool) bool {
-	slot := 0
-	if fuse {
-		slot = 1
-	}
-	if c.closures[slot].Load() != nil {
-		return false
-	}
-	p := buildClosurePlan(c, fuse)
-	if !c.closures[slot].CompareAndSwap(nil, p) {
-		compileStats.lostClosures.Add(1)
-		return false
-	}
-	return true
-}
-
 // installTracePlan builds the register-converted trace plan for the
 // given inline mode and installs it CAS-once against the plan it is
 // replacing (nil on first build; the retried plan on a provisional-
@@ -138,8 +104,11 @@ func (c *Code) installClosurePlan(fuse bool) bool {
 // table, so rebuilds are bounded). Competing builders may inline against
 // different callee snapshots, but every inlined site re-guards at run
 // time, so whichever plan lands is valid under any code table; losers
-// discard their build (counted in PlanInstallStats). Reports whether
-// this caller's plan was installed.
+// discard their build (counted in PlanInstallStats). Promotion policy —
+// hotness, eagerness, sync vs async — lives in Engine.traceTier; this is
+// only the build step, so background workers and the engine's own
+// goroutine share one path. Reports whether this caller's plan was
+// installed.
 func (c *Code) installTracePlan(inline bool, peek func(int) *Code) bool {
 	slot := 0
 	if inline {

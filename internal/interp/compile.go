@@ -10,42 +10,30 @@ import (
 // and queue types a compilation pool implements (internal/bgcompile),
 // the per-Code in-flight bitmask that keeps the hot path from touching
 // the pool more than once per missing plan, and the tier-promotion
-// helpers the generated run loops call in place of the old synchronous
-// Code.closureFor/traceFor.
+// helper the generated run loop calls at frame entry and sampler ticks.
 //
 // Determinism: which host tier executes an iteration is never a virtual
 // observable — results, traps, cycles, samples, and ledgers are proven
-// bit-identical across all four tiers by the difftest soaks — so a plan
+// bit-identical across all three tiers by the difftest soaks — so a plan
 // that lands at a wall-clock-racy moment changes only host speed. That
 // is the entire correctness argument for building plans on background
 // goroutines (see DESIGN.md §15).
 
-// CompileKind identifies which plan form a background build produces.
-type CompileKind uint8
-
-const (
-	// CompileClosure builds the closure-threaded plan; Mode is the
-	// superinstruction-fusion flag (the plan slot).
-	CompileClosure CompileKind = iota
-	// CompileTrace builds the register-converted trace plan; Mode is the
-	// CALL-inlining flag (the plan slot).
-	CompileTrace
-)
-
-// CompileJob is one deferred plan build. The engine enqueues it when a
-// Code crosses its hotness threshold without a plan; a pool worker calls
-// Build, or Discard when the job is dropped or deduplicated, so the
-// Code's in-flight bit is always released exactly once.
+// CompileJob is one deferred register-trace plan build. The engine
+// enqueues it when a Code crosses its hotness threshold without a plan; a
+// pool worker calls Build, or Discard when the job is dropped or
+// deduplicated, so the Code's in-flight bit is always released exactly
+// once.
 type CompileJob struct {
 	Code *Code
-	Kind CompileKind
+	// Mode is the CALL-inlining flag (the plan slot).
 	Mode bool
-	// Peek is the code-table snapshot for trace-tier callee inlining,
-	// captured on the engine's goroutine at enqueue time (the live
-	// PeekCode may read state owned by the engine's goroutine, so a
-	// background builder must never call it). Nil for closure jobs and
-	// for engines without a code table; inlining then refuses callees,
-	// which is always safe — inline sites re-guard at run time anyway.
+	// Peek is the code-table snapshot for callee inlining, captured on
+	// the engine's goroutine at enqueue time (the live PeekCode may read
+	// state owned by the engine's goroutine, so a background builder must
+	// never call it). Nil for engines without a code table; inlining then
+	// refuses callees, which is always safe — inline sites re-guard at
+	// run time anyway.
 	Peek func(int) *Code
 	// Priority is the Code's sampler count at enqueue time; hotter code
 	// compiles first.
@@ -56,17 +44,14 @@ type CompileJob struct {
 // in-flight bit. It reports whether the install won (false: another
 // builder got there first, or a trace rebuild found nothing to improve).
 func (j CompileJob) Build() bool {
-	defer j.Code.clearPending(j.Kind, j.Mode)
-	if j.Kind == CompileClosure {
-		return j.Code.installClosurePlan(j.Mode)
-	}
+	defer j.Code.clearPending(j.Mode)
 	return j.Code.installTracePlan(j.Mode, j.Peek)
 }
 
 // Discard releases the job's in-flight bit without building — the pool
 // calls it for dropped and dedup-suppressed jobs so the owning engine
 // can re-enqueue on a later promotion attempt.
-func (j CompileJob) Discard() { j.Code.clearPending(j.Kind, j.Mode) }
+func (j CompileJob) Discard() { j.Code.clearPending(j.Mode) }
 
 // CompileQueue accepts deferred plan builds. Submit must not block:
 // bounded implementations drop (and Discard) rather than stall the
@@ -75,21 +60,20 @@ type CompileQueue interface {
 	Submit(CompileJob)
 }
 
-// pendingBit maps a (kind, mode) pair to its bit in Code.pending.
-func pendingBit(kind CompileKind, mode bool) uint32 {
-	b := uint32(1) << (uint32(kind) * 2)
+// pendingBit maps a mode to its bit in Code.pending.
+func pendingBit(mode bool) uint32 {
 	if mode {
-		b <<= 1
+		return 2
 	}
-	return b
+	return 1
 }
 
-// markPending claims the in-flight bit for (kind, mode), reporting
+// markPending claims the in-flight bit for mode, reporting
 // whether this caller won it. While the bit is held, every other engine
 // sharing the Code skips its own enqueue — a thundering herd of cold
 // tenants triggers exactly one Submit per missing plan.
-func (c *Code) markPending(kind CompileKind, mode bool) bool {
-	bit := pendingBit(kind, mode)
+func (c *Code) markPending(mode bool) bool {
+	bit := pendingBit(mode)
 	for {
 		old := c.pending.Load()
 		if old&bit != 0 {
@@ -101,21 +85,15 @@ func (c *Code) markPending(kind CompileKind, mode bool) bool {
 	}
 }
 
-// clearPending releases the in-flight bit for (kind, mode).
-func (c *Code) clearPending(kind CompileKind, mode bool) {
+// clearPending releases the in-flight bit for mode.
+func (c *Code) clearPending(mode bool) {
 	for {
 		old := c.pending.Load()
-		next := old &^ pendingBit(kind, mode)
+		next := old &^ pendingBit(mode)
 		if old == next || c.pending.CompareAndSwap(old, next) {
 			return
 		}
 	}
-}
-
-// closureHot reports whether the code has earned its closure-threaded
-// form under the engine's promotion policy.
-func (e *Engine) closureHot(code *Code) bool {
-	return e.EagerClosures || (code.Level >= 0 && code.samples.Load() >= ClosureHotSamples)
 }
 
 // traceHot reports whether the code has earned register conversion.
@@ -123,45 +101,18 @@ func (e *Engine) traceHot(code *Code) bool {
 	return e.EagerRegTier || (code.Level >= 0 && code.samples.Load() >= TraceHotSamples)
 }
 
-// asyncCompile reports whether plan builds go through the background
-// queue. Eager modes always build inline even when a queue is attached:
-// the equivalence suites that set them need the plan before the first
-// instruction, and an eager build is a test-only configuration anyway.
-func (e *Engine) asyncCompile(eager bool) bool {
-	return e.BgCompile != nil && !e.SyncCompile && !eager
-}
-
-// closureTier returns the closure plan code should run under, or nil.
-// Synchronous mode builds inline at the promotion point (the pre-async
-// behaviour); asynchronous mode enqueues once and keeps executing in the
-// current best tier until the built plan appears in the slot.
-func (e *Engine) closureTier(code *Code) *closPlan {
-	fuse := !e.DisableFusion
-	slot := 0
-	if fuse {
-		slot = 1
-	}
-	if p := code.closures[slot].Load(); p != nil {
-		return p
-	}
-	if !e.closureHot(code) {
-		return nil
-	}
-	if e.asyncCompile(e.EagerClosures) {
-		e.enqueueCompile(code, CompileClosure, fuse)
-		return code.closures[slot].Load()
-	}
-	code.installClosurePlan(fuse)
-	return code.closures[slot].Load()
-}
-
 // traceTier returns the register trace plan code should run under, or
-// nil. A built plan whose provisional inline refusals could now succeed
-// (retry) is rebuilt — inline in synchronous mode, through the queue in
-// asynchronous mode, where the stale plan keeps running until the
-// rebuilt one is installed.
+// nil. Synchronous mode builds inline at the promotion point;
+// asynchronous mode enqueues once and keeps executing in the current best
+// tier until the built plan appears in the slot. A built plan whose
+// provisional inline refusals could now succeed (retry) is rebuilt the
+// same way, the stale plan running until the rebuilt one is installed.
+// The eager register tier always builds inline even when a queue is
+// attached: the equivalence suites that set it need the plan before the
+// first instruction, and an eager build is a test-only configuration
+// anyway.
 func (e *Engine) traceTier(code *Code) *tracePlan {
-	inline := !e.DisableCallInline
+	inline := !e.NoCallInline
 	slot := 0
 	if inline {
 		slot = 1
@@ -173,8 +124,8 @@ func (e *Engine) traceTier(code *Code) *tracePlan {
 	} else if !e.traceHot(code) {
 		return nil
 	}
-	if e.asyncCompile(e.EagerRegTier) {
-		e.enqueueCompile(code, CompileTrace, inline)
+	if e.BgCompile != nil && !e.SyncCompile && !e.EagerRegTier {
+		e.enqueueCompile(code, inline)
 		return code.traces[slot].Load()
 	}
 	code.installTracePlan(inline, e.PeekCode)
@@ -183,17 +134,13 @@ func (e *Engine) traceTier(code *Code) *tracePlan {
 
 // enqueueCompile submits one build to the background queue, gated by the
 // Code's in-flight bit so the pool sees at most one job per missing plan
-// regardless of how many engines share the Code. Trace jobs carry a
+// regardless of how many engines share the Code. The job carries a
 // code-table snapshot taken here, on the engine's goroutine.
-func (e *Engine) enqueueCompile(code *Code, kind CompileKind, mode bool) {
-	if !code.markPending(kind, mode) {
+func (e *Engine) enqueueCompile(code *Code, mode bool) {
+	if !code.markPending(mode) {
 		return
 	}
-	job := CompileJob{Code: code, Kind: kind, Mode: mode, Priority: code.samples.Load()}
-	if kind == CompileTrace {
-		job.Peek = e.snapshotPeek()
-	}
-	e.BgCompile.Submit(job)
+	e.BgCompile.Submit(CompileJob{Code: code, Mode: mode, Peek: e.snapshotPeek(), Priority: code.samples.Load()})
 }
 
 // snapshotPeek captures the engine's current code table as an immutable
@@ -219,40 +166,33 @@ func (e *Engine) snapshotPeek() func(int) *Code {
 	}
 }
 
-// WarmJobs returns background-compile jobs for every plan form the code
-// has earned (by level and sampler count) but not yet built in the given
-// modes, claiming each job's in-flight bit. The serving front end calls
-// this at epoch barriers to pre-warm the published winning chain, so
-// cold tenants inherit compiled plans along with learned state. An empty
-// return means the code is fully compiled (or too cold to bother).
-func (c *Code) WarmJobs(fuse, inline bool, peek func(int) *Code) []CompileJob {
+// WarmJobs returns the background-compile job for the trace plan the
+// code has earned (by level and sampler count) but not yet built in the
+// given inline mode, claiming its in-flight bit. Trace plans do not
+// depend on fusion (see Code.traces), so the mode is the inline flag
+// alone. The serving front end calls this at epoch barriers to pre-warm
+// the published winning chain, so cold tenants inherit compiled plans
+// along with learned state. An empty return means the code is fully
+// compiled (or too cold to bother).
+func (c *Code) WarmJobs(inline bool, peek func(int) *Code) []CompileJob {
 	if c.Level < 0 {
 		return nil
 	}
-	var jobs []CompileJob
 	n := c.samples.Load()
-	cslot, tslot := 0, 0
-	if fuse {
-		cslot = 1
-	}
+	slot := 0
 	if inline {
-		tslot = 1
-	}
-	if n >= ClosureHotSamples && c.closures[cslot].Load() == nil &&
-		c.markPending(CompileClosure, fuse) {
-		jobs = append(jobs, CompileJob{Code: c, Kind: CompileClosure, Mode: fuse, Priority: n})
+		slot = 1
 	}
 	// An inline-mode trace build without a code table would permanently
 	// pin a degraded plan for loops containing calls: a nil peek refuses
 	// CALL outright, without recording the callee as provisionally
 	// missing, so no retry-rebuild would ever fire. Those codes wait for
 	// an engine with a real table instead.
-	if n >= TraceHotSamples && c.traces[tslot].Load() == nil &&
-		!(inline && peek == nil && c.hasCall()) &&
-		c.markPending(CompileTrace, inline) {
-		jobs = append(jobs, CompileJob{Code: c, Kind: CompileTrace, Mode: inline, Peek: peek, Priority: n})
+	if n < TraceHotSamples || c.traces[slot].Load() != nil ||
+		(inline && peek == nil && c.hasCall()) || !c.markPending(inline) {
+		return nil
 	}
-	return jobs
+	return []CompileJob{{Code: c, Mode: inline, Peek: peek, Priority: n}}
 }
 
 // hasCall reports whether the code contains any CALL instruction.
@@ -270,9 +210,8 @@ func (c *Code) hasCall() bool {
 // expected under concurrent engines sharing Codes; the counters exist so
 // "how much build work is wasted" is measurable rather than folklore.
 var compileStats struct {
-	lostPlans    atomic.Int64
-	lostClosures atomic.Int64
-	lostTraces   atomic.Int64
+	lostPlans  atomic.Int64
+	lostTraces atomic.Int64
 }
 
 // PlanInstallStats is a point-in-time snapshot of the plan-install race
@@ -280,23 +219,20 @@ var compileStats struct {
 type PlanInstallStats struct {
 	// Lost* count CompareAndSwap installs that found the slot already
 	// filled by a concurrent builder, per plan form.
-	LostPlans    int64 `json:"lost_plans"`
-	LostClosures int64 `json:"lost_closures"`
-	LostTraces   int64 `json:"lost_traces"`
+	LostPlans  int64 `json:"lost_plans"`
+	LostTraces int64 `json:"lost_traces"`
 }
 
 // ReadPlanInstallStats snapshots the process-global install-race counters.
 func ReadPlanInstallStats() PlanInstallStats {
 	return PlanInstallStats{
-		LostPlans:    compileStats.lostPlans.Load(),
-		LostClosures: compileStats.lostClosures.Load(),
-		LostTraces:   compileStats.lostTraces.Load(),
+		LostPlans:  compileStats.lostPlans.Load(),
+		LostTraces: compileStats.lostTraces.Load(),
 	}
 }
 
 // ResetPlanInstallStats zeroes the install-race counters (tests).
 func ResetPlanInstallStats() {
 	compileStats.lostPlans.Store(0)
-	compileStats.lostClosures.Store(0)
 	compileStats.lostTraces.Store(0)
 }

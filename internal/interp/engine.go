@@ -55,6 +55,51 @@ const (
 	maxCallDepth        = 4096
 )
 
+// Substrate toggles the host-performance mechanisms of a run. The zero
+// value enables everything; each switch exists so the determinism suites
+// can prove bit-identical virtual results with any combination disabled
+// or forced. Every field is host-side only: no setting changes a cycle,
+// sample, trap, ledger, or output. The engine reads the execution
+// switches; NoCodeCache and AsyncCompile are read by internal/exec, which
+// owns the shared code cache and the compile pools.
+type Substrate struct {
+	NoCodeCache bool // exec: skip the shared cross-run code cache
+	NoFusion    bool // batch blocks but without superinstruction fusion
+	NoBatching  bool // original per-instruction dispatch only
+	NoRegTier   bool // no register-converted hot-loop traces (trace.go, regir.go)
+
+	// EagerRegTier builds and enters register traces for every executed
+	// Code immediately, regardless of level or hotness, and opens every
+	// OSR entry point without its parent trace's back-edge gate. The
+	// equivalence suites use it to hold the register tier to bit identity
+	// from the first instruction.
+	EagerRegTier bool
+
+	// NoOSR disables mid-iteration (on-stack replacement) trace entries:
+	// traces activate at loop heads only. ForcedDeopt makes every trace
+	// run hand back to the accounted loop after a single iteration,
+	// hammering the exit/re-entry state mapping. NoCallInline refuses CALL
+	// during trace building, restoring the pre-inlining per-loop
+	// degradation.
+	NoOSR        bool
+	ForcedDeopt  bool
+	NoCallInline bool
+
+	// AsyncCompile (exec) routes trace-plan builds through a background
+	// compilation pool — RunSpec.Compile when set, else
+	// exec.DefaultCompilePool — instead of building them inline at the
+	// promotion point. SyncCompile forces inline builds even when a queue
+	// is attached; the equivalence suites use it to pin the synchronous
+	// oracle.
+	AsyncCompile bool
+	SyncCompile  bool
+
+	// NoClosures has no effect: the closure-threaded tier it switched off
+	// no longer exists. It stays only because perfbench/check.go still
+	// sets it; delete it once that file stops.
+	NoClosures bool
+}
+
 // Engine executes a program under a virtual-cycle clock.
 //
 // The executable form of each function is obtained through Provider at
@@ -85,61 +130,20 @@ type Engine struct {
 	// Typically wired to a context.Context's Err method (vm.Machine.SetContext).
 	Interrupt func() error
 
-	// DisableBatching turns off the host-performance fast path entirely:
-	// every instruction is dispatched and charged individually, as in the
-	// pre-substrate engine. DisableFusion keeps block-batched accounting
-	// but runs segments op by op without superinstructions. Both exist
-	// for the fused-vs-unfused determinism suite; virtual results are
-	// bit-identical in every combination (see fuse.go).
-	DisableBatching bool
-	DisableFusion   bool
+	// Substrate selects the host execution tiers and their promotion
+	// policy (see Substrate). Host-side only: virtual results are
+	// bit-identical under every setting.
+	Substrate
 
-	// DisableClosures turns off the closure-threaded tier (closure.go):
-	// hot segments keep running through the fused switch. EagerClosures
-	// closure-threads every executed Code immediately, regardless of
-	// level or hotness — the equivalence suites use it to hold the
-	// closure tier to bit identity at every tier from the first
-	// instruction. Both host-side only; virtual results are identical in
-	// every combination.
-	DisableClosures bool
-	EagerClosures   bool
-
-	// DisableRegTier turns off the register-converted trace tier
-	// (trace.go, regir.go): hot loops keep running through closures or
-	// the fused switch. EagerRegTier builds and activates traces for
-	// every executed Code immediately, regardless of level or hotness —
-	// the equivalence suites use it to hold the register tier to bit
-	// identity at every tier from the first instruction. Both host-side
-	// only; virtual results are identical in every combination.
-	DisableRegTier bool
-	EagerRegTier   bool
-
-	// DisableOSR turns off mid-iteration (on-stack replacement) entries
-	// into the register tier: traces activate at loop heads only.
-	// EagerOSR activates OSR entry points without waiting for the parent
-	// trace's back-edge hotness gate. StressDeopt forces every trace run
-	// to hand back to the accounted loop after a single iteration,
-	// hammering the exit/re-entry state mapping. DisableCallInline
-	// refuses CALL during trace building, restoring the pre-inlining
-	// per-loop degradation. All four are host-side only; virtual results
-	// are identical in every combination.
-	DisableOSR        bool
-	EagerOSR          bool
-	StressDeopt       bool
-	DisableCallInline bool
-
-	// BgCompile, when set, receives closure- and trace-plan builds as
-	// background jobs instead of the engine building them inline at the
-	// promotion point: the engine enqueues once per missing plan (gated
-	// by the Code's in-flight bit) and keeps executing in its current
-	// best tier until the built plan appears in the slot. Host-side only
-	// — which tier runs an iteration is never a virtual observable, so
-	// wall-clock-racy installs cannot perturb results (DESIGN.md §15).
-	// SyncCompile forces inline builds even when BgCompile is set; the
-	// equivalence suites use it to pin the synchronous oracle. The eager
-	// toggles below always build inline regardless.
-	BgCompile   CompileQueue
-	SyncCompile bool
+	// BgCompile, when set, receives trace-plan builds as background jobs
+	// instead of the engine building them inline at the promotion point:
+	// the engine enqueues once per missing plan (gated by the Code's
+	// in-flight bit) and keeps executing in its current best tier until
+	// the built plan appears in the slot. Host-side only — which tier
+	// runs an iteration is never a virtual observable, so wall-clock-racy
+	// installs cannot perturb results (DESIGN.md §15). Substrate.SyncCompile
+	// and Substrate.EagerRegTier both force inline builds regardless.
+	BgCompile CompileQueue
 
 	// PeekCode reports the code the engine's current Provider would
 	// return for fnIdx WITHOUT side effects — nil when the function has
@@ -387,16 +391,15 @@ type frame struct {
 }
 
 // runScratch is the pooled per-run working memory of the evaluator: the
-// locals arena, operand stack, frame stack, the closure-tier threading
-// state, and the trace-tier register file. Engines are created (or reset)
-// per run by the thousands during experiments; recycling the arenas makes
-// the steady state allocation-free. Values carry no pointers, so retaining
-// their backing arrays in the pool pins nothing.
+// locals arena, operand stack, frame stack, and the trace-tier register
+// file. Engines are created (or reset) per run by the thousands during
+// experiments; recycling the arenas makes the steady state
+// allocation-free. Values carry no pointers, so retaining their backing
+// arrays in the pool pins nothing.
 type runScratch struct {
 	locals []bytecode.Value
 	stack  []bytecode.Value
 	frames []frame
-	st     cstate
 	regs   []bytecode.Value
 
 	// Trace-tier side channels (trace.go): curCodes holds the guarded
@@ -434,18 +437,8 @@ func (e *Engine) Reset() {
 	e.MaxCycles = DefaultMaxCycles
 	e.MaxHeapCells = DefaultMaxHeapCells
 	e.Interrupt = nil
-	e.DisableBatching = false
-	e.DisableFusion = false
-	e.DisableClosures = false
-	e.EagerClosures = false
-	e.DisableRegTier = false
-	e.EagerRegTier = false
-	e.DisableOSR = false
-	e.EagerOSR = false
-	e.StressDeopt = false
-	e.DisableCallInline = false
+	e.Substrate = Substrate{}
 	e.BgCompile = nil
-	e.SyncCompile = false
 	clear(e.Globals)
 	e.Output = e.Output[:0]
 	e.Cycles = 0

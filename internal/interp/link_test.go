@@ -69,7 +69,7 @@ func altGlobals(n, d int64) map[string]bytecode.Value {
 // the period of the linked path head → odd tail → head.
 func pairCost(t *testing.T, p *bytecode.Program) int64 {
 	t.Helper()
-	noBatch := func(e *Engine) { e.DisableBatching = true }
+	noBatch := func(e *Engine) { e.NoBatching = true }
 	return snapRun(t, p, altGlobals(4, -1), noBatch).cycles - snapRun(t, p, altGlobals(2, -1), noBatch).cycles
 }
 
@@ -86,7 +86,7 @@ func checkStrideSweep(t *testing.T, p *bytecode.Program, g map[string]bytecode.V
 				cfg(e)
 			}
 		}
-		ref := snapRun(t, p, g, withStride(func(e *Engine) { e.DisableBatching = true }))
+		ref := snapRun(t, p, g, withStride(func(e *Engine) { e.NoBatching = true }))
 		for _, cfg := range traceConfigs {
 			got := snapRun(t, p, g, withStride(cfg.configure))
 			snapIdentical(t, fmt.Sprintf("%s stride=%d", cfg.name, stride), ref, got)
@@ -106,7 +106,7 @@ func linkCounts(t *testing.T, p *bytecode.Program, g map[string]bytecode.Value, 
 // TestLinkedExitStateMapping sweeps the sample window across the linked
 // path of the alternating loop, then checks that the path really stays
 // in-register: within one window the only hand-back is the loop's own
-// exit, while StressDeopt and DisableOSR never link.
+// exit, while ForcedDeopt and NoOSR never link.
 func TestLinkedExitStateMapping(t *testing.T) {
 	p := mustProg(t, altSrc)
 	pair := pairCost(t, p)
@@ -123,8 +123,8 @@ func TestLinkedExitStateMapping(t *testing.T) {
 			st.HeadEntries+st.OSREntries-st.Linked, st)
 	}
 	for name, configure := range map[string]func(*Engine){
-		"stress-deopt": func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true; e.StressDeopt = true },
-		"noosr":        func(e *Engine) { e.EagerRegTier = true; e.DisableOSR = true },
+		"stress-deopt": func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true },
+		"noosr":        func(e *Engine) { e.EagerRegTier = true; e.NoOSR = true },
 	} {
 		if st := linkCounts(t, p, g, configure); st.Linked != 0 {
 			t.Errorf("%s: linked=%d, want 0 (%+v)", name, st.Linked, st)

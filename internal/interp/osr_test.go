@@ -95,16 +95,15 @@ var traceConfigs = []struct {
 	configure func(*Engine)
 }{
 	{"reg", func(e *Engine) { e.EagerRegTier = true }},
-	{"reg-noosr", func(e *Engine) { e.EagerRegTier = true; e.DisableOSR = true }},
-	{"reg-osr", func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true }},
-	{"reg-osr-deopt", func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true; e.StressDeopt = true }},
-	{"reg-noinline", func(e *Engine) { e.EagerRegTier = true; e.DisableCallInline = true }},
+	{"reg-noosr", func(e *Engine) { e.EagerRegTier = true; e.NoOSR = true }},
+	{"reg-deopt", func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true }},
+	{"reg-noinline", func(e *Engine) { e.EagerRegTier = true; e.NoCallInline = true }},
 }
 
 func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Value) {
 	t.Helper()
 	p := mustProg(t, src)
-	ref := snapRun(t, p, globals, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, globals, func(e *Engine) { e.NoBatching = true })
 	for _, cfg := range traceConfigs {
 		got := snapRun(t, p, globals, cfg.configure)
 		snapIdentical(t, cfg.name, ref, got)
@@ -119,7 +118,7 @@ func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Valu
 // sweeping them forces a side exit — and the rematerialization of the
 // interpreter stack — at every exit offset and at every point of the
 // iteration space. The exit blocks jump back to the loop head, so under
-// EagerOSR the empty-stack exit target is also a mid-loop OSR entry.
+// EagerRegTier the empty-stack exit target is also a mid-loop OSR entry.
 const branchySrc = `
 global n
 global a
@@ -209,7 +208,7 @@ func TestTraceSideExitStateMapping(t *testing.T) {
 
 // TestOSREntryCounted proves OSR entries actually fire on the branchy
 // loop: the empty-stack exit block jumps back into the loop, so under
-// EagerOSR the engine must enter the register tier mid-loop.
+// EagerRegTier the engine must enter the register tier mid-loop.
 func TestOSREntryCounted(t *testing.T) {
 	p := mustProg(t, branchySrc)
 	g := map[string]bytecode.Value{
@@ -217,8 +216,8 @@ func TestOSREntryCounted(t *testing.T) {
 		"a": bytecode.Int(-1), "b": bytecode.Int(-1), "c": bytecode.Int(4),
 	}
 	ResetTraceStats()
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
+	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
 	snapIdentical(t, "eager-osr", ref, got)
 	st := ReadTraceStats()
 	if st.OSREntries == 0 {
@@ -326,7 +325,7 @@ end
 func TestCallInliningRunsInRegisterTier(t *testing.T) {
 	p := mustProg(t, callLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(500)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
 
 	ResetTraceStats()
 	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
@@ -344,7 +343,7 @@ func TestCallInliningRunsInRegisterTier(t *testing.T) {
 
 	// Same program with inlining refused: the loop degrades at the CALL.
 	ResetTraceStats()
-	got = snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.DisableCallInline = true })
+	got = snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.NoCallInline = true })
 	snapIdentical(t, "noinline", ref, got)
 	st = ReadTraceStats()
 	if st.Degrade["call"] == 0 {
@@ -442,7 +441,7 @@ func checkGuardFailure(t *testing.T, src string, g map[string]bytecode.Value) {
 		}
 	}
 
-	ref := snapRun(t, p, g, withSwap(func(e *Engine) { e.DisableBatching = true }))
+	ref := snapRun(t, p, g, withSwap(func(e *Engine) { e.NoBatching = true }))
 	ResetTraceStats()
 	got := snapRun(t, p, g, withSwap(func(e *Engine) { e.EagerRegTier = true }))
 	snapIdentical(t, "guard-fail", ref, got)
@@ -478,7 +477,7 @@ func TestInlineHookChargeDeopts(t *testing.T) {
 			}
 		}
 	}
-	ref := snapRun(t, p, g, withHook(func(e *Engine) { e.DisableBatching = true }))
+	ref := snapRun(t, p, g, withHook(func(e *Engine) { e.NoBatching = true }))
 	ResetTraceStats()
 	got := snapRun(t, p, g, withHook(func(e *Engine) { e.EagerRegTier = true }))
 	snapIdentical(t, "hook-charge", ref, got)
@@ -539,7 +538,7 @@ end
 `
 	p := mustProg(t, src)
 	g := map[string]bytecode.Value{"n": bytecode.Int(10)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
 	if !strings.Contains(ref.trap, "call depth exceeds") {
 		t.Fatalf("reference did not depth-trap: trap=%q", ref.trap)
 	}
@@ -554,11 +553,11 @@ end
 func TestStressDeoptCounts(t *testing.T) {
 	p := mustProg(t, callLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(200)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
 	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.StressDeopt = true })
+	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true })
 	snapIdentical(t, "stress-deopt", ref, got)
 	if st := ReadTraceStats(); st.Deopts == 0 {
-		t.Errorf("StressDeopt recorded no deopts: %+v", st)
+		t.Errorf("ForcedDeopt recorded no deopts: %+v", st)
 	}
 }

@@ -30,14 +30,14 @@ import (
 // the switch loop resumes mid-callee bit-identically.
 //
 // The conversion refuses anything it cannot prove equivalent and reports
-// a degradation reason (stats.go), degrading that loop to the
-// closure/fused path: ops outside the segment-safe set, operand-stack
+// a degradation reason (stats.go), degrading that loop to the fused
+// path: ops outside the segment-safe set, operand-stack
 // pops below the loop-entry depth or a non-empty symbolic stack at the
 // back edge ("escaping stack depth"), register or cost overflows, and
 // callee bodies with loops, nested calls, or allocation.
 //
 // Bit identity is inherited from the same two mechanisms as the fused
-// and closure tiers (fuse.go §comment, DESIGN.md §10): a whole iteration
+// tier (fuse.go §comment, DESIGN.md §10): a whole iteration
 // is charged only when it fits inside the current sample window, and
 // every side exit or trap carries the summed charge of the unexecuted
 // instruction suffix — split per function once calls are inlined — so the

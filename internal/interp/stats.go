@@ -106,7 +106,7 @@ type TraceStats struct {
 	// SideExits counts deoptimizations through a side exit back to the
 	// engine loop (symbolic stack rematerialized, suffix charge rolled
 	// back); Traps counts trapping deoptimizations; Deopts counts forced
-	// per-iteration returns under StressDeopt.
+	// per-iteration returns under ForcedDeopt.
 	SideExits int64 `json:"side_exits"`
 	Traps     int64 `json:"traps"`
 	Deopts    int64 `json:"stress_deopts"`

@@ -53,8 +53,8 @@ import (
 // a reconstructed callee frame at the branch target, caller frame
 // resuming after the CALL.
 //
-// Bit identity follows the same two-part argument as the fused and
-// closure tiers (fuse.go, closure.go): an iteration (or iteration
+// Bit identity follows the same two-part argument as the fused tier
+// (fuse.go): an iteration (or iteration
 // remainder, for OSR) is entered only when its full charge fits inside
 // the current sample window, so no sampler tick, cycle-fuse check, or
 // interrupt poll can fall inside it; and every side exit and trap
@@ -62,17 +62,15 @@ import (
 // function once calls are inlined — landing on exactly the ledger state,
 // stack, locals, frames, and pc of the per-instruction loop. Loops the
 // converter cannot express simply never get a trace and keep running on
-// the closure/fused path — per-loop degradation, never a virtual
-// difference.
+// the fused path — per-loop degradation, never a virtual difference.
 //
 // Trace activation is two-staged and deterministic on the host side:
-// the Code must be hot by sampler count (TraceHotSamples, like the
-// closure tier), and then each individual loop must prove itself by
-// back-edge arrivals (traceHotEntries) before its register program runs.
-// OSR traces inherit their parent head trace's arrival count.
-// Engine.EagerRegTier short-circuits both gates for the equivalence
-// suites; Engine.EagerOSR only the OSR gate. Neither gate feeds back
-// into any virtual observable.
+// the Code must be hot by sampler count (TraceHotSamples), and then each
+// individual loop must prove itself by back-edge arrivals
+// (traceHotEntries) before its register program runs. OSR traces inherit
+// their parent head trace's arrival count. Substrate.EagerRegTier
+// short-circuits both gates for the equivalence suites. Neither gate
+// feeds back into any virtual observable.
 //
 // Linked exits. A plain side exit (no inlined-callee frame, empty
 // symbolic stack) whose resume pc holds a trace is linked to it at plan
@@ -615,8 +613,8 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 		if x >= 0 {
 			ex := &tr.exits[x]
 			e.unwind(tr, ex.tot, ex.rem, ex.remBase, ex.crem, workP, cycP)
-			// StressDeopt forces every hand-back, so it never links.
-			if ex.link != nil && !e.StressDeopt && e.mayRun(ex.link) {
+			// ForcedDeopt forces every hand-back, so it never links.
+			if ex.link != nil && !e.ForcedDeopt && e.mayRun(ex.link) {
 				tr = ex.link
 				tc.activate(tr)
 				tc[tcLinked]++
@@ -625,7 +623,7 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 			return e.traceLeave(tr, sc, ex, regs, locals, lb, stack)
 		}
 
-		// Back at the head. StressDeopt forces a hand-back every
+		// Back at the head. ForcedDeopt forces a hand-back every
 		// iteration to hammer the exit/re-entry machinery. A once-trace
 		// (OSR tail) always leaves its own program here: into its parent
 		// head trace when the gate lets the engine loop enter it, else
@@ -633,7 +631,7 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 		// full iteration still fits the sample window; the engine loop
 		// crosses the boundary on the accounted path exactly as the other
 		// tiers do.
-		if e.StressDeopt {
+		if e.ForcedDeopt {
 			if !tr.once {
 				tc[tcDeopts]++
 			}
@@ -661,8 +659,8 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 // an in-register transition makes exactly the engine loop's decision.
 // The whole next iteration must fit the current sample window, and the
 // trace must be hot: a head trace by its own back-edge arrivals (this
-// call is one), an OSR tail by its parent's; DisableOSR refuses every
-// OSR tail.
+// call is one), an OSR tail by its parent's; NoOSR refuses every OSR
+// tail.
 func (e *Engine) mayRun(t *trace) bool {
 	if e.Cycles+t.cost >= e.nextSample {
 		return false
@@ -670,7 +668,7 @@ func (e *Engine) mayRun(t *trace) bool {
 	if !t.once {
 		return e.EagerRegTier || t.arrive()
 	}
-	return !e.DisableOSR && (e.EagerOSR || e.EagerRegTier || t.parent.hot())
+	return !e.NoOSR && (e.EagerRegTier || t.parent.hot())
 }
 
 // unwind subtracts the charges of an iteration's unexecuted suffix: tot

@@ -127,7 +127,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // on a cached Code travel with it: a run that register-converts the hot
 // loop leaves the trace plan on the interp.Code stored in the shared
 // cache, so every later run resolving the same key starts with the
-// register tier already built — the cross-run analogue of the closure
+// register tier already built — the cross-run analogue of the fused
 // plans the cache has always carried.
 func TestCacheCarriesTracePlans(t *testing.T) {
 	prog := testProg(t)
@@ -259,7 +259,6 @@ end
 
 	e := interp.NewEngine(prog)
 	e.EagerRegTier = true
-	e.EagerOSR = true
 	e.Provider = func(fn int) *interp.Code { return codes[fn] }
 	e.PeekCode = func(fn int) *interp.Code { return codes[fn] }
 	if err := e.SetGlobal("n", bytecode.Int(60)); err != nil {

@@ -3,9 +3,9 @@
 // effect, operand kind, virtual-cycle cost, semantics expression, and trap
 // clauses. cmd/tiergen consumes this table and generates the opcode
 // metadata in internal/bytecode plus the dispatch arms, fusion legality
-// tables, closure constructors, and register-IR lowering rules of all four
-// execution tiers in internal/interp — the tiers are equivalent by
-// construction because every one of them is derived from this file.
+// tables, and register-IR lowering rules of all three execution tiers in
+// internal/interp — the tiers are equivalent by construction because
+// every one of them is derived from this file.
 //
 // The package deliberately does not import internal/bytecode: the opcode
 // constants over there are themselves generated from this table, in spec

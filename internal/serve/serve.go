@@ -357,7 +357,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.protos[name] = r
 	}
-	if (cfg.Substrate.AsyncCompile || exec.AsyncCompileEnv()) && !cfg.Substrate.SyncCompile {
+	if cfg.Substrate.AsyncCompile && !cfg.Substrate.SyncCompile {
 		// One pool per server, shared by every tenant chain: Fork copies
 		// the prototype's Compile reference, so every run the server
 		// executes enqueues its plan builds here instead of stalling a
@@ -793,8 +793,7 @@ func (s *Server) publish() {
 	// this runs even in Isolated mode — it cannot leak virtual state
 	// between tenants, only wall-clock warmth.
 	if s.compile != nil {
-		harness.WarmCompiledPlans(s.compile,
-			!s.cfg.Substrate.NoFusion, !s.cfg.Substrate.NoCallInline)
+		harness.WarmCompiledPlans(s.compile, !s.cfg.Substrate.NoCallInline)
 	}
 	if s.cfg.Isolated {
 		return
