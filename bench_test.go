@@ -613,39 +613,30 @@ func BenchmarkTierPublish(b *testing.B) {
 // BenchmarkColdStartServe measures first-request latency for tenants
 // the server has never seen: each iteration submits from a fresh tenant,
 // with the cross-run code cache off so every run compiles its own tier
-// plans. The sync arm builds plans inline at the promotion point —
-// stalling the request — while the async arm enqueues them on the
-// background pool and answers from the current best tier. The gap
-// between the two arms is the compile time the pool takes off the
-// serving hot path.
+// plans inline at the promotion point.
 func BenchmarkColdStartServe(b *testing.B) {
-	run := func(b *testing.B, sub exec.Substrate) {
-		sub.NoCodeCache = true
-		s, err := serve.New(serve.Config{
-			Workers:     runtime.GOMAXPROCS(0),
-			QueueDepth:  256,
-			EpochLength: 8,
-			Scenario:    harness.ScenarioEvolve,
-			Seed:        42,
-			CorpusSize:  4,
-			Benches:     []string{"compress"},
-			Substrate:   sub,
-		})
-		if err != nil {
+	s, err := serve.New(serve.Config{
+		Workers:     runtime.GOMAXPROCS(0),
+		QueueDepth:  256,
+		EpochLength: 8,
+		Scenario:    harness.ScenarioEvolve,
+		Seed:        42,
+		CorpusSize:  4,
+		Benches:     []string{"compress"},
+		Substrate:   exec.Substrate{NoCodeCache: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tenant := fmt.Sprintf("cold%d", i)
+		if _, err := s.Submit(testCtx, tenant, "compress", i%4, 0); err != nil {
 			b.Fatal(err)
 		}
-		defer s.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tenant := fmt.Sprintf("cold%d", i)
-			if _, err := s.Submit(testCtx, tenant, "compress", i%4, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
-	b.Run("sync", func(b *testing.B) { run(b, exec.Substrate{SyncCompile: true}) })
-	b.Run("async", func(b *testing.B) { run(b, exec.Substrate{AsyncCompile: true}) })
 }
 
 // BenchmarkGCSelection runs the §VI extension (E8): learned per-input

@@ -88,7 +88,6 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		corpus    = fs.Int("corpus", 0, "per-benchmark input corpus size (0 = default)")
 		isolated  = fs.Bool("isolated", false, "disable the shared cross-tenant learning tier")
 		benches   = fs.String("benches", "", "comma-separated benchmarks to serve (default: all)")
-		asyncComp = fs.Bool("async-compile", false, "build tier plans on a background pool instead of inline at the promotion point")
 	)
 	return func() (serve.Config, error) {
 		sc, err := serveScenario(*scenario)
@@ -105,7 +104,6 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			CorpusSize:  *corpus,
 			Isolated:    *isolated,
 		}
-		cfg.Substrate.AsyncCompile = *asyncComp
 		if *benches != "" {
 			cfg.Benches = strings.Split(*benches, ",")
 		}
@@ -208,23 +206,13 @@ func runReplay(args []string) {
 
 	got := s.Outcomes()
 	if !*noVerify && len(tr.Outcomes) > 0 {
-		want := tr.OutcomeMap()
-		mismatches := 0
-		for _, o := range got {
-			w, ok := want[o.Seq]
-			if !ok {
-				continue
-			}
-			if w != o {
-				mismatches++
-				if mismatches <= 10 {
-					fmt.Fprintf(os.Stderr, "seq %d diverged: recorded %+v, replayed %+v\n", o.Seq, w, o)
-				}
-			}
+		drift := outcomeDrift(tr.Outcomes, got)
+		for _, d := range drift[:min(len(drift), 10)] {
+			fmt.Fprintln(os.Stderr, d)
 		}
-		if mismatches > 0 {
-			fmt.Fprintf(os.Stderr, "evolvevm replay: %d of %d outcomes diverged from the recording\n",
-				mismatches, len(got))
+		if len(drift) > 0 {
+			fmt.Fprintf(os.Stderr, "evolvevm replay: %d of %d recorded outcomes diverged or were not replayed\n",
+				len(drift), len(tr.Outcomes))
 			os.Exit(1)
 		}
 		fmt.Printf("replayed %d requests, all outcomes match the recording\n", len(got))
@@ -237,6 +225,27 @@ func runReplay(args []string) {
 			fatal(err)
 		}
 	}
+}
+
+// outcomeDrift compares a replay with its recording, in recorded order:
+// one line per recorded outcome the replay changed or never produced.
+// Replayed outcomes the recording lacks are not compared.
+func outcomeDrift(recorded, replayed []traffic.Outcome) []string {
+	got := make(map[int64]traffic.Outcome, len(replayed))
+	for _, o := range replayed {
+		got[o.Seq] = o
+	}
+	var drift []string
+	for _, w := range recorded {
+		o, ok := got[w.Seq]
+		switch {
+		case !ok:
+			drift = append(drift, fmt.Sprintf("seq %d missing: recorded %+v, not replayed", w.Seq, w))
+		case o != w:
+			drift = append(drift, fmt.Sprintf("seq %d diverged: recorded %+v, replayed %+v", w.Seq, w, o))
+		}
+	}
+	return drift
 }
 
 // traceBenches collects the distinct benchmarks a trace exercises, so

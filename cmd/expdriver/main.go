@@ -59,8 +59,7 @@ func run(args []string, w, werr io.Writer) int {
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 		blockprofile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and background-compile counters to stderr on exit")
-		asynccompile = fs.Bool("asynccompile", false, "build tier plans on a background pool instead of inline at the promotion point")
+		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and plan-install races to stderr on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -145,7 +144,6 @@ func run(args []string, w, werr io.Writer) int {
 		Workers:  *workers,
 		Session:  sess,
 	}
-	opts.Substrate.AsyncCompile = *asynccompile
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
@@ -227,10 +225,11 @@ func writeLookupProfile(werr io.Writer, name, path string) {
 	}
 }
 
-// printTraceStats reports the process-global register-trace counters.
-// They go to stderr: experiment output on stdout must stay byte-stable
-// across serial and parallel schedules, and host-side trace activity is
-// schedule-dependent diagnostics, not a virtual observable.
+// printTraceStats reports the process-global register-trace counters and
+// plan-install races. They go to stderr: experiment output on stdout must
+// stay byte-stable across serial and parallel schedules, and host-side
+// trace activity is schedule-dependent diagnostics, not a virtual
+// observable.
 func printTraceStats(werr io.Writer) {
 	st := interp.ReadTraceStats()
 	fmt.Fprintf(werr, "trace tier: built=%d head_entries=%d osr_entries=%d linked=%d side_exits=%d traps=%d stress_deopts=%d guard_fails=%d inlined_calls=%d inline_deopts=%d\n",
@@ -238,7 +237,6 @@ func printTraceStats(werr io.Writer) {
 		st.Deopts, st.GuardFails, st.InlinedCalls, st.InlineDeopts)
 	if len(st.Degrade) == 0 {
 		fmt.Fprintf(werr, "trace tier: no degradations\n")
-		return
 	}
 	reasons := make([]string, 0, len(st.Degrade))
 	for r := range st.Degrade {
@@ -248,23 +246,6 @@ func printTraceStats(werr io.Writer) {
 	for _, r := range reasons {
 		fmt.Fprintf(werr, "trace tier: degraded %s=%d\n", r, st.Degrade[r])
 	}
-	printCompileStats(werr)
-}
-
-// printCompileStats reports the plan-install race counters and, when a
-// background compilation pool ran, its queue and build-time counters.
-// Stderr like the trace counters: host-side, schedule-dependent
-// diagnostics must never touch the schedule-stable stdout stream.
-func printCompileStats(werr io.Writer) {
 	pi := interp.ReadPlanInstallStats()
 	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_traces=%d\n", pi.LostPlans, pi.LostTraces)
-	st := exec.CompilePoolStats()
-	if st == nil {
-		fmt.Fprintf(werr, "compile pool: not used\n")
-		return
-	}
-	fmt.Fprintf(werr, "compile pool: enqueued=%d built=%d lost_installs=%d dropped=%d deduped=%d queue_high_water=%d\n",
-		st.Enqueued, st.Built, st.LostInstalls, st.Dropped, st.Deduped, st.QueueHighWater)
-	fmt.Fprintf(werr, "compile pool: trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
-		st.Trace.Count, st.Trace.MeanNs, st.Trace.P50Ns, st.Trace.P99Ns)
 }

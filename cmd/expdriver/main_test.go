@@ -87,3 +87,17 @@ func TestDeadlineAbortIsTypedAndResumable(t *testing.T) {
 			resumed.String(), clean.String())
 	}
 }
+
+// TestTraceStatsReportPlanInstalls: -tracestats prints the plan-install
+// line whether or not any trace degraded (compress at this seed has no
+// degradations).
+func TestTraceStatsReportPlanInstalls(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-exp", "table1", "-quick", "-bench", "compress", "-seed", "8", "-tracestats"}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "plan installs:") {
+		t.Errorf("stderr lacks the plan-install line:\n%s", errOut.String())
+	}
+}

@@ -312,10 +312,8 @@ const runMid = `
 				// A sampler tick is the promotion point of the register
 				// tier: re-ask for the trace plan so code that just got
 				// hot (or was recompiled hot in OnSample) starts tracing
-				// without leaving the frame. With a background compile
-				// queue attached the re-ask enqueues instead of building
-				// and keeps returning nil until the plan lands; either
-				// way, host-side only — the virtual stream is untouched.
+				// without leaving the frame. The build runs inline here;
+				// host-side only — the virtual stream is untouched.
 				if tp == nil && !e.NoBatching && !e.NoRegTier {
 					tp = e.traceTier(code)
 				}

@@ -3,11 +3,9 @@ package difftest
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"evolvevm/internal/aos"
-	"evolvevm/internal/bgcompile"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
 	"evolvevm/internal/jit"
@@ -35,12 +33,12 @@ type substrateMode struct {
 // and the register-converted trace tier (eager, entered from the first
 // back-edge arrival), fused and unfused. "full" leaves traces on their
 // production hotness gates, so it also covers mid-run promotion from the
-// fused switch to the register form; "async" does the same with trace
-// plans built by a shared background pool and CAS-installed mid-run. The
-// OSR / deopt / inlining rows force deoptimization back to the accounted
-// loop after a single trace iteration (every exit boundary's state
-// mapping fires), disable OSR entirely (loop-head entries only), and
-// refuse CALL inlining (traces degrade at calls, pre-inlining behaviour).
+// fused switch to the register form, with trace plans built inline and
+// CAS-installed mid-run. The OSR / deopt / inlining rows force
+// deoptimization back to the accounted loop after a single trace
+// iteration (every exit boundary's state mapping fires), disable OSR
+// entirely (loop-head entries only), and refuse CALL inlining (traces
+// degrade at calls, pre-inlining behaviour).
 var substrateModes = []substrateMode{
 	{"off", interp.Substrate{NoBatching: true}},
 	{"batch-nofuse", interp.Substrate{NoFusion: true, NoRegTier: true}},
@@ -51,57 +49,29 @@ var substrateModes = []substrateMode{
 	{"reg-deopt", interp.Substrate{EagerRegTier: true, ForcedDeopt: true}},
 	{"noosr", interp.Substrate{EagerRegTier: true, NoOSR: true}},
 	{"noinline", interp.Substrate{EagerRegTier: true, NoCallInline: true}},
-	{"async", interp.Substrate{AsyncCompile: true}},
 }
 
-// configure installs the mode on an engine, attaching the shared
-// background pool when the mode compiles asynchronously — the engine-level
-// mirror of exec.RunInto.
-func (m substrateMode) configure(e *interp.Engine) {
-	e.Substrate = m.sub
-	if m.sub.AsyncCompile {
-		e.BgCompile = sharedAsyncPool()
-	}
-}
+// configure installs the mode on an engine — the engine-level mirror of
+// exec.RunInto.
+func (m substrateMode) configure(e *interp.Engine) { e.Substrate = m.sub }
 
-// sharedAsyncPool lazily builds the one background compilation pool the
-// async mode shares across every run. Never closed: it lives for the
-// test process, like the exec layer's default pool.
-var (
-	asyncPoolOnce sync.Once
-	asyncPool     *bgcompile.Pool
-)
-
-func sharedAsyncPool() *bgcompile.Pool {
-	asyncPoolOnce.Do(func() { asyncPool = bgcompile.NewPool(0, 0) })
-	return asyncPool
-}
-
-// execDiff reports how two Execs diverge in any observable — semantic
+// execBitIdentical asserts two Execs agree on every observable: semantic
 // state via Compare, plus every cycle ledger and the per-function sample
-// profile — or nil when bit-identical.
-func execDiff(ref, got *Exec) error {
+// profile.
+func execBitIdentical(t *testing.T, ctx string, ref, got *Exec) {
+	t.Helper()
 	if err := Compare(ref, got); err != nil {
-		return err
+		t.Fatalf("%s: %v", ctx, err)
 	}
 	if ref.Cycles != got.Cycles || ref.ExecCycles != got.ExecCycles ||
 		ref.Work != got.Work || ref.CompileCycles != got.CompileCycles ||
 		ref.GCCycles != got.GCCycles || ref.AllocCycles != got.AllocCycles {
-		return fmt.Errorf("ledger diverged:\nref: cycles=%d exec=%d work=%d compile=%d gc=%d alloc=%d\ngot: cycles=%d exec=%d work=%d compile=%d gc=%d alloc=%d",
-			ref.Cycles, ref.ExecCycles, ref.Work, ref.CompileCycles, ref.GCCycles, ref.AllocCycles,
+		t.Fatalf("%s: ledger diverged:\nref: cycles=%d exec=%d work=%d compile=%d gc=%d alloc=%d\ngot: cycles=%d exec=%d work=%d compile=%d gc=%d alloc=%d",
+			ctx, ref.Cycles, ref.ExecCycles, ref.Work, ref.CompileCycles, ref.GCCycles, ref.AllocCycles,
 			got.Cycles, got.ExecCycles, got.Work, got.CompileCycles, got.GCCycles, got.AllocCycles)
 	}
 	if !reflect.DeepEqual(ref.FnSamples, got.FnSamples) {
-		return fmt.Errorf("sample profile diverged:\nref: %v\ngot: %v", ref.FnSamples, got.FnSamples)
-	}
-	return nil
-}
-
-// execBitIdentical asserts two Execs agree on every observable.
-func execBitIdentical(t *testing.T, ctx string, ref, got *Exec) {
-	t.Helper()
-	if err := execDiff(ref, got); err != nil {
-		t.Fatalf("%s: %v", ctx, err)
+		t.Fatalf("%s: sample profile diverged:\nref: %v\ngot: %v", ctx, ref.FnSamples, got.FnSamples)
 	}
 }
 
@@ -146,86 +116,6 @@ func TestSubstrateBitIdentical(t *testing.T) {
 		checked, len(substrateModes))
 	if checked == 0 {
 		t.Fatal("substrate soak checked zero runs")
-	}
-}
-
-// TestSubstrateAsyncCompile holds background tier compilation to the
-// bit-identity bar: runs whose trace plans are built by pool
-// workers and CAS-installed at arbitrary wall-clock moments mid-run —
-// including several submitters racing each other on one pool, where
-// in-flight dedup leaves some runs executing in lower tiers the whole
-// way — must match the serial sync-compile oracle in every observable.
-// At drain, the pool's flow must conserve: every submit accounted as
-// exactly one of built, lost-install, dropped, or deduped.
-func TestSubstrateAsyncCompile(t *testing.T) {
-	pool := bgcompile.NewPool(2, 32)
-	defer pool.Close()
-	syncOracle := func(e *interp.Engine) { e.SyncCompile = true }
-	async := func(e *interp.Engine) { e.BgCompile = pool }
-
-	n := int64(soakN(t) / 10) // 200 seeds in full mode, 10 under -short
-	seeds := make([]int64, 0, n)
-	if *seedFlag >= 0 {
-		seeds = append(seeds, *seedFlag)
-	} else {
-		for s := int64(0); s < n; s++ {
-			seeds = append(seeds, s)
-		}
-	}
-	var checked int
-	for _, seed := range seeds {
-		g := genFor(seed)
-		for k, input := range g.Inputs {
-			for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
-				ref, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-					g.NumericGlobals, input, syncOracle)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-					g.NumericGlobals, input, async)
-				if err != nil {
-					t.Fatalf("seed %d async: %v", seed, err)
-				}
-				ctx := fmt.Sprintf("seed %d input %d level %d async", seed, k, level)
-				execBitIdentical(t, ctx, ref, got)
-
-				// Concurrent-submitter leg (top tier only): four
-				// goroutines run the same execution against the shared
-				// pool while its workers install plans.
-				if level == jit.MaxLevel {
-					errc := make(chan error, 4)
-					for w := 0; w < 4; w++ {
-						go func() {
-							got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-								g.NumericGlobals, input, async)
-							if err != nil {
-								errc <- err
-								return
-							}
-							errc <- execDiff(ref, got)
-						}()
-					}
-					for w := 0; w < 4; w++ {
-						if err := <-errc; err != nil {
-							t.Fatalf("%s (concurrent): %v", ctx, err)
-						}
-					}
-				}
-				checked++
-			}
-		}
-	}
-	pool.Drain()
-	st := pool.Stats()
-	if got := st.Built + st.LostInstalls + st.Dropped + st.Deduped; got != st.Enqueued {
-		t.Fatalf("pool counters do not conserve: built %d + lost %d + dropped %d + deduped %d = %d, enqueued %d",
-			st.Built, st.LostInstalls, st.Dropped, st.Deduped, got, st.Enqueued)
-	}
-	t.Logf("async compile: %d executions bit-identical vs sync oracle (pool: enqueued=%d built=%d deduped=%d dropped=%d)",
-		checked, st.Enqueued, st.Built, st.Deduped, st.Dropped)
-	if checked == 0 {
-		t.Fatal("async compile soak checked zero runs")
 	}
 }
 

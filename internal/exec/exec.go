@@ -25,9 +25,7 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
-	"evolvevm/internal/bgcompile"
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
@@ -37,46 +35,8 @@ import (
 
 // Substrate toggles the host-performance mechanisms of a run; see
 // interp.Substrate. The engine reads the execution switches, and RunInto
-// reads NoCodeCache, AsyncCompile, and SyncCompile to pick the code cache
-// and the compile queue.
+// reads NoCodeCache to decide whether the run uses the shared code cache.
 type Substrate = interp.Substrate
-
-// defaultCompilePool is the lazily created process-global background
-// compilation pool used by batch runs (Substrate.AsyncCompile without an
-// explicit RunSpec.Compile). It lives for the process — batch
-// drivers have no shutdown point, and an idle pool costs a few parked
-// goroutines.
-var (
-	defaultCompilePool atomic.Pointer[bgcompile.Pool]
-	defaultCompileMu   sync.Mutex
-)
-
-// DefaultCompilePool returns the process-global compilation pool,
-// creating it (default workers and depth) on first use.
-func DefaultCompilePool() *bgcompile.Pool {
-	if p := defaultCompilePool.Load(); p != nil {
-		return p
-	}
-	defaultCompileMu.Lock()
-	defer defaultCompileMu.Unlock()
-	if p := defaultCompilePool.Load(); p != nil {
-		return p
-	}
-	p := bgcompile.NewPool(0, 0)
-	defaultCompilePool.Store(p)
-	return p
-}
-
-// CompilePoolStats snapshots the process-global pool's counters, or nil
-// when no batch run ever created it (diagnostics: expdriver -tracestats).
-func CompilePoolStats() *bgcompile.Stats {
-	p := defaultCompilePool.Load()
-	if p == nil {
-		return nil
-	}
-	st := p.Stats()
-	return &st
-}
 
 // ProfileLabels, when enabled, wraps every run in a runtime/pprof label
 // set (exec_prog, exec_controller) so CPU profiles attribute time by
@@ -98,12 +58,6 @@ type RunSpec struct {
 	// run reuse host-side compilation work across runs. Virtual compile
 	// charges are unaffected.
 	SharedCode *jit.Cache
-
-	// Compile, when non-nil, is the background compilation queue for this
-	// run's plan builds (the serving front end passes its per-server
-	// pool). Ignored under Substrate.SyncCompile; when nil, the
-	// AsyncCompile switch falls back to DefaultCompilePool.
-	Compile interp.CompileQueue
 
 	// Controller builds the run's optimization controller once the machine
 	// exists (repository controllers need the compiler's cost model). A
@@ -199,13 +153,6 @@ func RunInto(ctx context.Context, spec *RunSpec, out *RunOutcome) error {
 	m.SetContext(ctx)
 	m.Engine.GC = spec.GC
 	m.Engine.Substrate = spec.Substrate
-	if !spec.Substrate.SyncCompile {
-		if spec.Compile != nil {
-			m.Engine.BgCompile = spec.Compile
-		} else if spec.Substrate.AsyncCompile {
-			m.Engine.BgCompile = DefaultCompilePool()
-		}
-	}
 	if !spec.Substrate.NoCodeCache && spec.SharedCode != nil {
 		m.Compiler.UseShared(spec.SharedCode)
 	}

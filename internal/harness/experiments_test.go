@@ -13,7 +13,7 @@ func quickOpts() Options { return Options{Seed: 3, Quick: true} }
 
 func TestTable1Quick(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Table1(testCtx, &buf,Options{Seed: 3, Quick: true,
+	rows, err := Table1(testCtx, &buf, Options{Seed: 3, Quick: true,
 		Benchmarks: []string{"compress", "mtrt", "search"}})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestTable1Quick(t *testing.T) {
 
 func TestFigure8Quick(t *testing.T) {
 	var buf bytes.Buffer
-	series, err := Figure8(testCtx, &buf,Options{Seed: 3, Quick: true, Benchmarks: []string{"mtrt"}})
+	series, err := Figure8(testCtx, &buf, Options{Seed: 3, Quick: true, Benchmarks: []string{"mtrt"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFigure8Quick(t *testing.T) {
 
 func TestFigure9Quick(t *testing.T) {
 	var buf bytes.Buffer
-	points, err := Figure9(testCtx, &buf,Options{Seed: 3, Quick: true, Runs: 24,
+	points, err := Figure9(testCtx, &buf, Options{Seed: 3, Quick: true, Runs: 24,
 		Benchmarks: []string{"mtrt"}})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestFigure9Quick(t *testing.T) {
 
 func TestFigure10Quick(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Figure10(testCtx, &buf,Options{Seed: 3, Quick: true,
+	rows, err := Figure10(testCtx, &buf, Options{Seed: 3, Quick: true,
 		Benchmarks: []string{"mtrt", "moldyn"}})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestFigure10Quick(t *testing.T) {
 
 func TestOverheadQuick(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Overhead(testCtx, &buf,Options{Seed: 3, Quick: true,
+	rows, err := Overhead(testCtx, &buf, Options{Seed: 3, Quick: true,
 		Benchmarks: []string{"compress", "bloat"}})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestOverheadQuick(t *testing.T) {
 
 func TestSensitivityQuick(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Sensitivity(testCtx, &buf,Options{Seed: 3, Quick: true, Benchmarks: []string{"mtrt"}})
+	res, err := Sensitivity(testCtx, &buf, Options{Seed: 3, Quick: true, Benchmarks: []string{"mtrt"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSensitivityQuick(t *testing.T) {
 
 func TestAblationQuick(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := Ablation(testCtx, &buf,Options{Seed: 3, Quick: true, Benchmarks: []string{"compress"}})
+	res, err := Ablation(testCtx, &buf, Options{Seed: 3, Quick: true, Benchmarks: []string{"compress"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestScenarioString(t *testing.T) {
 
 func TestGCSelectionQuick(t *testing.T) {
 	var buf bytes.Buffer
-	res, err := GCSelection(testCtx, &buf,Options{Seed: 3, Quick: true})
+	res, err := GCSelection(testCtx, &buf, Options{Seed: 3, Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,7 @@ type substrateVariant struct {
 	sub  exec.Substrate
 }
 
-// substrateVariants is the harness ladder. "async" and "async-nofuse"
-// build trace plans on exec's default background pool, so the ledger
-// and results must stay identical regardless of when (wall-clock) a plan
-// lands.
+// substrateVariants is the harness ladder.
 var substrateVariants = []substrateVariant{
 	{"off", exec.Substrate{NoCodeCache: true, NoFusion: true, NoBatching: true, NoRegTier: true}},
 	{"nofuse", exec.Substrate{NoFusion: true}},
@@ -28,8 +25,6 @@ var substrateVariants = []substrateVariant{
 	{"reg-deopt", exec.Substrate{EagerRegTier: true, ForcedDeopt: true}},
 	{"noosr", exec.Substrate{EagerRegTier: true, NoOSR: true}},
 	{"noinline", exec.Substrate{EagerRegTier: true, NoCallInline: true}},
-	{"async", exec.Substrate{AsyncCompile: true}},
-	{"async-nofuse", exec.Substrate{AsyncCompile: true, NoFusion: true}},
 	{"full", exec.Substrate{}},
 }
 

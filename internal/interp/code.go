@@ -72,13 +72,6 @@ type Code struct {
 	// triggers the register tier. Host-side only: the count never feeds
 	// back into any virtual observable.
 	samples atomic.Int64
-
-	// pending is the in-flight background-compile bitmask (one bit per
-	// inline mode, see pendingBit in compile.go). While a bit is
-	// held, engines sharing the Code skip re-enqueueing that build, so
-	// the hot path touches the compile queue at most once per missing
-	// plan.
-	pending atomic.Uint32
 }
 
 // TraceHotSamples is the sampler-tick threshold after which an optimized
@@ -105,25 +98,21 @@ func (c *Code) Samples() int64 { return c.samples.Load() }
 // different callee snapshots, but every inlined site re-guards at run
 // time, so whichever plan lands is valid under any code table; losers
 // discard their build (counted in PlanInstallStats). Promotion policy —
-// hotness, eagerness, sync vs async — lives in Engine.traceTier; this is
-// only the build step, so background workers and the engine's own
-// goroutine share one path. Reports whether this caller's plan was
-// installed.
-func (c *Code) installTracePlan(inline bool, peek func(int) *Code) bool {
+// hotness and eagerness — lives in Engine.traceTier; this is only the
+// build step.
+func (c *Code) installTracePlan(inline bool, peek func(int) *Code) {
 	slot := 0
 	if inline {
 		slot = 1
 	}
 	old := c.traces[slot].Load()
 	if old != nil && !old.retry(peek) {
-		return false
+		return
 	}
 	p := buildTracePlan(c, inline, peek)
 	if !c.traces[slot].CompareAndSwap(old, p) {
 		compileStats.lostTraces.Add(1)
-		return false
 	}
-	return true
 }
 
 // TraceReady reports whether a trace plan has been built for this code

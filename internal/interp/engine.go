@@ -60,8 +60,8 @@ const (
 // can prove bit-identical virtual results with any combination disabled
 // or forced. Every field is host-side only: no setting changes a cycle,
 // sample, trap, ledger, or output. The engine reads the execution
-// switches; NoCodeCache and AsyncCompile are read by internal/exec, which
-// owns the shared code cache and the compile pools.
+// switches; NoCodeCache is read by internal/exec, which owns the shared
+// code cache.
 type Substrate struct {
 	NoCodeCache bool // exec: skip the shared cross-run code cache
 	NoFusion    bool // batch blocks but without superinstruction fusion
@@ -85,19 +85,13 @@ type Substrate struct {
 	ForcedDeopt  bool
 	NoCallInline bool
 
-	// AsyncCompile (exec) routes trace-plan builds through a background
-	// compilation pool — RunSpec.Compile when set, else
-	// exec.DefaultCompilePool — instead of building them inline at the
-	// promotion point. SyncCompile forces inline builds even when a queue
-	// is attached; the equivalence suites use it to pin the synchronous
-	// oracle.
-	AsyncCompile bool
-	SyncCompile  bool
-
-	// NoClosures has no effect: the closure-threaded tier it switched off
-	// no longer exists. It stays only because perfbench/check.go still
-	// sets it; delete it once that file stops.
-	NoClosures bool
+	// NoClosures and SyncCompile have no effect: the closure-threaded
+	// tier and the background compile pool they switched off no longer
+	// exist, and trace plans always build inline at the promotion point.
+	// They stay only because perfbench/check.go still sets them; delete
+	// both once that file stops.
+	NoClosures  bool
+	SyncCompile bool
 }
 
 // Engine executes a program under a virtual-cycle clock.
@@ -134,16 +128,6 @@ type Engine struct {
 	// policy (see Substrate). Host-side only: virtual results are
 	// bit-identical under every setting.
 	Substrate
-
-	// BgCompile, when set, receives trace-plan builds as background jobs
-	// instead of the engine building them inline at the promotion point:
-	// the engine enqueues once per missing plan (gated by the Code's
-	// in-flight bit) and keeps executing in its current best tier until
-	// the built plan appears in the slot. Host-side only — which tier
-	// runs an iteration is never a virtual observable, so wall-clock-racy
-	// installs cannot perturb results (DESIGN.md §15). Substrate.SyncCompile
-	// and Substrate.EagerRegTier both force inline builds regardless.
-	BgCompile CompileQueue
 
 	// PeekCode reports the code the engine's current Provider would
 	// return for fnIdx WITHOUT side effects — nil when the function has
@@ -438,7 +422,6 @@ func (e *Engine) Reset() {
 	e.MaxHeapCells = DefaultMaxHeapCells
 	e.Interrupt = nil
 	e.Substrate = Substrate{}
-	e.BgCompile = nil
 	clear(e.Globals)
 	e.Output = e.Output[:0]
 	e.Cycles = 0

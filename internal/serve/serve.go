@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evolvevm/internal/bgcompile"
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
@@ -267,12 +266,6 @@ type Server struct {
 	pool *sched.Chains
 	sess *session.Session
 
-	// compile is the background tier-compilation pool shared by every
-	// chain's runs (nil: plans build inline at the promotion point).
-	// Created when the substrate enables async compile; drained and
-	// closed after the execution pool on shutdown.
-	compile *bgcompile.Pool
-
 	// mu is the admission lock: it orders sequence-number assignment,
 	// admission accounting, epoch-barrier enqueueing, and (live) pool
 	// submission, making pool queue order equal seq order — the
@@ -313,8 +306,11 @@ type Server struct {
 	vhist traffic.ShardedTenantHistograms
 	whist traffic.AtomicHistogram
 
-	ledgerMu   sync.Mutex
-	ledgerErrs []string
+	// Per-run cycle-ledger violations: a count and the first message,
+	// so a long-running server's memory stays bounded however many fail.
+	ledgerMu    sync.Mutex
+	ledgerBad   int
+	ledgerFirst string
 
 	traceMu sync.Mutex
 	trace   *traffic.Trace // live recording (cfg.Record); set once in New
@@ -351,21 +347,14 @@ func New(cfg Config) (*Server, error) {
 		r.Inspect = func(m *vm.Machine) {
 			if err := m.LedgerError(); err != nil {
 				s.ledgerMu.Lock()
-				s.ledgerErrs = append(s.ledgerErrs, err.Error())
+				if s.ledgerBad == 0 {
+					s.ledgerFirst = err.Error()
+				}
+				s.ledgerBad++
 				s.ledgerMu.Unlock()
 			}
 		}
 		s.protos[name] = r
-	}
-	if cfg.Substrate.AsyncCompile && !cfg.Substrate.SyncCompile {
-		// One pool per server, shared by every tenant chain: Fork copies
-		// the prototype's Compile reference, so every run the server
-		// executes enqueues its plan builds here instead of stalling a
-		// request on inline compilation.
-		s.compile = bgcompile.NewPool(0, 0)
-		for _, r := range s.protos {
-			r.Compile = s.compile
-		}
 	}
 	if cfg.Record {
 		s.trace = &traffic.Trace{Version: traffic.TraceVersion}
@@ -437,7 +426,7 @@ func (s *Server) submitLive(ctx context.Context, tenant, bench string, input int
 	case <-ctx.Done():
 		// The request is already admitted and will run to completion (or
 		// its own deadline); only this caller stops waiting.
-		return nil, &interp.CanceledError{Cause: ctx.Err()}
+		return nil, &interp.CanceledError{Prog: bench, Cause: context.Cause(ctx)}
 	}
 }
 
@@ -787,14 +776,6 @@ func (s *Server) chain(req traffic.Request) *chain {
 // name) into the shared tier. Runs and tenant names are deterministic,
 // so the published states are too.
 func (s *Server) publish() {
-	// Pre-warm host execution plans for every hot cached form, so cold
-	// tenants inherit compiled code along with the learned state below.
-	// Plans are host-side and process-shared through the code cache, so
-	// this runs even in Isolated mode — it cannot leak virtual state
-	// between tenants, only wall-clock warmth.
-	if s.compile != nil {
-		harness.WarmCompiledPlans(s.compile, !s.cfg.Substrate.NoCallInline)
-	}
 	if s.cfg.Isolated {
 		return
 	}
@@ -891,12 +872,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.Drain()
 	s.pool.Close()
-	// The compile pool closes after the execution pool: with no run left
-	// to submit builds, Close drains the queued jobs gracefully — plans
-	// land in the process-shared code cache for the next server.
-	if s.compile != nil {
-		s.compile.Close()
-	}
 }
 
 // checksum folds a response's virtual observables into one value. Wall
@@ -1015,11 +990,6 @@ type Stats struct {
 	// not only this server's, and a run adds its counts when it returns);
 	// host-side diagnostics only, never a virtual observable.
 	Trace interp.TraceStats `json:"trace"`
-
-	// Compile reports the background compilation pool — queue depth and
-	// high water, enqueued/built/dropped/deduped counts, per-kind
-	// build-time quantiles. Nil when the server compiles synchronously.
-	Compile *bgcompile.Stats `json:"compile,omitempty"`
 	// PlanInstall counts plan-install CAS races lost process-wide
 	// (build work paid for a plan another builder landed first).
 	PlanInstall interp.PlanInstallStats `json:"plan_install"`
@@ -1054,10 +1024,6 @@ func (s *Server) StatsNow() Stats {
 	st.WallP99 = wall.Quantile(0.99)
 	st.Trace = interp.ReadTraceStats()
 	st.PlanInstall = interp.ReadPlanInstallStats()
-	if s.compile != nil {
-		cst := s.compile.Stats()
-		st.Compile = &cst
-	}
 	return st
 }
 
@@ -1074,11 +1040,7 @@ func (s *Server) TenantHistogram(tenant string) traffic.Histogram {
 func (s *Server) LedgerBalanced() error {
 	deterministic := int(s.completed.Load() - s.canceled.Load())
 	s.ledgerMu.Lock()
-	nledger := len(s.ledgerErrs)
-	var first string
-	if nledger > 0 {
-		first = s.ledgerErrs[0]
-	}
+	nledger, first := s.ledgerBad, s.ledgerFirst
 	s.ledgerMu.Unlock()
 	if nledger > 0 {
 		return fmt.Errorf("serve: %d per-run ledger violations (first: %s)", nledger, first)

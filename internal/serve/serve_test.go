@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"evolvevm/internal/harness"
 	"evolvevm/internal/session"
 	"evolvevm/internal/traffic"
+	"evolvevm/internal/vm"
 )
 
 func testConfig(workers int) Config {
@@ -99,78 +101,6 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 		s.Close()
-	}
-}
-
-// TestAsyncCompileServeEquivalence replays the same trace on a
-// sync-compile server and on servers whose tier plans are built by the
-// background pool — at 1 and 4 submission clients, 1 and 8 workers —
-// and requires byte-identical tenant checksums and outcomes. Plan
-// installation timing is host-side; it must never surface in a virtual
-// observable. Also checks the pool actually ran (epoch-barrier prewarm
-// plus hot-path submissions) and drained cleanly on Close.
-func TestAsyncCompileServeEquivalence(t *testing.T) {
-	tr := testTrace(t, 96, 4)
-	refCfg := testConfig(1)
-	refCfg.Substrate.SyncCompile = true
-	// The process-wide code cache outlives servers: the sync oracle (and
-	// earlier tests) would pre-install plans into the shared Codes and
-	// leave the async servers nothing to build. Bypass it so every server
-	// compiles its own plans and the background path actually runs.
-	refCfg.Substrate.NoCodeCache = true
-	ref := runTrace(t, refCfg, tr)
-	defer ref.Close()
-	refSums := ref.TenantChecksums()
-	refOut := ref.Outcomes()
-
-	for _, workers := range []int{1, 8} {
-		for _, clients := range []int{1, 4} {
-			cfg := testConfig(workers)
-			cfg.Substrate.AsyncCompile = true
-			cfg.Substrate.NoCodeCache = true
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.compile == nil {
-				t.Fatal("async-compile server has no background pool")
-			}
-			if err := s.RunClients(context.Background(), tr, clients); err != nil {
-				t.Fatal(err)
-			}
-			sums := s.TenantChecksums()
-			for tenant, want := range refSums {
-				if got := sums[tenant]; got != want {
-					t.Errorf("workers=%d clients=%d tenant %s checksum %#x, want %#x",
-						workers, clients, tenant, got, want)
-				}
-			}
-			out := s.Outcomes()
-			for i, o := range out {
-				if o != refOut[i] {
-					t.Fatalf("workers=%d clients=%d outcome %d = %+v, want %+v",
-						workers, clients, i, o, refOut[i])
-				}
-			}
-			if err := s.LedgerBalanced(); err != nil {
-				t.Errorf("workers=%d clients=%d: %v", workers, clients, err)
-			}
-			// Counter conservation only holds at quiescence: wait out any
-			// builds still in flight before reading the pool's books.
-			s.compile.Drain()
-			st := s.StatsNow()
-			if st.Compile == nil {
-				t.Fatal("async-compile server stats missing compile block")
-			}
-			if st.Compile.Enqueued == 0 {
-				t.Errorf("workers=%d clients=%d: background pool never received a job", workers, clients)
-			}
-			if got := st.Compile.Built + st.Compile.LostInstalls + st.Compile.Dropped + st.Compile.Deduped; got != st.Compile.Enqueued {
-				t.Errorf("workers=%d clients=%d: pool counters do not conserve: %d accounted, %d enqueued",
-					workers, clients, got, st.Compile.Enqueued)
-			}
-			s.Close()
-		}
 	}
 }
 
@@ -377,6 +307,53 @@ func TestAdmissionDeadlineExpires(t *testing.T) {
 	runs := s.chains.get("t0/compress").runs
 	if runs != 1 {
 		t.Fatalf("chain counted %d runs, want 1 (canceled run must not count)", runs)
+	}
+}
+
+// TestSubmitCancelKeepsCause: a live caller that stops waiting gets its
+// context's cause back, with the benchmark named, not a bare
+// context.Canceled. The only worker is parked so the admitted request
+// cannot answer first.
+func TestSubmitCancelKeepsCause(t *testing.T) {
+	s, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	release := make(chan struct{})
+	s.pool.Go("parked", func() { <-release })
+	defer close(release)
+
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	_, err = s.Submit(ctx, "t0", "compress", 1, 0)
+	if !errors.Is(err, cause) {
+		t.Fatalf("Submit error %v, want one wrapping %v", err, cause)
+	}
+	if !strings.Contains(err.Error(), "compress") {
+		t.Errorf("error %q does not name the benchmark", err)
+	}
+}
+
+// TestLedgerViolationsKeepFirst: the per-run ledger cross-check counts
+// violations and keeps only the first message.
+func TestLedgerViolationsKeepFirst(t *testing.T) {
+	s, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	r := s.protos["compress"]
+	for _, skew := range []int64{1, 2} {
+		m := vm.New(r.Prog, r.JitCfg, nil)
+		m.Engine.Cycles += skew
+		r.Inspect(m)
+	}
+	err = s.LedgerBalanced()
+	want := "serve: 2 per-run ledger violations (first: vm: cycle ledger off by 1:"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("LedgerBalanced = %v, want prefix %q", err, want)
 	}
 }
 

@@ -240,25 +240,6 @@ func (c *Cache[K, V]) Len() int {
 	return n
 }
 
-// Range calls fn for every cached entry, one shard at a time under that
-// shard's read lock. fn must not call back into the cache for keys that
-// could land in the shard being walked (same-shard Store would deadlock
-// on lock upgrade); touching unrelated structures — enqueueing work,
-// aggregating — is fine. Iteration order is unspecified, and entries
-// stored or evicted concurrently may or may not be seen: callers use
-// Range for advisory sweeps (pre-warming, diagnostics), never for
-// correctness.
-func (c *Cache[K, V]) Range(fn func(key K, v V)) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.m {
-			fn(k, e.v)
-		}
-		sh.mu.RUnlock()
-	}
-}
-
 // Stats aggregates the per-shard counters and occupancy.
 func (c *Cache[K, V]) Stats() Stats {
 	st := Stats{Capacity: c.capacity}
