@@ -22,6 +22,7 @@ import (
 	"evolvevm/internal/opt"
 	"evolvevm/internal/programs"
 	"evolvevm/internal/serve"
+	"evolvevm/internal/session"
 	"evolvevm/internal/stats"
 	"evolvevm/internal/xicl"
 )
@@ -608,6 +609,92 @@ func BenchmarkTierPublish(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkChainAge measures one Evolve request on a chain that has
+// already served 100, 1600 or 6400 requests: compress and search, corpus
+// 4, seed 42, each request through RunRequest inside BeginRun/EndRun as
+// the serving front end makes it. A learner stores each distinct example
+// once with a count, so a request's cost follows the four distinct inputs
+// and ns/op and B/op stay flat as the chain ages. Each chain is trained
+// once per process and frozen at every age; each sub-benchmark adopts its
+// frozen state into a fresh runner, so every -count repetition measures
+// the same age.
+func BenchmarkChainAge(b *testing.B) {
+	ages := []int{100, 1600, 6400}
+	for _, bench := range []string{"compress", "search"} {
+		for _, age := range ages {
+			b.Run(fmt.Sprintf("%s/age%d", bench, age), func(b *testing.B) {
+				chain := agedChain(b, bench, ages)
+				r := chain.runner.Fork()
+				if err := r.State.Adopt(chain.frozen[age]); err != nil {
+					b.Fatal(err)
+				}
+				// One untimed request per input fills the new runner's
+				// feature-vector cache and the process-wide pools, as in
+				// BenchmarkEndToEndEvolveRun; the timed requests go on
+				// from there.
+				i := age
+				for ; i < age+len(r.Inputs); i++ {
+					if err := chainRequest(r, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				for ; b.Loop(); i++ {
+					if err := chainRequest(r, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// agedChainState is one trained chain and its frozen state by age.
+type agedChainState struct {
+	runner *harness.Runner
+	frozen map[int]*session.Frozen
+}
+
+// agedChains holds BenchmarkChainAge's trained chains by benchmark name.
+var agedChains = map[string]agedChainState{}
+
+// agedChain trains bench's chain through the given ascending ages the
+// first time it is asked for, freezing its state at each.
+func agedChain(b *testing.B, bench string, ages []int) agedChainState {
+	if c, ok := agedChains[bench]; ok {
+		return c
+	}
+	r, err := harness.NewRunner(programs.ByName(bench), 4, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	frozen := map[int]*session.Frozen{}
+	run := 0
+	for _, age := range ages {
+		for ; run < age; run++ {
+			if err := chainRequest(r, run); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if frozen[age], err = r.State.Freeze(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	agedChains[bench] = agedChainState{r, frozen}
+	return agedChains[bench]
+}
+
+// chainRequest serves request i of a chain, on input i mod the corpus.
+func chainRequest(r *harness.Runner, i int) error {
+	r.State.BeginRun()
+	defer r.State.EndRun()
+	res, err := r.RunRequest(testCtx, harness.ScenarioEvolve, r.Inputs[i%len(r.Inputs)])
+	if err == nil && res.Trap != "" {
+		err = fmt.Errorf("%s trapped: %s", res.InputID, res.Trap)
+	}
+	return err
 }
 
 // BenchmarkColdStartServe measures first-request latency for tenants

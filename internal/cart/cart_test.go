@@ -184,33 +184,6 @@ func TestMaxDepthBounds(t *testing.T) {
 	}
 }
 
-func TestCrossValidate(t *testing.T) {
-	names := []string{"x"}
-	var learnable, noise []Example
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 60; i++ {
-		x := float64(i)
-		label := 0
-		if x >= 30 {
-			label = 1
-		}
-		learnable = append(learnable, Example{Features: numVec(names, x), Label: label})
-		noise = append(noise, Example{Features: numVec(names, rng.Float64()), Label: rng.Intn(2)})
-	}
-	if acc := CrossValidate(learnable, 5, Params{}); acc < 0.9 {
-		t.Errorf("CV accuracy on learnable data = %v, want >= 0.9", acc)
-	}
-	if acc := CrossValidate(noise, 5, Params{}); acc > 0.75 {
-		t.Errorf("CV accuracy on noise = %v, want < 0.75", acc)
-	}
-	if acc := CrossValidate(nil, 5, Params{}); acc != 0 {
-		t.Errorf("CV on empty = %v, want 0", acc)
-	}
-	if acc := CrossValidate(learnable[:1], 5, Params{}); acc != 0 {
-		t.Errorf("CV on singleton = %v, want 0", acc)
-	}
-}
-
 func TestIncrementalImproves(t *testing.T) {
 	names := []string{"x"}
 	inc := NewIncremental(Params{})
@@ -223,7 +196,7 @@ func TestIncrementalImproves(t *testing.T) {
 		if x >= 12 {
 			label = 2
 		}
-		inc.Add(Example{Features: numVec(names, x), Label: label})
+		inc.Add(Example{Features: numVec(names, x), Label: label}, 1)
 	}
 	if inc.Len() != 50 {
 		t.Errorf("Len = %d, want 50", inc.Len())
@@ -233,30 +206,6 @@ func TestIncrementalImproves(t *testing.T) {
 	}
 	if got, ok := inc.Predict(numVec(names, 2)); !ok || got != 0 {
 		t.Errorf("Predict(2) = %d,%v want 0,true", got, ok)
-	}
-}
-
-func TestIncrementalRebuildEvery(t *testing.T) {
-	names := []string{"x"}
-	inc := NewIncremental(Params{})
-	inc.RebuildEvery = 10
-	for i := 0; i < 5; i++ {
-		inc.Add(Example{Features: numVec(names, float64(i)), Label: 0})
-	}
-	t1 := inc.Tree()
-	// Adds below the rebuild threshold must not invalidate the tree.
-	for i := 0; i < 5; i++ {
-		inc.Add(Example{Features: numVec(names, 100+float64(i)), Label: 1})
-	}
-	if t2 := inc.Tree(); t1 != t2 {
-		t.Error("tree rebuilt before RebuildEvery adds accumulated")
-	}
-	// Reaching RebuildEvery adds since the last rebuild triggers one.
-	for i := 0; i < 5; i++ {
-		inc.Add(Example{Features: numVec(names, 200+float64(i)), Label: 1})
-	}
-	if t3 := inc.Tree(); t1 == t3 {
-		t.Error("tree not rebuilt after RebuildEvery adds")
 	}
 }
 

@@ -130,7 +130,7 @@ func TestIncrementalDegenerate(t *testing.T) {
 	if _, ok := inc.Predict(numVec(names, 1)); ok {
 		t.Fatal("empty incremental learner predicted")
 	}
-	inc.Add(Example{Features: numVec(names, 1), Label: 7})
+	inc.Add(Example{Features: numVec(names, 1), Label: 7}, 1)
 	if got, ok := inc.Predict(numVec(names, 1)); !ok || got != 7 {
 		t.Errorf("Predict after one Add = %d,%v, want 7,true", got, ok)
 	}

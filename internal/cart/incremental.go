@@ -2,6 +2,9 @@ package cart
 
 import (
 	"fmt"
+	"iter"
+	"math"
+	"slices"
 
 	"evolvevm/internal/xicl"
 )
@@ -11,56 +14,85 @@ import (
 // into online lightweight data collection (Add) and offline model
 // construction (the rebuild), keeping runtime overhead negligible; the
 // rebuild happens lazily, outside the program's measured execution.
+//
+// The tree depends only on how often each distinct example was seen, so
+// that multiset is what the learner stores: each distinct example once,
+// in first-seen order, with its count. Its size follows the number of
+// distinct inputs, not the number of runs.
 type Incremental struct {
 	params   Params
-	examples []Example
-	tree     *Tree
-	stale    bool
-
-	// RebuildEvery controls how many Adds may accumulate before Predict
-	// rebuilds (1 = always fresh). Larger values trade model freshness
-	// for rebuild time — the ablation in bench_test.go measures this.
-	RebuildEvery int
-	sinceRebuild int
+	examples []Example // distinct, first-seen order, append-only
+	counts   []int     // counts[i] observations of examples[i]
+	total    int
+	tree     *Tree // nil: stale
 }
 
 // NewIncremental returns an empty incremental learner.
 func NewIncremental(p Params) *Incremental {
-	return &Incremental{params: p, RebuildEvery: 1}
+	return &Incremental{params: p}
 }
 
-// Fork returns a learner over inc's examples under params p, in the state
-// a fresh learner reaches after Adding them in order: RebuildEvery 1 and
-// the tree stale. The example slice is shared with its capacity clipped,
-// so the first Add on either side copies it and neither learner ever sees
-// the other's later examples. Examples are never modified in place (Build
-// and CrossValidate only read them), so sharing is safe across goroutines.
+// Fork returns a learner over inc's examples and counts under params p,
+// with the tree stale: the state a fresh learner reaches after Adding
+// them in order. The distinct-example slice is shared with its capacity
+// clipped, so the first new example on either side copies it and neither
+// learner ever sees the other's later examples; stored examples are never
+// modified in place (Build only reads them), so sharing is safe across
+// goroutines. Counts change in place, so they are copied: a fork costs
+// O(distinct examples).
 func (inc *Incremental) Fork(p Params) *Incremental {
 	n := len(inc.examples)
 	return &Incremental{
-		params:       p,
-		examples:     inc.examples[:n:n],
-		stale:        n > 0,
-		RebuildEvery: 1,
-		sinceRebuild: n,
+		params:   p,
+		examples: inc.examples[:n:n],
+		counts:   slices.Clone(inc.counts),
+		total:    inc.total,
 	}
 }
 
-// Add records one observation.
-func (inc *Incremental) Add(ex Example) {
+// Add records n observations of ex: it adds n to the count of the equal
+// stored example, or appends ex with count n. n must be positive; an
+// example stored with count 0 would still offer split thresholds.
+func (inc *Incremental) Add(ex Example, n int) {
+	if n < 1 {
+		panic(fmt.Sprintf("cart: Add of %d observations", n))
+	}
+	inc.tree = nil
+	inc.total += n
+	for i := range inc.examples {
+		if sameExample(inc.examples[i], ex) {
+			inc.counts[i] += n
+			return
+		}
+	}
 	inc.examples = append(inc.examples, ex)
-	inc.sinceRebuild++
-	if inc.sinceRebuild >= inc.RebuildEvery || inc.tree == nil {
-		inc.stale = true
-	}
+	inc.counts = append(inc.counts, n)
 }
 
-// Len returns the number of stored examples.
-func (inc *Incremental) Len() int { return len(inc.examples) }
+// sameExample reports whether a and b record the same observation: the
+// same label and, feature by feature, the same name, kind, category and
+// numeric bits.
+func sameExample(a, b Example) bool {
+	return a.Label == b.Label && slices.EqualFunc(a.Features, b.Features, func(f, g xicl.Feature) bool {
+		return f.Name == g.Name && f.Kind == g.Kind && f.Cat == g.Cat &&
+			math.Float64bits(f.Num) == math.Float64bits(g.Num)
+	})
+}
 
-// Examples returns the stored examples (shared slice; callers must not
-// modify).
-func (inc *Incremental) Examples() []Example { return inc.examples }
+// Len returns the number of observations, the sum of the counts.
+func (inc *Incremental) Len() int { return inc.total }
+
+// Examples yields each distinct stored example, in first-seen order, with
+// its count. Callers must not modify the examples.
+func (inc *Incremental) Examples() iter.Seq2[Example, int] {
+	return func(yield func(Example, int) bool) {
+		for i, ex := range inc.examples {
+			if !yield(ex, inc.counts[i]) {
+				return
+			}
+		}
+	}
+}
 
 // Tree returns the current model, rebuilding if stale. Returns nil when
 // no examples exist yet.
@@ -68,16 +100,15 @@ func (inc *Incremental) Tree() *Tree {
 	if len(inc.examples) == 0 {
 		return nil
 	}
-	if inc.stale || inc.tree == nil {
-		t, err := Build(inc.examples, inc.params)
+	if inc.tree == nil {
+		t, err := build(inc.examples, inc.counts, inc.params)
 		if err != nil {
 			// Only reachable with inconsistent shapes, which one
-			// translator cannot produce; surface loudly in development.
+			// translator cannot produce and the state loaders reject;
+			// surface loudly in development.
 			panic(fmt.Sprintf("cart: incremental rebuild: %v", err))
 		}
 		inc.tree = t
-		inc.stale = false
-		inc.sinceRebuild = 0
 	}
 	return inc.tree
 }

@@ -2,8 +2,8 @@
 // learns input-behaviour models with (paper §IV-B): entropy-driven
 // divide-and-conquer trees over mixed numeric/categorical feature vectors,
 // with automatic feature selection (features that never reduce impurity
-// never appear in a tree), an incremental learner that accumulates
-// examples across production runs, and k-fold cross-validation.
+// never appear in a tree), and an incremental learner that accumulates
+// examples across production runs.
 package cart
 
 import (
@@ -67,42 +67,77 @@ type node struct {
 	right  *node
 }
 
-// Build induces a tree from examples. All feature vectors must share one
-// shape (same length, names, kinds), which the XICL translator guarantees
-// per specification.
+// Build induces a tree from examples, each standing for one observation.
+// All feature vectors must share one shape (see CheckShape), which the
+// XICL translator guarantees per specification.
 func Build(examples []Example, p Params) (*Tree, error) {
+	w := make([]int, len(examples))
+	for i := range w {
+		w[i] = 1
+	}
+	return build(examples, w, p)
+}
+
+// CheckShape reports an error unless every example's feature vector has
+// the first one's length and feature kinds.
+func CheckShape(examples []Example) error {
 	if len(examples) == 0 {
-		return nil, fmt.Errorf("cart: no examples")
+		return nil
 	}
 	shape := examples[0].Features
 	for i, ex := range examples {
 		if len(ex.Features) != len(shape) {
-			return nil, fmt.Errorf("cart: example %d has %d features, example 0 has %d",
+			return fmt.Errorf("cart: example %d has %d features, example 0 has %d",
 				i, len(ex.Features), len(shape))
 		}
 		for j := range ex.Features {
 			if ex.Features[j].Kind != shape[j].Kind {
-				return nil, fmt.Errorf("cart: example %d feature %d kind mismatch", i, j)
+				return fmt.Errorf("cart: example %d feature %d kind mismatch", i, j)
 			}
 		}
 	}
+	return nil
+}
+
+// build induces a tree from examples where examples[i] stands for w[i] > 0
+// identical observations. Every decision (impurity, gain, MinLeaf, the
+// majority label) depends only on the summed weights per label, and ties
+// break on feature index, sorted threshold and the smaller label, never
+// on example order; so the tree over distinct examples with their counts
+// is node for node the tree over the expanded list.
+func build(examples []Example, w []int, p Params) (*Tree, error) {
+	if len(examples) == 0 {
+		return nil, fmt.Errorf("cart: no examples")
+	}
+	if err := CheckShape(examples); err != nil {
+		return nil, err
+	}
 	p = p.withDefaults()
-	t := &Tree{names: shape.Names()}
+	t := &Tree{names: examples[0].Features.Names()}
 	idx := make([]int, len(examples))
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = grow(examples, idx, p, 0)
+	t.root = grow(examples, w, idx, p, 0)
 	return t, nil
 }
 
+// weight returns the number of observations examples[idx] stand for.
+func weight(w, idx []int) int {
+	n := 0
+	for _, i := range idx {
+		n += w[i]
+	}
+	return n
+}
+
 // grow recursively builds a subtree over examples[idx].
-func grow(examples []Example, idx []int, p Params, depth int) *node {
-	maj, pure := majority(examples, idx)
-	if pure || depth >= p.MaxDepth || len(idx) < 2*p.MinLeaf {
+func grow(examples []Example, w, idx []int, p Params, depth int) *node {
+	maj, pure := majority(examples, w, idx)
+	if pure || depth >= p.MaxDepth || weight(w, idx) < 2*p.MinLeaf {
 		return &node{leaf: true, label: maj}
 	}
-	split, ok := bestSplit(examples, idx, p)
+	split, ok := bestSplit(examples, w, idx, p)
 	if !ok {
 		return &node{leaf: true, label: maj}
 	}
@@ -114,7 +149,7 @@ func grow(examples []Example, idx []int, p Params, depth int) *node {
 			rightIdx = append(rightIdx, i)
 		}
 	}
-	if len(leftIdx) < p.MinLeaf || len(rightIdx) < p.MinLeaf {
+	if weight(w, leftIdx) < p.MinLeaf || weight(w, rightIdx) < p.MinLeaf {
 		return &node{leaf: true, label: maj}
 	}
 	n := &node{
@@ -123,8 +158,8 @@ func grow(examples []Example, idx []int, p Params, depth int) *node {
 		thresh: split.thresh,
 		catVal: split.catVal,
 	}
-	n.left = grow(examples, leftIdx, p, depth+1)
-	n.right = grow(examples, rightIdx, p, depth+1)
+	n.left = grow(examples, w, leftIdx, p, depth+1)
+	n.right = grow(examples, w, rightIdx, p, depth+1)
 	// Collapse pointless splits (both children same-label leaves).
 	if n.left.leaf && n.right.leaf && n.left.label == n.right.label {
 		return &node{leaf: true, label: n.left.label}
@@ -148,10 +183,10 @@ func (s *splitSpec) goesLeft(f xicl.Feature) bool {
 
 // majority returns the most frequent label (smallest on ties) and whether
 // the set is pure.
-func majority(examples []Example, idx []int) (label int, pure bool) {
+func majority(examples []Example, w, idx []int) (label int, pure bool) {
 	counts := map[int]int{}
 	for _, i := range idx {
-		counts[examples[i].Label]++
+		counts[examples[i].Label] += w[i]
 	}
 	best, bestN := 0, -1
 	for l, n := range counts {
@@ -163,13 +198,13 @@ func majority(examples []Example, idx []int) (label int, pure bool) {
 }
 
 // entropy of the label distribution over examples[idx].
-func entropy(examples []Example, idx []int) float64 {
+func entropy(examples []Example, w, idx []int) float64 {
 	counts := map[int]int{}
 	for _, i := range idx {
-		counts[examples[i].Label]++
+		counts[examples[i].Label] += w[i]
 	}
 	h := 0.0
-	n := float64(len(idx))
+	n := float64(weight(w, idx))
 	for _, c := range counts {
 		p := float64(c) / n
 		h -= p * math.Log2(p)
@@ -179,9 +214,9 @@ func entropy(examples []Example, idx []int) float64 {
 
 // bestSplit finds the question with the largest information gain,
 // breaking ties deterministically by (feature, threshold/category).
-func bestSplit(examples []Example, idx []int, p Params) (splitSpec, bool) {
-	baseH := entropy(examples, idx)
-	n := float64(len(idx))
+func bestSplit(examples []Example, w, idx []int, p Params) (splitSpec, bool) {
+	baseH := entropy(examples, w, idx)
+	n := float64(weight(w, idx))
 	var best splitSpec
 	bestGain := p.MinGain
 
@@ -197,8 +232,8 @@ func bestSplit(examples []Example, idx []int, p Params) (splitSpec, bool) {
 		if len(li) == 0 || len(ri) == 0 {
 			return
 		}
-		gain := baseH - (float64(len(li))/n)*entropy(examples, li) -
-			(float64(len(ri))/n)*entropy(examples, ri)
+		gain := baseH - (float64(weight(w, li))/n)*entropy(examples, w, li) -
+			(float64(weight(w, ri))/n)*entropy(examples, w, ri)
 		if gain > bestGain+1e-12 {
 			bestGain, best = gain, s
 		}

@@ -113,8 +113,8 @@ func TestLearningLoop(t *testing.T) {
 	if ev.Confidence() <= 0.7 {
 		t.Errorf("confidence %.3f did not rise", ev.Confidence())
 	}
-	if len(ev.History()) != len(inputs) {
-		t.Errorf("history length %d, want %d", len(ev.History()), len(inputs))
+	if ev.Runs() != len(inputs) {
+		t.Errorf("runs %d, want %d", ev.Runs(), len(inputs))
 	}
 
 	// The learned strategies must be input-specific.
@@ -283,19 +283,6 @@ func TestUsedFeatureNamesReflectTrees(t *testing.T) {
 	}
 	if len(used) == 0 {
 		t.Error("no features used despite learnable relation")
-	}
-}
-
-func TestCrossValidatedConfidence(t *testing.T) {
-	ev := NewEvolver(testProg(t), DefaultConfig())
-	if ev.CrossValidatedConfidence(3) != 0 {
-		t.Error("CV confidence nonzero on empty learner")
-	}
-	for _, n := range []int64{30, 4000, 30, 4000, 30, 4000, 800, 800} {
-		oneRun(t, ev, n)
-	}
-	if cv := ev.CrossValidatedConfidence(3); cv < 0.5 {
-		t.Errorf("CV confidence = %.3f on learnable relation, want >= 0.5", cv)
 	}
 }
 

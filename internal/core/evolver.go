@@ -66,8 +66,6 @@ type Evolver struct {
 	models []*cart.Incremental // one model per method, lazily created
 	conf   float64
 	runs   int
-
-	history []RunRecord
 }
 
 // NewEvolver returns an empty learner for prog.
@@ -96,9 +94,6 @@ func (ev *Evolver) Confidence() float64 { return ev.conf }
 
 // Runs returns how many runs the learner has observed.
 func (ev *Evolver) Runs() int { return ev.runs }
-
-// History returns the per-run learning records.
-func (ev *Evolver) History() []RunRecord { return ev.history }
 
 // WouldPredict reports whether the discriminative guard currently passes.
 func (ev *Evolver) WouldPredict() bool {
@@ -159,25 +154,6 @@ func (ev *Evolver) UsedFeatureNames() []string {
 	return names
 }
 
-// CrossValidatedConfidence estimates model quality by k-fold
-// cross-validation over the stored examples, averaged across methods
-// weighted by example count — the paper's alternative confidence source.
-func (ev *Evolver) CrossValidatedConfidence(k int) float64 {
-	var sum float64
-	var weight int
-	for _, m := range ev.models {
-		if m == nil || m.Len() < 2 {
-			continue
-		}
-		sum += cart.CrossValidate(m.Examples(), k, ev.cfg.Tree) * float64(m.Len())
-		weight += m.Len()
-	}
-	if weight == 0 {
-		return 0
-	}
-	return sum / float64(weight)
-}
-
 // finishRun implements the tail of Figure 7: compute the ideal strategy o
 // from the run's profile, evaluate ô against it, update confidence, and
 // refine the models. Model construction happens after the run ends, so it
@@ -189,9 +165,7 @@ func (ev *Evolver) finishRun(m *vm.Machine, features xicl.Vector, used vm.Strate
 		// and learns nothing (paper §II). Record the run for bookkeeping
 		// without touching models or confidence.
 		ev.runs++
-		rec := RunRecord{Run: ev.runs, Confidence: ev.conf, Ideal: ideal}
-		ev.history = append(ev.history, rec)
-		return rec
+		return RunRecord{Run: ev.runs, Confidence: ev.conf, Ideal: ideal}
 	}
 
 	var oHat vm.Strategy
@@ -212,7 +186,7 @@ func (ev *Evolver) finishRun(m *vm.Machine, features xicl.Vector, used vm.Strate
 		if ev.models[fn] == nil {
 			ev.models[fn] = cart.NewIncremental(ev.cfg.Tree)
 		}
-		ev.models[fn].Add(cart.Example{Features: features, Label: ideal[fn]})
+		ev.models[fn].Add(cart.Example{Features: features, Label: ideal[fn]}, 1)
 	}
 
 	ev.runs++
@@ -220,7 +194,7 @@ func (ev *Evolver) finishRun(m *vm.Machine, features xicl.Vector, used vm.Strate
 	for _, s := range m.Samples {
 		totalSamples += s
 	}
-	rec := RunRecord{
+	return RunRecord{
 		Run:        ev.runs,
 		Predicted:  predictedAtStart,
 		Accuracy:   acc,
@@ -229,8 +203,6 @@ func (ev *Evolver) finishRun(m *vm.Machine, features xicl.Vector, used vm.Strate
 		Ideal:      ideal,
 		Samples:    totalSamples,
 	}
-	ev.history = append(ev.history, rec)
-	return rec
 }
 
 // Controller returns the vm.Controller for one run. features may be nil

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"evolvevm/internal/xicl"
 )
 
 // SpecFeedback is the VM's advice to the programmer about an XICL
@@ -65,15 +63,4 @@ func (fb SpecFeedback) String() string {
 		b.WriteString("  consider removing them from the spec, or check whether an expected signal is missing\n")
 	}
 	return b.String()
-}
-
-// FeedbackForSpec is a convenience that derives the vector names from a
-// translator dry run over an example command line.
-func (ev *Evolver) FeedbackForSpec(spec *xicl.Spec, reg *xicl.Registry, fs xicl.FS, exampleArgs []string) (SpecFeedback, error) {
-	tr := xicl.NewTranslator(spec, reg, fs)
-	vec, err := tr.BuildFVector(exampleArgs)
-	if err != nil {
-		return SpecFeedback{}, err
-	}
-	return ev.Feedback(vec.Names()), nil
 }

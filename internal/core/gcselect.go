@@ -74,6 +74,6 @@ func (s *GCSelector) Observe(features xicl.Vector, stats gc.Stats) gc.Policy {
 	}
 	s.conf = (1-s.cfg.Decay)*s.conf + s.cfg.Decay*acc
 
-	s.model.Add(cart.Example{Features: features, Label: int(ideal)})
+	s.model.Add(cart.Example{Features: features, Label: int(ideal)}, 1)
 	return ideal
 }

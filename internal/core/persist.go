@@ -13,6 +13,9 @@ import (
 // The on-disk model store. A production evolvable VM keeps its learned
 // state between process lifetimes; Save/Load serialize the example sets
 // and confidence (trees are rebuilt on load — they are derived state).
+// Each distinct example is one entry with its count, omitted when 1. The
+// decoder merges equal entries, so a list with one entry per observation
+// and no counts reads as the same multiset.
 
 type persistFeature struct {
 	Name string  `json:"name"`
@@ -23,6 +26,7 @@ type persistFeature struct {
 
 type persistExample struct {
 	Label    int              `json:"label"`
+	Count    int              `json:"count,omitempty"`
 	Features []persistFeature `json:"features"`
 }
 
@@ -49,20 +53,56 @@ func (ev *Evolver) Save(w io.Writer) error {
 		if m == nil || m.Len() == 0 {
 			continue
 		}
-		pm := persistModel{Fn: ev.prog.Funcs[fn].Name}
-		for _, ex := range m.Examples() {
-			pe := persistExample{Label: ex.Label}
-			for _, f := range ex.Features {
-				pf := persistFeature{Name: f.Name, Kind: f.Kind.String(), Num: f.Num, Cat: f.Cat}
-				pe.Features = append(pe.Features, pf)
-			}
-			pm.Examples = append(pm.Examples, pe)
-		}
-		st.Models = append(st.Models, pm)
+		st.Models = append(st.Models, persistModel{Fn: ev.prog.Funcs[fn].Name, Examples: encodeExamples(m)})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(st)
+}
+
+// encodeExamples lists a learner's distinct examples in first-seen order.
+func encodeExamples(inc *cart.Incremental) []persistExample {
+	var out []persistExample
+	for ex, n := range inc.Examples() {
+		pe := persistExample{Label: ex.Label}
+		if n != 1 {
+			pe.Count = n
+		}
+		for _, f := range ex.Features {
+			pe.Features = append(pe.Features,
+				persistFeature{Name: f.Name, Kind: f.Kind.String(), Num: f.Num, Cat: f.Cat})
+		}
+		out = append(out, pe)
+	}
+	return out
+}
+
+// decodeExamples rebuilds a learner from saved examples. It rejects a
+// negative count, and examples of differing shapes, which would otherwise
+// panic at the learner's first prediction.
+func decodeExamples(pes []persistExample, p cart.Params) (*cart.Incremental, error) {
+	exs := make([]cart.Example, len(pes))
+	for i, pe := range pes {
+		if pe.Count < 0 {
+			return nil, fmt.Errorf("example %d has count %d", i, pe.Count)
+		}
+		exs[i].Label = pe.Label
+		for _, pf := range pe.Features {
+			if pf.Kind == xicl.Categorical.String() {
+				exs[i].Features = append(exs[i].Features, xicl.CatFeature(pf.Name, pf.Cat))
+			} else {
+				exs[i].Features = append(exs[i].Features, xicl.NumFeature(pf.Name, pf.Num))
+			}
+		}
+	}
+	if err := cart.CheckShape(exs); err != nil {
+		return nil, err
+	}
+	inc := cart.NewIncremental(p)
+	for i, ex := range exs {
+		inc.Add(ex, max(pes[i].Count, 1))
+	}
+	return inc, nil
 }
 
 // persistGCState is the GC selector's saved form. Like the level
@@ -75,15 +115,7 @@ type persistGCState struct {
 
 // Save writes the GC selector's persistent state as JSON.
 func (s *GCSelector) Save(w io.Writer) error {
-	st := persistGCState{Confidence: s.conf, Runs: s.runs}
-	for _, ex := range s.model.Examples() {
-		pe := persistExample{Label: ex.Label}
-		for _, f := range ex.Features {
-			pe.Features = append(pe.Features,
-				persistFeature{Name: f.Name, Kind: f.Kind.String(), Num: f.Num, Cat: f.Cat})
-		}
-		st.Examples = append(st.Examples, pe)
-	}
+	st := persistGCState{Confidence: s.conf, Runs: s.runs, Examples: encodeExamples(s.model)}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(st)
@@ -95,29 +127,24 @@ func LoadGCSelector(cfg Config, r io.Reader) (*GCSelector, error) {
 	if err := json.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: load gc selector: %w", err)
 	}
+	model, err := decodeExamples(st.Examples, cfg.Tree)
+	if err != nil {
+		return nil, fmt.Errorf("core: load gc selector: %w", err)
+	}
 	s := NewGCSelector(cfg)
 	s.conf = st.Confidence
 	s.runs = st.Runs
-	for _, pe := range st.Examples {
-		ex := cart.Example{Label: pe.Label}
-		for _, pf := range pe.Features {
-			if pf.Kind == xicl.Categorical.String() {
-				ex.Features = append(ex.Features, xicl.CatFeature(pf.Name, pf.Cat))
-			} else {
-				ex.Features = append(ex.Features, xicl.NumFeature(pf.Name, pf.Num))
-			}
-		}
-		s.model.Add(ex)
-	}
+	s.model = model
 	return s, nil
 }
 
 // Fork returns the learner LoadEvolver(prog, cfg, ·) builds from ev's Save
 // output, without the encoding: ev's confidence, run count and per-method
-// examples, matched to prog by function name, with an empty run history
-// and stale trees. Example histories are shared copy-on-write
-// (cart.Incremental.Fork), so forking costs O(methods) and later training
-// on either learner never reaches the other.
+// examples with their counts, matched to prog by function name, with
+// stale trees. Each method's distinct examples are shared copy-on-write
+// and its counts copied (cart.Incremental.Fork), so forking costs
+// O(methods × distinct examples) and later training on either learner
+// never reaches the other.
 func (ev *Evolver) Fork(prog *bytecode.Program, cfg Config) (*Evolver, error) {
 	if ev.prog.Name != prog.Name {
 		return nil, fmt.Errorf("core: state is for program %q, not %q", ev.prog.Name, prog.Name)
@@ -140,7 +167,8 @@ func (ev *Evolver) Fork(prog *bytecode.Program, cfg Config) (*Evolver, error) {
 }
 
 // Fork returns the selector LoadGCSelector(cfg, ·) builds from s's Save
-// output, sharing its examples copy-on-write like Evolver.Fork.
+// output, sharing its distinct examples copy-on-write and copying their
+// counts like Evolver.Fork.
 func (s *GCSelector) Fork(cfg Config) *GCSelector {
 	out := NewGCSelector(cfg)
 	out.conf = s.conf
@@ -168,19 +196,9 @@ func LoadEvolver(prog *bytecode.Program, cfg Config, r io.Reader) (*Evolver, err
 		if !ok {
 			return nil, fmt.Errorf("core: state references unknown function %q", pm.Fn)
 		}
-		inc := cart.NewIncremental(cfg.Tree)
-		for _, pe := range pm.Examples {
-			ex := cart.Example{Label: pe.Label}
-			for _, pf := range pe.Features {
-				var f xicl.Feature
-				if pf.Kind == xicl.Categorical.String() {
-					f = xicl.CatFeature(pf.Name, pf.Cat)
-				} else {
-					f = xicl.NumFeature(pf.Name, pf.Num)
-				}
-				ex.Features = append(ex.Features, f)
-			}
-			inc.Add(ex)
+		inc, err := decodeExamples(pm.Examples, cfg.Tree)
+		if err != nil {
+			return nil, fmt.Errorf("core: load: function %q: %w", pm.Fn, err)
 		}
 		ev.models[fn] = inc
 	}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"evolvevm/internal/core"
 	"evolvevm/internal/exec"
 	"evolvevm/internal/programs"
 	"evolvevm/internal/session"
@@ -841,7 +840,7 @@ func Ablation(ctx context.Context, w io.Writer, opts Options) ([]AblationResult,
 					quarter = 2
 				}
 				out.Early = Speedups(results[:quarter])
-				out.Acc = lastConfAcc(r.Evolver())
+				out.Acc = lastConfAcc(results)
 				return out, nil
 			}
 		}
@@ -882,14 +881,15 @@ func Ablation(ctx context.Context, w io.Writer, opts Options) ([]AblationResult,
 	return out, nil
 }
 
-func lastConfAcc(ev *core.Evolver) float64 {
-	hist := ev.History()
-	if len(hist) == 0 {
+// lastConfAcc is the mean Evolve accuracy over the second half of a run
+// sequence.
+func lastConfAcc(results []*RunResult) float64 {
+	if len(results) == 0 {
 		return 0
 	}
 	var accs []float64
-	for _, rec := range hist[len(hist)/2:] {
-		accs = append(accs, rec.Accuracy)
+	for _, res := range results[len(results)/2:] {
+		accs = append(accs, res.Evolve.Accuracy)
 	}
 	return stats.Mean(accs)
 }

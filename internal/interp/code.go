@@ -21,10 +21,6 @@ import (
 // interpreter tier, in percent.
 const BaselineScalePct = 100
 
-// BaseCost returns the baseline interpreter cycle cost of op, read from
-// the generated single-source cost table in internal/bytecode.
-func BaseCost(op bytecode.Op) int64 { return bytecode.OpCost(op) }
-
 // Code is an executable form of one function: instructions (original or
 // optimizer-rewritten), a constant pool, and precomputed per-instruction
 // cycle costs. The VM keeps one current Code per function and swaps it on
@@ -240,14 +236,4 @@ func NewCode(fnIdx int, f *bytecode.Function, level, scalePct int) *Code {
 		c.Base[i] = bytecode.OpCost(in.Op)
 	}
 	return c
-}
-
-// StaticCycles returns the sum of per-instruction costs — a size proxy used
-// in diagnostics.
-func (c *Code) StaticCycles() int64 {
-	var n int64
-	for _, v := range c.Cost {
-		n += v
-	}
-	return n
 }

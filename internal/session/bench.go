@@ -145,9 +145,10 @@ func (b *BenchState) SetDefaultCycles(inputID string, cycles int64) {
 
 // Frozen is an immutable capture of a BenchState's learned state, taken
 // at a run boundary by Freeze: what Snapshot encodes and what Adopt
-// installs. It shares the learners' append-only histories (examples,
-// feature vectors, work rows) with the state it came from, copy-on-write,
-// so freezing costs O(methods) rather than O(examples), and any number of
+// installs. It shares the learners' append-only histories (distinct
+// examples, feature vectors, work rows) with the state it came from,
+// copy-on-write, and copies the example counts, so freezing costs
+// O(methods × distinct examples) rather than O(runs), and any number of
 // states may adopt one Frozen concurrently. Nothing ever trains the
 // learners it holds.
 type Frozen struct {
@@ -192,9 +193,9 @@ func (b *BenchState) freezeLocked() (*Frozen, error) {
 // run commits. It is the one install path: Restore is Adopt of a decoded
 // blob, and Adopt of a Freeze behaves bit-identically to Restore of the
 // matching Snapshot. The Evolve config is b's and the GC selector's is
-// f's; run histories start empty, trees stale and the Rep plan cache
-// empty; f's default baselines merge into b's, and b keeps its
-// feature-vector cache. f is only read.
+// f's; trees start stale and the Rep plan cache empty; f's default
+// baselines merge into b's, and b keeps its feature-vector cache. f is
+// only read.
 func (b *BenchState) Adopt(f *Frozen) error {
 	ev, err := f.evolver.Fork(b.prog, b.evolveCfg) // checks the program name
 	if err != nil {
