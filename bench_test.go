@@ -630,10 +630,10 @@ func BenchmarkChainAge(b *testing.B) {
 				if err := r.State.Adopt(chain.frozen[age]); err != nil {
 					b.Fatal(err)
 				}
-				// One untimed request per input fills the new runner's
-				// feature-vector cache and the process-wide pools, as in
-				// BenchmarkEndToEndEvolveRun; the timed requests go on
-				// from there.
+				// One untimed request per input warms the process-wide
+				// pools, as in BenchmarkEndToEndEvolveRun; the fork
+				// shares its chain's already filled feature-vector
+				// memo. The timed requests go on from there.
 				i := age
 				for ; i < age+len(r.Inputs); i++ {
 					if err := chainRequest(r, i); err != nil {

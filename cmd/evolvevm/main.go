@@ -83,7 +83,7 @@ func main() {
 		runs     = flag.Int("runs", 10, "number of production runs to simulate")
 		corpus   = flag.Int("corpus", 0, "input corpus size (0 = program default)")
 		seed     = flag.Int64("seed", 1, "corpus and arrival-order seed")
-		state    = flag.String("state", "", "persist the cross-run state (models, repository, baselines) in this file")
+		state    = flag.String("state", "", "persist the learned cross-run state (models, repository) in this file")
 		timeout  = flag.Duration("timeout", 0, "abort in-flight runs after this long (0 = no deadline)")
 		verbose  = flag.Bool("v", false, "print per-method levels after each run")
 		feedback = flag.Bool("feedback", false, "after the runs, print XICL spec feedback (paper §VI)")

@@ -54,7 +54,7 @@ var codeCache = jit.NewCache()
 // host executions without changing a single reported number. Eviction
 // is equally unobservable: a re-miss re-runs the deterministic baseline
 // measurement.
-var baselineCache = newBaselineCache(jit.DefaultCacheCapacity)
+var baselineCache = stripe.New[baselineKey, *baselineOutcome](jit.DefaultCacheCapacity)
 
 type baselineKey struct {
 	bench  string
@@ -72,47 +72,16 @@ type baselineOutcome struct {
 	work   []int64
 }
 
-// baselineMemo is the bounded memo of baseline outcomes — stripe.Cache
-// specialized to baselineKey, same structure as jit.Cache.
-type baselineMemo struct {
-	c *stripe.Cache[baselineKey, *baselineOutcome]
-}
-
-func newBaselineCache(capacity int) *baselineMemo {
-	return &baselineMemo{c: stripe.New[baselineKey, *baselineOutcome](capacity)}
-}
-
-func (c *baselineMemo) load(key baselineKey) (*baselineOutcome, bool) {
-	return c.c.Lookup(key)
-}
-
-// loadOrStore returns the existing outcome for key when present and
-// otherwise stores v, evicting past capacity via the shard clock.
-func (c *baselineMemo) loadOrStore(key baselineKey, v *baselineOutcome) (*baselineOutcome, bool) {
-	return c.c.LoadOrStore(key, v)
-}
-
-func (c *baselineMemo) stats() jit.CacheStats {
-	st := c.c.Stats()
-	return jit.CacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-	}
-}
-
 // CodeCacheStats reports the process-wide code cache's counters
 // (diagnostics for benchmark reports).
-func CodeCacheStats() jit.CacheStats {
+func CodeCacheStats() stripe.Stats {
 	return codeCache.Stats()
 }
 
 // BaselineCacheStats reports the process-wide baseline-outcome cache's
 // counters (diagnostics for benchmark reports).
-func BaselineCacheStats() jit.CacheStats {
-	return baselineCache.stats()
+func BaselineCacheStats() stripe.Stats {
+	return baselineCache.Stats()
 }
 
 // Scenario selects the optimization controller for a run.
@@ -201,9 +170,10 @@ type Runner struct {
 	// see exec.Substrate).
 	Substrate exec.Substrate
 
-	// State is the benchmark's cross-run state: the Evolve learner, the
-	// Rep repository, and the memoized default baselines. Replaceable for
-	// checkpoint/resume (session.BenchState implements
+	// State is the benchmark's learned cross-run state: the Evolve
+	// learner, the Rep repository, and the GC selector, plus the corpus's
+	// feature-vector memo, which r shares with every fork. Replaceable
+	// for checkpoint/resume (session.BenchState implements
 	// session.CrossRunState).
 	State *session.BenchState
 
@@ -246,19 +216,20 @@ func NewRunner(b *programs.Benchmark, corpusSize int, seed int64) (*Runner, erro
 		JitCfg:     jit.DefaultConfig(),
 		EvolveCfg:  core.DefaultConfig(),
 	}
-	r.State = session.NewBenchState(prog, r.EvolveCfg)
+	r.State = session.NewBenchState(prog, r.EvolveCfg, xicl.NewFVCache())
 	return r, nil
 }
 
-// Fork returns a runner sharing the benchmark, program, corpus, and
-// configuration with r but owning fresh cross-run state. The shared
-// pieces are all read-only after construction, so forks may run
-// concurrently with each other and with r — the multi-tenant serving
-// front end forks one runner per (tenant, benchmark) state chain off a
-// per-benchmark prototype.
+// Fork returns a runner sharing the benchmark, program, corpus,
+// configuration, and the corpus's feature-vector memo with r but owning
+// fresh learned state. The shared pieces are read-only after
+// construction or safe for concurrent use, so forks may run concurrently
+// with each other and with r — the multi-tenant serving front end forks
+// one runner per (tenant, benchmark) state chain off a per-benchmark
+// prototype.
 func (r *Runner) Fork() *Runner {
 	c := *r
-	c.State = session.NewBenchState(c.Prog, c.EvolveCfg)
+	c.State = session.NewBenchState(c.Prog, c.EvolveCfg, r.State.FVCache())
 	return &c
 }
 
@@ -268,21 +239,22 @@ func (r *Runner) Evolver() *core.Evolver { return r.State.Evolver() }
 // Repo returns the cross-run Rep repository.
 func (r *Runner) Repo() *rep.Repository { return r.State.Repo() }
 
-// ResetState clears the cross-run state (Evolve models, Rep repository),
-// keeping the corpus, configs, and memoized default baselines. Call
-// after changing EvolveCfg so the fresh learner picks it up.
+// ResetState clears the learned state (Evolve models, Rep repository,
+// GC selector), keeping the corpus, configs, and the corpus's
+// feature-vector memo. Call after changing EvolveCfg so the fresh
+// learner picks it up.
 func (r *Runner) ResetState() {
-	r.State = session.NewBenchState(r.Prog, r.EvolveCfg)
+	r.State = session.NewBenchState(r.Prog, r.EvolveCfg, r.State.FVCache())
 }
 
 // Features translates an input's command line into its feature vector,
 // returning the extraction cost in cycles. Extraction is a pure function
 // of the input, so the full vector and its cost are memoized per input ID
-// in the cross-run state; every run is still charged the cost, exactly as
-// if the translator had run again. Cached vectors are shared and must not
-// be mutated (the harness paths only read them); the feature-ablation
-// truncation is a reslice applied after the cache, so it composes with
-// memoization without copying.
+// in the corpus's memo, which r shares with its forks; every run is
+// still charged the cost, exactly as if the translator had run again.
+// Cached vectors are shared and must not be mutated (the harness paths
+// only read them); the feature-ablation truncation is a reslice applied
+// after the cache, so it composes with memoization without copying.
 func (r *Runner) Features(in programs.Input) (xicl.Vector, int64, error) {
 	cache := r.State.FVCache()
 	vec, cost, ok := cache.Get(in.ID)
@@ -418,19 +390,16 @@ func (r *Runner) RunRequest(ctx context.Context, scenario Scenario, in programs.
 	return res, nil
 }
 
-// DefaultCycles returns the memoized Default-scenario running time of an
-// input. The reactive controller is stateless, so one measurement per
-// input is exact — and process-wide: a second runner over the same corpus
-// replays the outcome from the baseline cache instead of re-executing.
+// DefaultCycles returns the Default-scenario running time of an input
+// under r's current jit and GC configs. The reactive controller is
+// stateless, so one measurement per input and config is exact — and
+// process-wide: a second runner over the same corpus replays the outcome
+// from the baseline cache instead of re-executing.
 func (r *Runner) DefaultCycles(ctx context.Context, in programs.Input) (int64, error) {
-	if c, ok := r.State.DefaultCycles(in.ID); ok {
-		return c, nil
-	}
 	bl, err := r.baseline(ctx, in)
 	if err != nil {
 		return 0, err
 	}
-	r.State.SetDefaultCycles(in.ID, bl.cycles)
 	return bl.cycles, nil
 }
 
@@ -448,7 +417,7 @@ func (r *Runner) baselineKey(in programs.Input) baselineKey {
 // baseline measures (or replays) the input's Default-scenario outcome.
 func (r *Runner) baseline(ctx context.Context, in programs.Input) (*baselineOutcome, error) {
 	key := r.baselineKey(in)
-	if v, ok := baselineCache.load(key); ok {
+	if v, ok := baselineCache.Lookup(key); ok {
 		return v, nil
 	}
 	spec := r.spec(in)
@@ -466,7 +435,7 @@ func (r *Runner) baseline(ctx context.Context, in programs.Input) (*baselineOutc
 		return nil, err
 	}
 	bl.cycles = out.Cycles
-	v, _ := baselineCache.loadOrStore(key, bl)
+	v, _ := baselineCache.LoadOrStore(key, bl)
 	return v, nil
 }
 

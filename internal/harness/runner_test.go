@@ -1,0 +1,115 @@
+package harness
+
+import (
+	"fmt"
+	"reflect"
+	"sync"
+	"testing"
+
+	"evolvevm/internal/gc"
+	"evolvevm/internal/programs"
+	"evolvevm/internal/xicl"
+)
+
+// TestDefaultSpeedupFollowsGCConfig: a Default-scenario run is its own
+// baseline, so its speedup over Default is exactly 1 whatever collector
+// the runner has switched to since its last run, as the GC-selection
+// experiment's learned runner does every run.
+func TestDefaultSpeedupFollowsGCConfig(t *testing.T) {
+	r, err := NewRunner(programs.Server(), 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := r.Inputs[0]
+	for _, policy := range []gc.Policy{gc.MarkSweep, gc.Copying, gc.MarkSweep} {
+		r.GC = gc.Config{Policy: policy, BudgetCells: GCBudgetCells}
+		res, err := r.RunOne(testCtx, ScenarioDefault, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Speedup != 1 {
+			t.Errorf("%s under %v: speedup over Default %.5f, want 1", in.ID, policy, res.Speedup)
+		}
+	}
+}
+
+// TestForksShareFeatureMemo: every fork and reset of a runner keeps the
+// one feature-vector memo of its corpus.
+func TestForksShareFeatureMemo(t *testing.T) {
+	r := newRunner(t, "compress", 4)
+	fv := r.State.FVCache()
+	if r.Fork().State.FVCache() != fv {
+		t.Error("Fork built its own feature-vector memo")
+	}
+	r.ResetState()
+	if r.State.FVCache() != fv {
+		t.Error("ResetState built its own feature-vector memo")
+	}
+}
+
+var forkSink *Runner
+
+// TestForkAllocatesLittle pins what a new serving chain costs: fresh
+// learners and nothing sized by the corpus's memos.
+func TestForkAllocatesLittle(t *testing.T) {
+	r := newRunner(t, "compress", 4)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			forkSink = r.Fork()
+		}
+	})
+	t.Logf("Runner.Fork: %d B/op, %d allocs/op", res.AllocedBytesPerOp(), res.AllocsPerOp())
+	if got := res.AllocedBytesPerOp(); got > 8<<10 {
+		t.Errorf("Runner.Fork allocates %d B/op, want at most %d", got, 8<<10)
+	}
+}
+
+// TestForksExtractFeaturesConcurrently: forks extracting features for
+// the same inputs at once, through their shared memo, see exactly the
+// vectors and costs the translator extracts serially without a memo.
+func TestForksExtractFeaturesConcurrently(t *testing.T) {
+	const workers, rounds = 8, 100
+	proto := newRunner(t, "search", 8)
+	type extracted struct {
+		vec  xicl.Vector
+		cost int64
+	}
+	want := make([]extracted, len(proto.Inputs))
+	for i, in := range proto.Inputs {
+		tr := xicl.NewTranslator(proto.Spec, proto.Reg, in.Files)
+		vec, err := tr.BuildFVector(in.Args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = extracted{vec, tr.Cost()}
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := proto.Fork()
+			for round := 0; round < rounds; round++ {
+				for i, in := range r.Inputs {
+					vec, cost, err := r.Features(in)
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					if cost != want[i].cost || !reflect.DeepEqual(vec, want[i].vec) {
+						errs <- fmt.Sprintf("%s: %v (cost %d), want %v (cost %d)", in.ID, vec, cost, want[i].vec, want[i].cost)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Error(msg)
+	}
+}

@@ -22,15 +22,6 @@ type CacheKey struct {
 // programs or configurations.
 const DefaultCacheCapacity = 4096
 
-// CacheStats reports cache effectiveness and occupancy.
-type CacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Capacity  int // 0 = unbounded
-}
-
 // Cache is a bounded cross-run compiled-code cache. It is lock-striped
 // with CLOCK (second-chance) eviction — see internal/stripe — so a hit
 // takes only a per-shard read lock plus one atomic reference-bit touch;
@@ -71,16 +62,7 @@ func (c *Cache) store(key CacheKey, v *compiled) {
 // Stats returns a snapshot of the cache's counters and occupancy. The
 // counters are per-shard atomics aggregated here, so reading them never
 // blocks a concurrent lookup.
-func (c *Cache) Stats() CacheStats {
-	st := c.c.Stats()
-	return CacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-	}
-}
+func (c *Cache) Stats() stripe.Stats { return c.c.Stats() }
 
 // sharedGet consults the shared cache for the compiler's program.
 func (c *Compiler) sharedGet(fnIdx, level int) (*compiled, bool) {

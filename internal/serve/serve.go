@@ -317,8 +317,9 @@ type Server struct {
 }
 
 // New builds a server, constructing one prototype runner per benchmark.
-// Prototypes are forked per chain, so corpus generation and program
-// compilation happen once per benchmark, not once per tenant.
+// Prototypes are forked per chain, so corpus generation, program
+// compilation and the corpus's feature-vector memo happen once per
+// benchmark, not once per tenant.
 func New(cfg Config) (*Server, error) {
 	cfg.fill()
 	s := &Server{

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
 	"sync"
 
 	"evolvevm/internal/bytecode"
@@ -13,15 +12,16 @@ import (
 	"evolvevm/internal/xicl"
 )
 
-// BenchState bundles one benchmark's cross-run state: the Evolve
-// learner, the Rep repository, the optional GC selector, and the
-// memoized Default-scenario baselines. It implements CrossRunState so a
-// whole benchmark's learned state checkpoints and resumes as one blob.
+// BenchState bundles one benchmark's learned cross-run state: the Evolve
+// learner, the Rep repository, and the optional GC selector. It
+// implements CrossRunState so a whole benchmark's learned state
+// checkpoints and resumes as one blob. It also carries the feature-vector
+// memo of its input corpus, which is not learned state: every state over
+// one corpus shares one memo, and nothing freezes, adopts, or serializes
+// it.
 //
-// Locking: the defaults map is written concurrently by parallel baseline
-// measurements; the learners are only touched from their (serial) run
-// sequences, but Freeze/Adopt may race with baseline warming, so one
-// mutex covers everything.
+// Locking: mu guards the learner pointers and the GC config, which Adopt
+// swaps and GCSelector sets while other goroutines may read them.
 //
 // The learners themselves (Evolver, Repository, GCSelector) have no
 // internal locks: a run's controller mutates them directly when the run
@@ -40,43 +40,25 @@ type BenchState struct {
 	evolveCfg core.Config
 	gcCfg     core.Config
 
-	evolver  *core.Evolver
-	repo     *rep.Repository
-	gcsel    *core.GCSelector
-	defaults map[string]int64
-	fvcache  *xicl.FVCache
+	evolver *core.Evolver
+	repo    *rep.Repository
+	gcsel   *core.GCSelector
+	fvcache *xicl.FVCache // set at construction, never changed
 }
 
 var _ CrossRunState = (*BenchState)(nil)
 
-// NewBenchState returns fresh cross-run state for prog.
-func NewBenchState(prog *bytecode.Program, evolveCfg core.Config) *BenchState {
-	b := &BenchState{prog: prog, evolveCfg: evolveCfg}
-	b.reset()
-	return b
-}
-
-func (b *BenchState) reset() {
-	b.evolver = core.NewEvolver(b.prog, b.evolveCfg)
-	b.repo = rep.NewRepository(b.prog)
-	b.gcsel = nil
-	if b.defaults == nil {
-		b.defaults = make(map[string]int64)
+// NewBenchState returns fresh learned state for prog that memoizes
+// feature vectors in fv, which its caller shares among every state over
+// the same input corpus.
+func NewBenchState(prog *bytecode.Program, evolveCfg core.Config, fv *xicl.FVCache) *BenchState {
+	return &BenchState{
+		prog:      prog,
+		evolveCfg: evolveCfg,
+		evolver:   core.NewEvolver(prog, evolveCfg),
+		repo:      rep.NewRepository(prog),
+		fvcache:   fv,
 	}
-	if b.fvcache == nil {
-		b.fvcache = xicl.NewFVCache()
-	}
-}
-
-// Reset clears the learned state (Evolve models, Rep history, GC
-// selector) while keeping the memoized default baselines — those are
-// deterministic properties of the inputs, not learned state.
-func (b *BenchState) Reset() {
-	b.runMu.Lock()
-	defer b.runMu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.reset()
 }
 
 // BeginRun acquires the state's commit lock for one state-mutating run.
@@ -117,31 +99,11 @@ func (b *BenchState) GCSelector(cfg core.Config) *core.GCSelector {
 	return b.gcsel
 }
 
-// FVCache returns the benchmark's feature-vector memo. Like the default
-// baselines it survives Reset and is excluded from Freeze/Adopt:
-// feature extraction is a deterministic property of the inputs, not
-// learned state, so the cache is always safe to rebuild and never worth
-// serializing.
-func (b *BenchState) FVCache() *xicl.FVCache {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fvcache
-}
-
-// DefaultCycles returns the memoized Default-scenario cycles of an input.
-func (b *BenchState) DefaultCycles(inputID string) (int64, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c, ok := b.defaults[inputID]
-	return c, ok
-}
-
-// SetDefaultCycles memoizes an input's Default-scenario cycles.
-func (b *BenchState) SetDefaultCycles(inputID string, cycles int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.defaults[inputID] = cycles
-}
+// FVCache returns the feature-vector memo the state was built with. It
+// is excluded from Freeze/Adopt: feature extraction is a deterministic
+// property of the inputs, not learned state, so the memo is always safe
+// to rebuild and never worth serializing.
+func (b *BenchState) FVCache() *xicl.FVCache { return b.fvcache }
 
 // Frozen is an immutable capture of a BenchState's learned state, taken
 // at a run boundary by Freeze: what Snapshot encodes and what Adopt
@@ -152,12 +114,11 @@ func (b *BenchState) SetDefaultCycles(inputID string, cycles int64) {
 // states may adopt one Frozen concurrently. Nothing ever trains the
 // learners it holds.
 type Frozen struct {
-	program  string
-	evolver  *core.Evolver
-	repo     *rep.Repository
-	gcCfg    core.Config
-	gcsel    *core.GCSelector // nil: the state had no GC selector
-	defaults map[string]int64
+	program string
+	evolver *core.Evolver
+	repo    *rep.Repository
+	gcCfg   core.Config
+	gcsel   *core.GCSelector // nil: the state had no GC selector
 }
 
 // Freeze captures the learned state. It acquires the commit lock, so it
@@ -181,7 +142,7 @@ func (b *BenchState) freezeLocked() (*Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Frozen{program: b.prog.Name, evolver: ev, repo: repo, defaults: maps.Clone(b.defaults)}
+	f := &Frozen{program: b.prog.Name, evolver: ev, repo: repo}
 	if b.gcsel != nil {
 		f.gcCfg = b.gcCfg
 		f.gcsel = b.gcsel.Fork(b.gcCfg)
@@ -193,9 +154,8 @@ func (b *BenchState) freezeLocked() (*Frozen, error) {
 // run commits. It is the one install path: Restore is Adopt of a decoded
 // blob, and Adopt of a Freeze behaves bit-identically to Restore of the
 // matching Snapshot. The Evolve config is b's and the GC selector's is
-// f's; trees start stale and the Rep plan cache empty; f's default
-// baselines merge into b's, and b keeps its feature-vector cache. f is
-// only read.
+// f's; trees start stale and the Rep plan cache empty; b keeps its
+// feature-vector memo. f is only read.
 func (b *BenchState) Adopt(f *Frozen) error {
 	ev, err := f.evolver.Fork(b.prog, b.evolveCfg) // checks the program name
 	if err != nil {
@@ -217,20 +177,19 @@ func (b *BenchState) Adopt(f *Frozen) error {
 	if gcsel != nil {
 		b.gcCfg = f.gcCfg
 	}
-	maps.Copy(b.defaults, f.defaults)
 	return nil
 }
 
 // benchBlob is Frozen's serialized form. The learners' own Save formats
 // are embedded verbatim, so the per-component golden tests cover the
-// session checkpoint too.
+// session checkpoint too. Blobs written before baselines left the state
+// also carry a "defaults" key, which decoding ignores.
 type benchBlob struct {
-	Program    string           `json:"program"`
-	Evolver    json.RawMessage  `json:"evolver,omitempty"`
-	Repository json.RawMessage  `json:"repository,omitempty"`
-	GCConfig   *core.Config     `json:"gcconfig,omitempty"`
-	GCSelector json.RawMessage  `json:"gcselector,omitempty"`
-	Defaults   map[string]int64 `json:"defaults,omitempty"`
+	Program    string          `json:"program"`
+	Evolver    json.RawMessage `json:"evolver,omitempty"`
+	Repository json.RawMessage `json:"repository,omitempty"`
+	GCConfig   *core.Config    `json:"gcconfig,omitempty"`
+	GCSelector json.RawMessage `json:"gcselector,omitempty"`
 }
 
 // Snapshot implements CrossRunState: the JSON encoding of Freeze.
@@ -253,7 +212,7 @@ func (b *BenchState) Restore(raw json.RawMessage) error {
 
 // encode writes f in benchBlob form.
 func (f *Frozen) encode() (json.RawMessage, error) {
-	blob := benchBlob{Program: f.program, Defaults: f.defaults}
+	blob := benchBlob{Program: f.program}
 	var buf bytes.Buffer
 	if err := f.evolver.Save(&buf); err != nil {
 		return nil, err
@@ -287,10 +246,9 @@ func (b *BenchState) decode(raw json.RawMessage) (*Frozen, error) {
 		return nil, fmt.Errorf("session: bench state is for program %q, not %q", blob.Program, b.prog.Name)
 	}
 	f := &Frozen{
-		program:  blob.Program,
-		evolver:  core.NewEvolver(b.prog, b.evolveCfg),
-		repo:     rep.NewRepository(b.prog),
-		defaults: blob.Defaults,
+		program: blob.Program,
+		evolver: core.NewEvolver(b.prog, b.evolveCfg),
+		repo:    rep.NewRepository(b.prog),
 	}
 	if len(blob.Evolver) > 0 {
 		ev, err := core.LoadEvolver(b.prog, b.evolveCfg, bytes.NewReader(blob.Evolver))

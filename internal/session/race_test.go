@@ -15,6 +15,7 @@ import (
 	"evolvevm/internal/programs"
 	"evolvevm/internal/session"
 	"evolvevm/internal/stats"
+	"evolvevm/internal/xicl"
 )
 
 // counterState is a CrossRunState with its own lock, standing in for
@@ -100,7 +101,7 @@ func TestSaveAtomicWithRunCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := session.NewBenchState(prog, core.DefaultConfig())
+	st := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 	s := session.New()
 	if err := s.Attach("bench", st); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestSaveAtomicWithRunCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st2 := session.NewBenchState(prog, core.DefaultConfig())
+		st2 := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 		if err := chk.Attach("bench", st2); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +162,7 @@ func TestSnapshotNeverTearsMidCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := session.NewBenchState(prog, core.DefaultConfig())
+	st := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 	work := make([]int64, len(prog.Funcs))
 
 	done := make(chan struct{})
@@ -178,7 +179,7 @@ func TestSnapshotNeverTearsMidCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st2 := session.NewBenchState(prog, core.DefaultConfig())
+		st2 := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 		if err := st2.Restore(blob); err != nil {
 			t.Fatalf("snapshot does not restore: %v", err)
 		}
@@ -316,7 +317,7 @@ func TestSaveWritesOutsideCommitLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := session.NewBenchState(prog, core.DefaultConfig())
+	st := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 	st.Repo().RecordWork(make([]int64, len(prog.Funcs)))
 	s := session.New()
 	if err := s.Attach("bench", st); err != nil {
@@ -330,7 +331,7 @@ func TestSaveWritesOutsideCommitLocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := session.NewBenchState(prog, core.DefaultConfig())
+	st2 := session.NewBenchState(prog, core.DefaultConfig(), xicl.NewFVCache())
 	if err := chk.Attach("bench", st2); err != nil {
 		t.Fatal(err)
 	}

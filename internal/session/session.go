@@ -1,11 +1,11 @@
 // Package session is the cross-run state layer of the system. Where
-// internal/exec executes one stateless run, a Session owns everything
-// that outlives a run — the Evolve learner, the Rep repository, the GC
-// selector, the memoized default-cycles baselines — behind the
-// CrossRunState interface, plus the memoized outputs of completed
-// experiment work units. A Session serializes completely, so a process
-// can checkpoint mid-experiment and a later process can resume it with
-// bit-identical results (see DESIGN.md §8).
+// internal/exec executes one stateless run, a Session owns the learned
+// state that outlives a run — the Evolve learner, the Rep repository,
+// the GC selector — behind the CrossRunState interface, plus the
+// memoized outputs of completed experiment work units. A Session
+// serializes completely, so a process can checkpoint mid-experiment and
+// a later process can resume it with bit-identical results (see
+// DESIGN.md §8).
 package session
 
 import (

@@ -16,6 +16,7 @@ import (
 	"evolvevm/internal/programs"
 	"evolvevm/internal/session"
 	"evolvevm/internal/stats"
+	"evolvevm/internal/xicl"
 )
 
 // fakeComponent is a minimal CrossRunState: a JSON blob it hands back.
@@ -314,12 +315,12 @@ func TestBenchStateRejectsWrongProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := session.NewBenchState(mtrt, core.DefaultConfig())
+	a := session.NewBenchState(mtrt, core.DefaultConfig(), xicl.NewFVCache())
 	blob, err := a.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := session.NewBenchState(compress, core.DefaultConfig())
+	b := session.NewBenchState(compress, core.DefaultConfig(), xicl.NewFVCache())
 	if err := b.Restore(blob); err == nil {
 		t.Error("mtrt snapshot restored into compress state")
 	}
@@ -335,22 +336,44 @@ func TestBenchStateRejectsWrongProgram(t *testing.T) {
 	}
 }
 
-// TestBenchStateResetKeepsBaselines: Reset drops learned state but keeps
-// the memoized default baselines — they are input properties.
-func TestBenchStateResetKeepsBaselines(t *testing.T) {
-	prog, err := programs.ByName("compress").Program()
+// TestBenchStateLoadsBlobWithDefaults: the testdata blob is the state
+// this test trains, saved while bench states still memoized
+// Default-scenario baselines, so it carries a "defaults" key. It still
+// restores, and saving it again gives the bytes a snapshot of the same
+// training gives now.
+func TestBenchStateLoadsBlobWithDefaults(t *testing.T) {
+	const path = "testdata/compress_state_with_defaults.json"
+	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := session.NewBenchState(prog, core.DefaultConfig())
-	s.SetDefaultCycles("in-0", 12345)
-	ev := s.Evolver()
-	s.Reset()
-	if s.Evolver() == ev {
-		t.Error("Reset kept the old learner")
+	if !bytes.Contains(old, []byte(`"defaults":{`)) {
+		t.Fatalf("%s has no defaults key", path)
 	}
-	if c, ok := s.DefaultCycles("in-0"); !ok || c != 12345 {
-		t.Errorf("Reset dropped the baseline memo: %d, %v", c, ok)
+	r := newRunner(t, "compress")
+	order := r.Order(stats.Stream(9, "session-test", "old-blob"), 12)
+	for _, sc := range []harness.Scenario{harness.ScenarioEvolve, harness.ScenarioRep} {
+		if _, err := r.RunSequence(context.Background(), sc, order); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := r.State.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(want, []byte(`"defaults"`)) {
+		t.Fatal("a snapshot still carries baselines")
+	}
+	loaded := newRunner(t, "compress")
+	if err := loaded.State.Restore(old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.State.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saved old blob differs from a fresh snapshot:\ngot  %s\nwant %s", got, want)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package stripe provides the lock-striped, read-mostly bounded cache
-// that backs every process-wide cache on the serving hot path
-// (jit.Cache, xicl.FVCache, the harness baseline-outcome memo).
+// that backs every shared cache on the serving hot path (jit.Cache,
+// xicl.FVCache, the harness baseline-outcome memo).
 //
 // The previous generation of those caches were plain-mutex LRUs: a
 // *lookup* mutated the recency list, so even a 100% hit workload

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -216,43 +215,4 @@ func (th *ShardedTenantHistograms) Merged() Histogram {
 		sh.mu.RUnlock()
 	}
 	return all
-}
-
-// Tenants returns every observed tenant name in sorted order.
-func (th *ShardedTenantHistograms) Tenants() []string {
-	var names []string
-	for i := range th.shards {
-		sh := &th.shards[i]
-		sh.mu.RLock()
-		for name := range sh.m {
-			names = append(names, name)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TenantHistograms aggregates per-tenant histograms with deterministic
-// iteration order.
-type TenantHistograms map[string]*Histogram
-
-// Observe records v for tenant.
-func (th TenantHistograms) Observe(tenant string, v int64) {
-	h := th[tenant]
-	if h == nil {
-		h = &Histogram{}
-		th[tenant] = h
-	}
-	h.Observe(v)
-}
-
-// Tenants returns the tenant names in sorted order.
-func (th TenantHistograms) Tenants() []string {
-	names := make([]string, 0, len(th))
-	for name := range th {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -12,15 +12,6 @@ import (
 // recently used vector instead of growing without limit.
 const DefaultFVCacheCapacity = 4096
 
-// FVCacheStats reports cache effectiveness and occupancy.
-type FVCacheStats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Entries   int
-	Capacity  int // 0 = unbounded
-}
-
 // FVCache memoizes feature-vector extraction by input signature, bounded
 // with lock-striped CLOCK eviction (internal/stripe): a hit takes only a
 // per-shard read lock plus one atomic reference-bit touch, so concurrent
@@ -77,13 +68,4 @@ func (c *FVCache) Put(sig string, vec Vector, cost int64) {
 func (c *FVCache) Len() int { return c.c.Len() }
 
 // Stats returns a snapshot of the cache's counters and occupancy.
-func (c *FVCache) Stats() FVCacheStats {
-	st := c.c.Stats()
-	return FVCacheStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Evictions: st.Evictions,
-		Entries:   st.Entries,
-		Capacity:  st.Capacity,
-	}
-}
+func (c *FVCache) Stats() stripe.Stats { return c.c.Stats() }
