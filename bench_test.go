@@ -517,8 +517,9 @@ end
 }
 
 // BenchmarkServeHotPath measures one warmed in-process request through
-// the serving front end — admission, chain dispatch, execution, striped
-// outcome recording — with no HTTP layer. RunParallel drives it from
+// the serving front end — admission, chain dispatch, execution, atomic
+// stat and histogram updates (the server does not record, so it keeps
+// nothing per request) — with no HTTP layer. RunParallel drives it from
 // GOMAXPROCS submitters, so ns/op tracks the contention behavior of the
 // admission path and the sharded bookkeeping, not just single-thread
 // cost. Epoch barriers (every 64 seqs, the CI loadtest cadence) stay in

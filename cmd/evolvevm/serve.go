@@ -173,7 +173,6 @@ func runReplay(args []string) {
 	tracePath := fs.String("trace", "", "trace file to replay (required)")
 	out := fs.String("out", "", "write the re-recorded trace here")
 	noVerify := fs.Bool("no-verify", false, "skip comparing outcomes against the recording")
-	clients := fs.Int("clients", 1, "concurrent submission loops (chain-partitioned; outcomes are identical for every value)")
 	build := serverFlags(fs)
 	fs.Parse(args)
 
@@ -192,12 +191,13 @@ func runReplay(args []string) {
 	if len(cfg.Benches) == 0 {
 		cfg.Benches = traceBenches(tr)
 	}
+	cfg.Record = true // the outcomes are compared and written below
 	s, err := serve.New(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	defer s.Close()
-	if err := s.RunClients(context.Background(), tr, *clients); err != nil {
+	if err := s.Run(context.Background(), tr); err != nil {
 		fatal(err)
 	}
 	if err := s.LedgerBalanced(); err != nil {
@@ -276,7 +276,6 @@ func runLoadTest(args []string) {
 		compare   = fs.Bool("compare", false, "also run the isolated control arm for the cold-start comparison")
 		traceOut  = fs.String("trace-out", "", "write the generated+recorded trace here")
 		benchName = fs.String("bench", "", "emit a go-bench line under this name instead of JSON")
-		clients   = fs.Int("clients", 1, "concurrent submission loops (chain-partitioned; checksums are identical for every value)")
 	)
 	build := serverFlags(fs)
 	startProf, stopProf := profileFlags(fs)
@@ -301,7 +300,6 @@ func runLoadTest(args []string) {
 		},
 		Server:  cfg,
 		Compare: *compare,
-		Clients: *clients,
 	}
 	if len(lc.Traffic.Benches) == 0 {
 		lc.Traffic.Benches = []string{"compress", "search"}

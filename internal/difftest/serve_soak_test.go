@@ -69,8 +69,10 @@ func serveSoakConfig(benches []string, sc harness.Scenario, sub exec.Substrate) 
 	}
 }
 
+// serveTrace replays tr on a recording server and returns its outcomes.
 func serveTrace(t *testing.T, cfg serve.Config, tr *traffic.Trace) []traffic.Outcome {
 	t.Helper()
+	cfg.Record = true
 	s, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,141 +9,13 @@ import (
 	"testing"
 
 	"evolvevm/internal/stripe"
-	"evolvevm/internal/traffic"
 	"evolvevm/internal/xicl"
 )
 
-// TestRunClientsDeterminism pins the multi-client replay contract: the
-// same trace driven by 1, 2, 3, and 5 submission clients — on a
-// multi-worker pool — yields byte-identical per-tenant checksums,
-// outcomes, and latency histograms. Client count, like worker count, is
-// a host knob, never a virtual observable.
-func TestRunClientsDeterminism(t *testing.T) {
-	tr := testTrace(t, 96, 4)
-	ref := runTrace(t, testConfig(1), tr)
-	defer ref.Close()
-	refSums := ref.TenantChecksums()
-	refOut := ref.Outcomes()
-
-	for _, clients := range []int{2, 3, 5} {
-		s, err := New(testConfig(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunClients(context.Background(), tr, clients); err != nil {
-			t.Fatal(err)
-		}
-		sums := s.TenantChecksums()
-		if len(sums) != len(refSums) {
-			t.Fatalf("clients=%d saw %d tenants, want %d", clients, len(sums), len(refSums))
-		}
-		for tenant, want := range refSums {
-			if got := sums[tenant]; got != want {
-				t.Errorf("clients=%d tenant %s checksum %#x, want %#x", clients, tenant, got, want)
-			}
-		}
-		out := s.Outcomes()
-		if len(out) != len(refOut) {
-			t.Fatalf("clients=%d completed %d outcomes, want %d", clients, len(out), len(refOut))
-		}
-		for i, o := range out {
-			if o != refOut[i] {
-				t.Fatalf("clients=%d outcome %d = %+v, want %+v", clients, i, o, refOut[i])
-			}
-		}
-		for tenant := range refSums {
-			if got, want := s.TenantHistogram(tenant), ref.TenantHistogram(tenant); got != want {
-				t.Errorf("clients=%d tenant %s histogram differs", clients, tenant)
-			}
-		}
-		if err := s.LedgerBalanced(); err != nil {
-			t.Errorf("clients=%d: %v", clients, err)
-		}
-		s.Close()
-	}
-}
-
-// TestRunClientsCanceledAndSparseEpochs covers the epoch-barrier edge
-// cases of multi-client replay: recorded cancellations are reproduced
-// without executing, and an epoch whose every request was canceled
-// produces no barrier (matching the serial loop's epoch-crossing rule) —
-// the outcomes must still match the serial replay exactly.
-func TestRunClientsCanceledAndSparseEpochs(t *testing.T) {
-	tr := testTrace(t, 64, 3)
-	// Mark all of epoch 1 (seqs 16..31 at EpochLength 16) and a scatter of
-	// other seqs canceled, as a live deadline would have.
-	for _, req := range tr.Requests {
-		if (req.Seq >= 16 && req.Seq < 32) || req.Seq%13 == 5 {
-			tr.Outcomes = append(tr.Outcomes, traffic.Outcome{
-				Seq: req.Seq, Status: traffic.StatusCanceled,
-			})
-		}
-	}
-	ref := runTrace(t, testConfig(1), tr)
-	defer ref.Close()
-	refOut := ref.Outcomes()
-
-	for _, clients := range []int{2, 4} {
-		s, err := New(testConfig(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunClients(context.Background(), tr, clients); err != nil {
-			t.Fatal(err)
-		}
-		out := s.Outcomes()
-		if len(out) != len(refOut) {
-			t.Fatalf("clients=%d completed %d outcomes, want %d", clients, len(out), len(refOut))
-		}
-		for i, o := range out {
-			if o != refOut[i] {
-				t.Fatalf("clients=%d outcome %d = %+v, want %+v", clients, i, o, refOut[i])
-			}
-		}
-		s.Close()
-	}
-}
-
-// TestClientChecksumsPartitionTenants pins the per-client checksum
-// fold: the folds are deterministic across runs and worker counts, and
-// together cover every outcome exactly once (each chain belongs to
-// exactly one client).
-func TestClientChecksumsPartitionTenants(t *testing.T) {
-	tr := testTrace(t, 64, 4)
-	const clients = 3
-	sums := make([]map[string]uint64, 0, 2)
-	for _, workers := range []int{1, 4} {
-		s, err := New(testConfig(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunClients(context.Background(), tr, clients); err != nil {
-			t.Fatal(err)
-		}
-		sums = append(sums, clientChecksums(s, tr, clients))
-		s.Close()
-	}
-	if len(sums[0]) != clients {
-		t.Fatalf("got %d client folds, want %d", len(sums[0]), clients)
-	}
-	for c, want := range sums[0] {
-		if got := sums[1][c]; got != want {
-			t.Errorf("client %s checksum %#x on 4 workers, %#x on 1", c, got, want)
-		}
-	}
-	// Every request's chain maps to exactly one client in range.
-	for _, req := range tr.Requests {
-		c := ClientOf(req.Chain(), clients)
-		if c < 0 || c >= clients {
-			t.Fatalf("ClientOf(%q, %d) = %d out of range", req.Chain(), clients, c)
-		}
-	}
-}
-
 // TestServeContentionBattery is the serving-path slice of the race
-// battery: a multi-worker, multi-client replay runs to completion while
-// GOMAXPROCS hammer goroutines pound the same striped structures the
-// servers use — a sharded code-cache stand-in (stripe.Cache), a
+// battery: a multi-worker replay runs to completion while GOMAXPROCS
+// hammer goroutines pound the same striped structures the servers use —
+// a sharded code-cache stand-in (stripe.Cache), a
 // feature-vector cache, the server's atomic stat counters, and its
 // histogram snapshots. Under -race this proves the hot path is free of
 // data races; the serial oracle proves the concurrency is unobservable
@@ -156,7 +28,9 @@ func TestServeContentionBattery(t *testing.T) {
 	refSums := ref.TenantChecksums()
 	refOut := ref.Outcomes()
 
-	s, err := New(testConfig(runtime.GOMAXPROCS(0)))
+	cfg := testConfig(runtime.GOMAXPROCS(0))
+	cfg.Record = true
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +70,14 @@ func TestServeContentionBattery(t *testing.T) {
 					// Stat reads ride the same striped/atomic state the
 					// request path updates.
 					_ = s.StatsNow()
-					_ = s.TenantHistogram("t0")
+					_ = s.vhist.Snapshot()
 					_ = s.retryAfter()
 				}
 			}
 		}(w)
 	}
 
-	err = s.RunClients(context.Background(), tr, 4)
+	err = s.Run(context.Background(), tr)
 	close(stop)
 	wg.Wait()
 	if err != nil {

@@ -21,12 +21,6 @@ type LoadConfig struct {
 	// server — the no-shared-learning control arm — to measure what the
 	// shared tier buys a cold tenant's first request.
 	Compare bool
-	// Clients is the number of concurrent submission loops driving the
-	// workload (default 1). Requests partition deterministically by chain
-	// (ClientOf), so every client count produces byte-identical virtual
-	// observables; more clients exercise — and on multi-core hosts
-	// saturate — the admission path.
-	Clients int
 }
 
 // LoadReport summarizes one load test. Checksums and virtual quantiles
@@ -46,12 +40,6 @@ type LoadReport struct {
 	VirtualP99  int64   `json:"virtual_p99"`
 
 	TenantChecksums map[string]uint64 `json:"tenant_checksums"`
-	// ClientChecksums folds each submission client's outcomes (the
-	// requests of the chains ClientOf assigns it) in seq order, keyed
-	// "c0".."cN-1". Deterministic for a given trace and client count —
-	// drift in any one fold localizes a divergence to one client's
-	// partition.
-	ClientChecksums map[string]uint64 `json:"client_checksums,omitempty"`
 	// Checksum folds every tenant's checksum in sorted tenant order —
 	// the single drift-gate value CI compares across runs.
 	Checksum uint64 `json:"checksum"`
@@ -83,7 +71,8 @@ type ColdStart struct {
 
 // LoadTest generates the workload, serves it, and reports. The returned
 // trace carries recorded outcomes and can be saved for byte-identical
-// re-runs with Replay.
+// re-runs with Replay. Both servers record (Config.Record): the report
+// reads their outcomes.
 func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, *traffic.Trace, error) {
 	tr, err := traffic.Generate(cfg.Traffic)
 	if err != nil {
@@ -92,18 +81,15 @@ func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, *traffic.Trace,
 	if len(cfg.Server.Benches) == 0 {
 		cfg.Server.Benches = cfg.Traffic.Benches
 	}
+	cfg.Server.Record = true
 	s, err := New(cfg.Server)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer s.Close()
 
-	clients := cfg.Clients
-	if clients < 1 {
-		clients = 1
-	}
 	start := time.Now()
-	if err := s.RunClients(ctx, tr, clients); err != nil {
+	if err := s.Run(ctx, tr); err != nil {
 		return nil, nil, err
 	}
 	wall := time.Since(start)
@@ -112,7 +98,6 @@ func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, *traffic.Trace,
 	}
 
 	rep := report(s, len(tr.Requests), wall)
-	rep.ClientChecksums = clientChecksums(s, tr, clients)
 	tr.Outcomes = s.Outcomes()
 	if cfg.Traffic.ColdTenant != "" {
 		rep.ColdShared = coldStart(s, cfg.Traffic.ColdTenant)
@@ -126,7 +111,7 @@ func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, *traffic.Trace,
 			return nil, nil, err
 		}
 		defer si.Close()
-		if err := si.RunClients(ctx, tr, clients); err != nil {
+		if err := si.Run(ctx, tr); err != nil {
 			return nil, nil, err
 		}
 		if cfg.Traffic.ColdTenant != "" {
@@ -172,35 +157,10 @@ func report(s *Server, requests int, wall time.Duration) *LoadReport {
 	return rep
 }
 
-// clientChecksums folds each replay client's outcomes in seq order.
-func clientChecksums(s *Server, tr *traffic.Trace, clients int) map[string]uint64 {
-	owner := make(map[int64]int, len(tr.Requests))
-	for _, req := range tr.Requests {
-		owner[req.Seq] = ClientOf(req.Chain(), clients)
-	}
-	folds := make([]fnvState, clients)
-	for i := range folds {
-		folds[i].sum = 14695981039346656037
-	}
-	for _, o := range s.out.all() {
-		c, ok := owner[o.Seq]
-		if !ok {
-			continue
-		}
-		folds[c].fold(uint64(o.Seq))
-		folds[c].fold(o.Checksum)
-	}
-	out := make(map[string]uint64, clients)
-	for i := range folds {
-		out[fmt.Sprintf("c%d", i)] = folds[i].sum
-	}
-	return out
-}
-
 // coldStart extracts the cold tenant's prediction trajectory.
 func coldStart(s *Server, tenant string) *ColdStart {
 	var resps []*Response
-	for _, resp := range s.out.all() {
+	for _, resp := range s.recorded() {
 		if resp.Tenant != tenant || resp.Status == traffic.StatusCanceled {
 			continue
 		}

@@ -30,10 +30,18 @@
 // Admission control keeps the pool bounded: a queue-depth cap with
 // backpressure (Submit blocks, TrySubmit rejects for HTTP 429), per-
 // tenant in-flight caps, and request deadlines threaded down to the
-// engine's sample-boundary cancellation check.
+// engine's sample-boundary cancellation check. Replay (Run) is one loop
+// that admits a trace's requests in seq order through the same path.
+//
+// # Memory
+//
+// A server keeps its learned state — one chain per (tenant, benchmark)
+// and the shared tier — and nothing per request. Outcomes, per-tenant
+// checksums and the recorded trace exist only when Config.Record is set.
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -42,7 +50,7 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,8 +107,10 @@ type Config struct {
 	Substrate exec.Substrate
 	// Benches names the benchmarks this server accepts (default: all).
 	Benches []string
-	// Record captures every live-submitted request and outcome into a
-	// trace retrievable with RecordedTrace.
+	// Record keeps every admitted request and every finished response,
+	// live or replayed, for Outcomes, TenantChecksums and RecordedTrace.
+	// Without it those read nothing, and the server holds no state that
+	// grows with requests.
 	Record bool
 }
 
@@ -159,9 +169,9 @@ type chain struct {
 	runs int
 }
 
-// shardCount stripes the chain and outcome maps. 16 matches
-// internal/stripe's default — enough to spread any plausible worker
-// count without making snapshot iteration expensive.
+// shardCount stripes the chain map. 16 matches internal/stripe's
+// default — enough to spread any plausible worker count without making
+// snapshot iteration expensive.
 const shardCount = 16
 
 var chainSeed = maphash.MakeSeed()
@@ -214,51 +224,8 @@ func (cm *chainMap) all() []*chain {
 	return out
 }
 
-// outcomeShard is one stripe of the outcome map, sharded by seq.
-type outcomeShard struct {
-	mu sync.Mutex
-	m  map[int64]*Response
-}
-
-// outcomeMap collects finished requests by seq behind striped locks, so
-// concurrent completions on different workers no longer serialize on one
-// global outMu. Per-tenant checksums fold outcomes in seq order at read
-// time, so collection order (which is racy) never matters.
-type outcomeMap struct {
-	shards [shardCount]outcomeShard
-}
-
-func (om *outcomeMap) init() {
-	for i := range om.shards {
-		om.shards[i].m = make(map[int64]*Response)
-	}
-}
-
-func (om *outcomeMap) put(resp *Response) {
-	sh := &om.shards[uint64(resp.Seq)%shardCount]
-	sh.mu.Lock()
-	sh.m[resp.Seq] = resp
-	sh.mu.Unlock()
-}
-
-// all returns every recorded response sorted by seq.
-func (om *outcomeMap) all() []*Response {
-	var out []*Response
-	for i := range om.shards {
-		sh := &om.shards[i]
-		sh.mu.Lock()
-		for _, resp := range sh.m {
-			out = append(out, resp)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // Server is the multi-tenant serving front end. Create with New, submit
-// with Submit/TrySubmit (live) or Run/RunClients (trace replay), stop
-// with Close.
+// with Submit/TrySubmit (live) or Run (trace replay), stop with Close.
 type Server struct {
 	cfg    Config
 	protos map[string]*harness.Runner // per-benchmark prototype runners
@@ -267,11 +234,11 @@ type Server struct {
 	sess *session.Session
 
 	// mu is the admission lock: it orders sequence-number assignment,
-	// admission accounting, epoch-barrier enqueueing, and (live) pool
+	// admission accounting, epoch-barrier enqueueing, and pool
 	// submission, making pool queue order equal seq order — the
 	// determinism source. It is intentionally narrow: completion
-	// bookkeeping, outcome recording, and stat counters all live outside
-	// it on striped or atomic state.
+	// bookkeeping and stat counters live outside it on striped or atomic
+	// state, and a recording server keeps responses under recMu.
 	mu        sync.Mutex
 	space     *sync.Cond // signaled when queue slots free up
 	drained   *sync.Cond // broadcast when inflight reaches zero
@@ -296,14 +263,11 @@ type Server struct {
 	tierMu sync.RWMutex
 	tier   map[string]*session.Frozen
 
-	// chains and out are lock-striped; see chainMap and outcomeMap.
-	chains chainMap
-	out    outcomeMap
+	chains chainMap // lock-striped; see chainMap
 
-	// Latency histograms: per-tenant virtual cycles (striped map of
-	// atomic histograms) and wall nanos (reporting only, one atomic
-	// histogram).
-	vhist traffic.ShardedTenantHistograms
+	// Latency histograms over every tenant: virtual cycles and wall
+	// nanos (reporting only).
+	vhist traffic.AtomicHistogram
 	whist traffic.AtomicHistogram
 
 	// Per-run cycle-ledger violations: a count and the first message,
@@ -312,8 +276,11 @@ type Server struct {
 	ledgerBad   int
 	ledgerFirst string
 
-	traceMu sync.Mutex
-	trace   *traffic.Trace // live recording (cfg.Record); set once in New
+	// The recording (cfg.Record only): admitted requests in admission
+	// order and finished responses in completion order.
+	recMu     sync.Mutex
+	requests  []traffic.Request
+	responses []*Response
 }
 
 // New builds a server, constructing one prototype runner per benchmark.
@@ -332,7 +299,6 @@ func New(cfg Config) (*Server, error) {
 		lastEpoch: -1,
 	}
 	s.chains.init()
-	s.out.init()
 	s.space = sync.NewCond(&s.mu)
 	s.drained = sync.NewCond(&s.mu)
 	for _, name := range cfg.Benches {
@@ -356,9 +322,6 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		s.protos[name] = r
-	}
-	if cfg.Record {
-		s.trace = &traffic.Trace{Version: traffic.TraceVersion}
 	}
 	return s, nil
 }
@@ -394,30 +357,11 @@ func (s *Server) submitLive(ctx context.Context, tenant, bench string, input int
 	done := make(chan *Response, 1)
 
 	s.mu.Lock()
-	for {
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if s.cfg.TenantCap > 0 && s.perTenant[tenant] >= s.cfg.TenantCap {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			return nil, ErrTenantBusy
-		}
-		if s.inflight < s.cfg.QueueDepth {
-			break
-		}
-		if !wait {
-			s.mu.Unlock()
-			s.rejected.Add(1)
-			return nil, ErrQueueFull
-		}
-		s.waiters++
-		s.space.Wait()
-		s.waiters--
+	if err := s.slotLocked(tenant, wait); err != nil {
+		s.mu.Unlock()
+		return nil, err
 	}
 	req.Seq = s.nextSeq
-	s.nextSeq++
 	s.admitLocked(req, done)
 	s.mu.Unlock()
 
@@ -431,16 +375,50 @@ func (s *Server) submitLive(ctx context.Context, tenant, bench string, input int
 	}
 }
 
-// admitLocked records, epoch-gates, and enqueues one admitted request.
-// Caller holds s.mu; the queue slot is already reserved.
+// slotLocked returns once the queue has a free slot, waiting for one if
+// wait is set and failing with ErrQueueFull if not. It fails with
+// ErrClosed once the server drains and, when capTenant is not empty,
+// with ErrTenantBusy while that tenant is at Config.TenantCap. Caller
+// holds s.mu.
+func (s *Server) slotLocked(capTenant string, wait bool) error {
+	for {
+		if s.closed {
+			return ErrClosed
+		}
+		if capTenant != "" && s.cfg.TenantCap > 0 && s.perTenant[capTenant] >= s.cfg.TenantCap {
+			s.rejected.Add(1)
+			return ErrTenantBusy
+		}
+		if s.inflight < s.cfg.QueueDepth {
+			return nil
+		}
+		if !wait {
+			s.rejected.Add(1)
+			return ErrQueueFull
+		}
+		s.waiters++
+		s.space.Wait()
+		s.waiters--
+	}
+}
+
+// takeLocked moves the seq counter past req and, when recording, keeps
+// the request. Caller holds s.mu.
+func (s *Server) takeLocked(req traffic.Request) {
+	s.nextSeq = max(s.nextSeq, req.Seq+1)
+	if s.cfg.Record {
+		s.recMu.Lock()
+		s.requests = append(s.requests, req)
+		s.recMu.Unlock()
+	}
+}
+
+// admitLocked takes, epoch-gates, and enqueues one admitted request.
+// Caller holds s.mu and has found a queue slot with slotLocked.
 func (s *Server) admitLocked(req traffic.Request, done chan<- *Response) {
+	s.takeLocked(req)
 	s.inflight++
 	s.perTenant[req.Tenant]++
-	if s.trace != nil {
-		s.traceMu.Lock()
-		s.trace.Requests = append(s.trace.Requests, req)
-		s.traceMu.Unlock()
-	}
 	if epoch := req.Seq / int64(s.cfg.EpochLength); epoch > s.lastEpoch {
 		s.lastEpoch = epoch
 		if epoch > 0 {
@@ -456,224 +434,50 @@ func (s *Server) admitLocked(req traffic.Request, done chan<- *Response) {
 	})
 }
 
-// Run executes a trace in sequence order through the pool and drains.
-// Sequence numbers recorded as canceled are reproduced as canceled
-// without executing — live cancellation is a wall-clock event, and
-// replay must not depend on wall clocks. Tenant caps don't apply (the
-// trace already passed admission when it was recorded); queue-depth
-// backpressure does, bounding memory.
+// Run replays a trace and drains: one loop admits its requests in seq
+// order through the live admission path, waiting for a queue slot as
+// Submit does, so queue-depth backpressure bounds memory. Tenant caps
+// and request deadlines don't apply: the trace already passed admission
+// when it was recorded, and its statuses come from the recording, not
+// from live timing. Sequence numbers recorded as canceled are reproduced
+// as canceled without executing — live cancellation is a wall-clock
+// event, and replay must not depend on wall clocks.
 func (s *Server) Run(ctx context.Context, tr *traffic.Trace) error {
-	return s.RunClients(ctx, tr, 1)
-}
-
-// ClientOf deterministically assigns a chain to one of n replay clients.
-// The hash is FNV-1a of the chain key — stable across processes and
-// machines, so recorded per-client checksums compare across runs (unlike
-// maphash, which is seeded per process).
-func ClientOf(chainKey string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write([]byte(chainKey))
-	return int(h.Sum32() % uint32(n))
-}
-
-// RunClients executes a trace through the pool using n concurrent
-// submission loops and drains. Virtual observables are byte-identical to
-// Run's for every n:
-//
-//   - Requests are partitioned by chain (ClientOf), so each chain's
-//     requests are submitted by one client in seq order — and a chain's
-//     tasks execute serially in submission order (sched.Chains), which
-//     preserves rule 1 of the determinism argument.
-//   - Submission proceeds in epoch lockstep: no client submits a request
-//     of epoch k+1 until every client has finished submitting epoch k.
-//     The last client to reach the epoch latch enqueues the epoch
-//     barrier while it still holds the latch, so the barrier lands
-//     between the last epoch-k submission and the first epoch-k+1
-//     submission — exactly where the serial loop puts it. Barriers are
-//     enqueued only for epochs that have at least one executed
-//     (non-canceled) request, matching the serial loop's epoch-crossing
-//     rule.
-//
-// Queue-depth backpressure cannot deadlock the latch: a client blocked
-// on a queue slot is waiting on running tasks, all of which come from
-// epochs whose submissions already passed the latch.
-func (s *Server) RunClients(ctx context.Context, tr *traffic.Trace, n int) error {
-	if n < 1 {
-		n = 1
-	}
-	if len(tr.Requests) == 0 {
-		s.Drain()
-		return nil
-	}
-	om := tr.OutcomeMap()
 	for _, req := range tr.Requests {
 		if s.protos[req.Bench] == nil {
 			return fmt.Errorf("serve: trace request %d wants unserved benchmark %q", req.Seq, req.Bench)
 		}
 	}
-	epochLen := int64(s.cfg.EpochLength)
-	var maxSeq int64
-	executed := make(map[int64]bool) // epochs with ≥1 non-canceled request
+	defer s.Drain()
+	recorded := tr.OutcomeMap()
 	for _, req := range tr.Requests {
-		if req.Seq > maxSeq {
-			maxSeq = req.Seq
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		if o, ok := om[req.Seq]; !ok || o.Status != traffic.StatusCanceled {
-			executed[req.Seq/epochLen] = true
-		}
-	}
-	epochs := maxSeq/epochLen + 1
-
-	// parts[c][e] is client c's epoch-e requests. Trace requests are
-	// densely numbered (traffic.Load validates), so iteration order is
-	// seq order and each slice stays seq-sorted.
-	parts := make([][][]traffic.Request, n)
-	for c := range parts {
-		parts[c] = make([][]traffic.Request, epochs)
-	}
-	for _, req := range tr.Requests {
-		c := ClientOf(req.Chain(), n)
-		e := req.Seq / epochLen
-		parts[c][e] = append(parts[c][e], req)
-	}
-
-	// Mirror the serial loop's lastEpoch bookkeeping: epoch 0 is current
-	// as soon as its first request is admitted, with no barrier.
-	if executed[0] {
+		req.DeadlineMicros = 0
 		s.mu.Lock()
-		if s.lastEpoch < 0 {
-			s.lastEpoch = 0
+		if recorded[req.Seq].Status == traffic.StatusCanceled {
+			s.takeLocked(req)
+			s.mu.Unlock()
+			s.record(&Response{Seq: req.Seq, Tenant: req.Tenant, Bench: req.Bench, Status: traffic.StatusCanceled})
+			continue
 		}
+		if err := s.slotLocked("", true); err != nil {
+			s.mu.Unlock()
+			return err
+		}
+		s.admitLocked(req, nil)
 		s.mu.Unlock()
 	}
-
-	var (
-		latch    = newEpochLatch(n)
-		aborted  atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	abort := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		aborted.Store(true)
-	}
-	for c := 0; c < n; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for e := int64(0); e < epochs; e++ {
-				if !aborted.Load() {
-					for _, req := range parts[c][e] {
-						if err := ctx.Err(); err != nil {
-							abort(err)
-							break
-						}
-						if o, ok := om[req.Seq]; ok && o.Status == traffic.StatusCanceled {
-							s.record(&Response{
-								Seq: req.Seq, Tenant: req.Tenant, Bench: req.Bench,
-								Status: traffic.StatusCanceled,
-							}, 0)
-							continue
-						}
-						req := req
-						req.DeadlineMicros = 0 // statuses come from the record, not live timing
-						if err := s.admitReplay(req); err != nil {
-							abort(err)
-							break
-						}
-					}
-				}
-				next := e + 1
-				latch.arrive(func() {
-					if aborted.Load() || next >= epochs || !executed[next] {
-						return
-					}
-					s.pool.Barrier(s.publish)
-					s.mu.Lock()
-					if next > s.lastEpoch {
-						s.lastEpoch = next
-					}
-					s.mu.Unlock()
-				})
-			}
-		}(c)
-	}
-	wg.Wait()
-	s.Drain()
-	return firstErr
-}
-
-// admitReplay admits one replayed request and enqueues its task. Unlike
-// the live path, pool submission happens outside s.mu: per-chain order
-// is already guaranteed by the owning client's serial submission loop,
-// and cross-chain pool order is irrelevant between barriers.
-func (s *Server) admitReplay(req traffic.Request) error {
-	s.mu.Lock()
-	for !s.closed && s.inflight >= s.cfg.QueueDepth {
-		s.waiters++
-		s.space.Wait()
-		s.waiters--
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if req.Seq >= s.nextSeq {
-		s.nextSeq = req.Seq + 1
-	}
-	s.inflight++
-	s.perTenant[req.Tenant]++
-	s.mu.Unlock()
-	if s.trace != nil {
-		s.traceMu.Lock()
-		s.trace.Requests = append(s.trace.Requests, req)
-		s.traceMu.Unlock()
-	}
-	s.pool.Go(req.Chain(), func() {
-		resp := s.execute(req)
-		s.finish(req, resp)
-	})
 	return nil
 }
 
-// epochLatch is a reusable rendezvous for the replay clients: every
-// party arrives, the last arriver runs onLast while the latch is still
-// held (so no party races ahead of the barrier it enqueues), then all
-// parties release into the next round together.
-type epochLatch struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	arrived int
-	round   int64
-}
-
-func newEpochLatch(parties int) *epochLatch {
-	l := &epochLatch{parties: parties}
-	l.cond = sync.NewCond(&l.mu)
-	return l
-}
-
-func (l *epochLatch) arrive(onLast func()) {
-	l.mu.Lock()
-	l.arrived++
-	if l.arrived == l.parties {
-		onLast()
-		l.arrived = 0
-		l.round++
-		l.cond.Broadcast()
-		l.mu.Unlock()
-		return
-	}
-	r := l.round
-	for l.round == r {
-		l.cond.Wait()
-	}
-	l.mu.Unlock()
+// RunClients is Run; n is ignored.
+//
+// Deprecated: use Run. RunClients remains only because perfbench/serve.go
+// calls it, and goes with the next change to perfbench.
+func (s *Server) RunClients(ctx context.Context, tr *traffic.Trace, n int) error {
+	return s.Run(ctx, tr)
 }
 
 // execute runs one admitted request on its learning chain. It executes
@@ -692,21 +496,18 @@ func (s *Server) execute(req traffic.Request) *Response {
 	resp := &Response{Seq: req.Seq, Tenant: req.Tenant, Bench: req.Bench, InputID: in.ID}
 	start := time.Now()
 
-	// BeginRun/EndRun bracket the learner mutation and the session unit
-	// so checkpoints never tear between them (see session.BenchState).
-	// Only cancellation skips the unit: a canceled run committed nothing
-	// and replay reproduces it without executing, so it must leave no
-	// ledger trace; every deterministic outcome completes exactly one.
+	// BeginRun/EndRun bracket the learner mutation so a checkpoint never
+	// captures half a run (see session.BenchState). A canceled run
+	// committed nothing and replay reproduces it without executing, so it
+	// does not count; every deterministic outcome counts exactly once.
 	ch.runner.State.BeginRun()
 	res, err := ch.runner.RunRequest(ctx, s.cfg.Scenario, in)
+	ch.runner.State.EndRun()
 	var cerr *interp.CanceledError
 	canceled := err != nil && errors.As(err, &cerr)
 	if !canceled {
-		var key [24]byte
-		s.sess.CompleteUnit(string(strconv.AppendInt(append(key[:0], "seq:"...), req.Seq, 10)), nil)
 		ch.runs++
 	}
-	ch.runner.State.EndRun()
 	resp.Wall = time.Since(start)
 
 	if canceled {
@@ -804,12 +605,12 @@ func (s *Server) publish() {
 }
 
 // finish releases the request's admission slot and records its outcome.
-// Recording happens entirely on striped/atomic state; only the slot
-// release takes s.mu, and it wakes exactly one blocked submitter (plus
-// the drain waiters when the pool empties) instead of broadcasting to
-// every waiter on every completion.
+// Recording happens outside s.mu; only the slot release takes it, and it
+// wakes exactly one blocked submitter (plus the drain waiters when the
+// pool empties) instead of broadcasting to every waiter on every
+// completion.
 func (s *Server) finish(req traffic.Request, resp *Response) {
-	s.record(resp, resp.Wall.Nanoseconds())
+	s.record(resp)
 	s.mu.Lock()
 	s.inflight--
 	s.perTenant[req.Tenant]--
@@ -825,8 +626,9 @@ func (s *Server) finish(req traffic.Request, resp *Response) {
 	s.mu.Unlock()
 }
 
-func (s *Server) record(resp *Response, wallNanos int64) {
-	s.out.put(resp)
+// record counts a finished response into the stats and, when recording,
+// keeps it.
+func (s *Server) record(resp *Response) {
 	s.completed.Add(1)
 	switch resp.Status {
 	case traffic.StatusTrap:
@@ -835,18 +637,15 @@ func (s *Server) record(resp *Response, wallNanos int64) {
 		s.canceled.Add(1)
 	}
 	if resp.Status != traffic.StatusCanceled {
-		s.vhist.Observe(resp.Tenant, resp.Cycles)
+		s.vhist.Observe(resp.Cycles)
 	}
-	if wallNanos > 0 {
-		s.whist.Observe(wallNanos)
+	if resp.Wall > 0 {
+		s.whist.Observe(resp.Wall.Nanoseconds())
 	}
-	if s.trace != nil {
-		s.traceMu.Lock()
-		s.trace.Outcomes = append(s.trace.Outcomes, traffic.Outcome{
-			Seq: resp.Seq, Status: resp.Status, Checksum: resp.Checksum,
-			Cycles: resp.Cycles, Trap: resp.Trap,
-		})
-		s.traceMu.Unlock()
+	if s.cfg.Record {
+		s.recMu.Lock()
+		s.responses = append(s.responses, resp)
+		s.recMu.Unlock()
 	}
 }
 
@@ -902,13 +701,22 @@ func checksum(resp *Response) uint64 {
 	return h.Sum64()
 }
 
-// TenantChecksums folds every tenant's outcomes — in sequence order, so
-// the value is independent of completion interleaving — into one
-// checksum per tenant. Two servers that serve the same trace must agree
-// on every fold, whatever their worker counts.
+// recorded returns the recorded responses (Config.Record) sorted by seq.
+func (s *Server) recorded() []*Response {
+	s.recMu.Lock()
+	out := slices.Clone(s.responses)
+	s.recMu.Unlock()
+	slices.SortFunc(out, func(a, b *Response) int { return cmp.Compare(a.Seq, b.Seq) })
+	return out
+}
+
+// TenantChecksums folds every tenant's recorded outcomes (Config.Record)
+// — in sequence order, so the value is independent of completion
+// interleaving — into one checksum per tenant. Two servers that serve
+// the same trace must agree on every fold, whatever their worker counts.
 func (s *Server) TenantChecksums() map[string]uint64 {
 	hs := make(map[string]*fnvState)
-	for _, o := range s.out.all() {
+	for _, o := range s.recorded() {
 		st := hs[o.Tenant]
 		if st == nil {
 			st = &fnvState{sum: 14695981039346656037}
@@ -935,9 +743,10 @@ func (f *fnvState) fold(v uint64) {
 	}
 }
 
-// Outcomes returns every recorded outcome sorted by sequence number.
+// Outcomes returns every recorded outcome (Config.Record) sorted by
+// sequence number.
 func (s *Server) Outcomes() []traffic.Outcome {
-	all := s.out.all()
+	all := s.recorded()
 	out := make([]traffic.Outcome, 0, len(all))
 	for _, resp := range all {
 		out = append(out, traffic.Outcome{
@@ -948,23 +757,18 @@ func (s *Server) Outcomes() []traffic.Outcome {
 	return out
 }
 
-// RecordedTrace returns the live-recorded trace (Config.Record), with
-// requests and outcomes sorted by seq — ready for WriteFile and later
-// Run. (Multi-client replay appends requests in admission-race order, so
-// both slices need the sort.)
+// RecordedTrace returns a fresh trace of the recorded requests and
+// outcomes, sorted by seq — ready for WriteFile and a later Run — or nil
+// unless Config.Record is set.
 func (s *Server) RecordedTrace() *traffic.Trace {
-	s.traceMu.Lock()
-	defer s.traceMu.Unlock()
-	if s.trace == nil {
+	if !s.cfg.Record {
 		return nil
 	}
-	sort.Slice(s.trace.Requests, func(i, j int) bool {
-		return s.trace.Requests[i].Seq < s.trace.Requests[j].Seq
-	})
-	sort.Slice(s.trace.Outcomes, func(i, j int) bool {
-		return s.trace.Outcomes[i].Seq < s.trace.Outcomes[j].Seq
-	})
-	return s.trace
+	s.recMu.Lock()
+	reqs := slices.Clone(s.requests)
+	s.recMu.Unlock()
+	slices.SortFunc(reqs, func(a, b traffic.Request) int { return cmp.Compare(a.Seq, b.Seq) })
+	return &traffic.Trace{Version: traffic.TraceVersion, Requests: reqs, Outcomes: s.Outcomes()}
 }
 
 // Stats is a point-in-time summary of the server's work.
@@ -1017,9 +821,9 @@ func (s *Server) StatsNow() Stats {
 		tenants[ch.tenant] = true
 	}
 	st.Tenants = len(tenants)
-	all := s.vhist.Merged()
-	st.VirtualP50 = all.Quantile(0.50)
-	st.VirtualP99 = all.Quantile(0.99)
+	virt := s.vhist.Snapshot()
+	st.VirtualP50 = virt.Quantile(0.50)
+	st.VirtualP99 = virt.Quantile(0.99)
 	wall := s.whist.Snapshot()
 	st.WallP50 = wall.Quantile(0.50)
 	st.WallP99 = wall.Quantile(0.99)
@@ -1028,14 +832,8 @@ func (s *Server) StatsNow() Stats {
 	return st
 }
 
-// TenantHistogram returns a copy of one tenant's virtual-cycle latency
-// histogram (zero histogram if the tenant never completed a request).
-func (s *Server) TenantHistogram(tenant string) traffic.Histogram {
-	return s.vhist.Snapshot(tenant)
-}
-
-// LedgerBalanced verifies the session ledger after a drain: every
-// deterministic outcome (ok or trap) completed exactly one session unit,
+// LedgerBalanced verifies the ledgers after a drain: the chains' runs sum
+// to the deterministic outcomes (ok or trap; completed minus canceled),
 // and no per-run cycle-ledger cross-check failed. It reports an error
 // describing the first imbalance found.
 func (s *Server) LedgerBalanced() error {
@@ -1046,16 +844,19 @@ func (s *Server) LedgerBalanced() error {
 	if nledger > 0 {
 		return fmt.Errorf("serve: %d per-run ledger violations (first: %s)", nledger, first)
 	}
-	units := len(s.sess.UnitKeys())
-	if units != deterministic {
-		return fmt.Errorf("serve: session ledger unbalanced: %d units for %d deterministic outcomes", units, deterministic)
+	runs := 0
+	for _, ch := range s.chains.all() {
+		runs += ch.runs
+	}
+	if runs != deterministic {
+		return fmt.Errorf("serve: run ledger unbalanced: chains ran %d times for %d deterministic outcomes", runs, deterministic)
 	}
 	return nil
 }
 
-// Checkpoint writes a consistent snapshot of every chain's learned state
-// plus the completed-unit ledger — the session Save path, which acquires
-// every chain's commit lock so no checkpoint tears mid-request.
+// Checkpoint writes a consistent snapshot of every chain's learned state,
+// and nothing else — the session Save path, which acquires every chain's
+// commit lock so no checkpoint tears mid-request.
 func (s *Server) Checkpoint(w io.Writer) error {
 	return s.sess.Save(w)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -45,8 +46,11 @@ func testTrace(t *testing.T, requests, tenants int) *traffic.Trace {
 	return tr
 }
 
+// runTrace replays tr on a recording server, so its callers can read
+// the outcomes.
 func runTrace(t *testing.T, cfg Config, tr *traffic.Trace) *Server {
 	t.Helper()
+	cfg.Record = true
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,46 +65,68 @@ func runTrace(t *testing.T, cfg Config, tr *traffic.Trace) *Server {
 // the same trace on 1, 2, and 8 workers yields identical per-tenant
 // checksums, identical per-request outcomes, and identical latency
 // histogram buckets. Virtual observables are a function of the trace,
-// never of host concurrency.
+// never of host concurrency. The second trace marks all of epoch 1
+// (seqs 16..31 at EpochLength 16) and a scatter of other seqs canceled,
+// as a live deadline would have: replay reproduces them without
+// executing, and the all-canceled epoch enqueues no barrier.
 func TestDeterministicAcrossWorkers(t *testing.T) {
-	tr := testTrace(t, 96, 4)
-	ref := runTrace(t, testConfig(1), tr)
-	defer ref.Close()
-	refSums := ref.TenantChecksums()
-	refOut := ref.Outcomes()
-	if len(refOut) != len(tr.Requests) {
-		t.Fatalf("serial run completed %d of %d requests", len(refOut), len(tr.Requests))
+	sparse := testTrace(t, 64, 3)
+	for _, req := range sparse.Requests {
+		if (req.Seq >= 16 && req.Seq < 32) || req.Seq%13 == 5 {
+			sparse.Outcomes = append(sparse.Outcomes, traffic.Outcome{
+				Seq: req.Seq, Status: traffic.StatusCanceled,
+			})
+		}
 	}
-	if err := ref.LedgerBalanced(); err != nil {
-		t.Fatal(err)
-	}
+	for _, in := range []struct {
+		name string
+		tr   *traffic.Trace
+	}{
+		{"plain", testTrace(t, 96, 4)},
+		{"canceled_sparse_epochs", sparse},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			tr := in.tr
+			ref := runTrace(t, testConfig(1), tr)
+			defer ref.Close()
+			refSums := ref.TenantChecksums()
+			refOut := ref.Outcomes()
+			if len(refOut) != len(tr.Requests) {
+				t.Fatalf("serial run completed %d of %d requests", len(refOut), len(tr.Requests))
+			}
+			if err := ref.LedgerBalanced(); err != nil {
+				t.Fatal(err)
+			}
 
-	for _, workers := range []int{2, 8} {
-		s := runTrace(t, testConfig(workers), tr)
-		sums := s.TenantChecksums()
-		if len(sums) != len(refSums) {
-			t.Fatalf("workers=%d saw %d tenants, want %d", workers, len(sums), len(refSums))
-		}
-		for tenant, want := range refSums {
-			if got := sums[tenant]; got != want {
-				t.Errorf("workers=%d tenant %s checksum %#x, want %#x", workers, tenant, got, want)
+			for _, workers := range []int{2, 8} {
+				s := runTrace(t, testConfig(workers), tr)
+				sums := s.TenantChecksums()
+				if len(sums) != len(refSums) {
+					t.Fatalf("workers=%d saw %d tenants, want %d", workers, len(sums), len(refSums))
+				}
+				for tenant, want := range refSums {
+					if got := sums[tenant]; got != want {
+						t.Errorf("workers=%d tenant %s checksum %#x, want %#x", workers, tenant, got, want)
+					}
+				}
+				out := s.Outcomes()
+				if len(out) != len(refOut) {
+					t.Fatalf("workers=%d completed %d outcomes, want %d", workers, len(out), len(refOut))
+				}
+				for i, o := range out {
+					if o != refOut[i] {
+						t.Fatalf("workers=%d outcome %d = %+v, want %+v", workers, i, o, refOut[i])
+					}
+				}
+				if got, want := s.vhist.Snapshot(), ref.vhist.Snapshot(); got != want {
+					t.Errorf("workers=%d histogram differs:\ngot  %v\nwant %v", workers, &got, &want)
+				}
+				if err := s.LedgerBalanced(); err != nil {
+					t.Errorf("workers=%d: %v", workers, err)
+				}
+				s.Close()
 			}
-		}
-		out := s.Outcomes()
-		for i, o := range out {
-			if o != refOut[i] {
-				t.Fatalf("workers=%d outcome %d = %+v, want %+v", workers, i, o, refOut[i])
-			}
-		}
-		for tenant := range refSums {
-			if got, want := s.TenantHistogram(tenant), ref.TenantHistogram(tenant); got != want {
-				t.Errorf("workers=%d tenant %s histogram differs:\ngot  %v\nwant %v", workers, tenant, got, want)
-			}
-		}
-		if err := s.LedgerBalanced(); err != nil {
-			t.Errorf("workers=%d: %v", workers, err)
-		}
-		s.Close()
+		})
 	}
 }
 
@@ -163,12 +189,85 @@ func TestConcurrentSubmittersMatchSerialReplay(t *testing.T) {
 	}
 }
 
+// TestRecordingOfReplayReloads: a recording server that replays a trace
+// with a recorded-canceled seq records that request along with its
+// outcome, so the saved recording loads (traces must be densely
+// numbered) and replays to the same outcomes.
+func TestRecordingOfReplayReloads(t *testing.T) {
+	tr := testTrace(t, 24, 3)
+	tr.Outcomes = []traffic.Outcome{{Seq: 5, Status: traffic.StatusCanceled}}
+	s := runTrace(t, testConfig(2), tr)
+	defer s.Close()
+	var buf bytes.Buffer
+	if err := s.RecordedTrace().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := traffic.Load(&buf)
+	if err != nil {
+		t.Fatalf("recording does not reload: %v", err)
+	}
+	if len(rec.Requests) != len(tr.Requests) || len(rec.Outcomes) != len(tr.Requests) {
+		t.Fatalf("recorded %d requests and %d outcomes, want %d of each",
+			len(rec.Requests), len(rec.Outcomes), len(tr.Requests))
+	}
+	if o := rec.Outcomes[5]; o.Seq != 5 || o.Status != traffic.StatusCanceled {
+		t.Fatalf("recorded outcome 5 = %+v, want seq 5 canceled", o)
+	}
+	again := runTrace(t, testConfig(1), rec)
+	defer again.Close()
+	for i, o := range again.Outcomes() {
+		if o != rec.Outcomes[i] {
+			t.Fatalf("replay of the recording: outcome %d = %+v, recorded %+v", i, o, rec.Outcomes[i])
+		}
+	}
+}
+
+// TestHeapPlateau: a live server without Record keeps nothing per
+// request. Once every chain exists and has seen the whole corpus, 900
+// more requests must leave the live heap where it was.
+func TestHeapPlateau(t *testing.T) {
+	cfg := testConfig(2)
+	cfg.CorpusSize = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const tenants = 4
+	serve := func(from, to int) {
+		for i := from; i < to; i++ {
+			tenant := fmt.Sprintf("t%d", i%tenants)
+			bench := cfg.Benches[(i/tenants)%len(cfg.Benches)]
+			input := (i / (tenants * len(cfg.Benches))) % cfg.CorpusSize
+			if _, err := s.Submit(context.Background(), tenant, bench, input, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	liveHeap := func() int64 {
+		// The first collection only moves sync.Pool contents to the victim
+		// cache; the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	serve(0, 100)
+	before := liveHeap()
+	serve(100, 1000)
+	grew := liveHeap() - before
+	t.Logf("live heap %+d B over 900 requests", grew)
+	if grew >= 32<<10 {
+		t.Fatalf("live heap grew %d B over 900 requests (%d B/request), want under 32 KiB", grew, grew/900)
+	}
+}
+
 // TestCheckpointNeverTearsUnderLoad saves session checkpoints while the
 // pool is executing: every checkpoint must decode, and the final one
-// (after drain) must carry exactly one unit per deterministic outcome.
-// This is the serve-path regression test for the session.Save
-// commit-lock fix — before it, a checkpoint could capture a learner that
-// had absorbed a run whose unit was not yet recorded.
+// (after drain) must hold exactly the drained chains' learned state and
+// nothing else — restored chain by chain into fresh states, each
+// snapshots byte-identical to its chain.
 func TestCheckpointNeverTearsUnderLoad(t *testing.T) {
 	cfg := testConfig(4)
 	s, err := New(cfg)
@@ -205,8 +304,30 @@ func TestCheckpointNeverTearsUnderLoad(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := len(chk.UnitKeys()), len(tr.Requests); got != want {
-				t.Fatalf("final checkpoint has %d units, want %d", got, want)
+			if units := chk.UnitKeys(); len(units) != 0 {
+				t.Fatalf("checkpoint holds %d units, want learned state only", len(units))
+			}
+			chains := s.chains.all()
+			if len(chains) == 0 {
+				t.Fatal("no chains served")
+			}
+			for _, ch := range chains {
+				fresh := s.protos[ch.bench].Fork()
+				key := (&traffic.Request{Tenant: ch.tenant, Bench: ch.bench}).Chain()
+				if err := chk.Attach(key, fresh.State); err != nil {
+					t.Fatal(err)
+				}
+				want, err := ch.runner.State.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fresh.State.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("chain %s restored from the checkpoint snapshots differently from the drained chain", key)
+				}
 			}
 			return
 		default:
@@ -414,7 +535,7 @@ func TestColdTenantBenefitsFromSharedTier(t *testing.T) {
 	firstColdPredicted := func(s *Server) bool {
 		t.Helper()
 		var first *Response
-		for _, resp := range s.out.all() {
+		for _, resp := range s.recorded() {
 			if resp.Tenant == "cold" && (first == nil || resp.Seq < first.Seq) {
 				first = resp
 			}

@@ -2,10 +2,8 @@ package traffic
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -141,78 +139,4 @@ func (h *AtomicHistogram) Snapshot() Histogram {
 func (h *AtomicHistogram) Quantile(q float64) int64 {
 	s := h.Snapshot()
 	return s.Quantile(q)
-}
-
-// tenantHistShards stripes the tenant→histogram map. 16 matches
-// internal/stripe's default: enough to spread any plausible worker count,
-// small enough that snapshotting all shards stays cheap.
-const tenantHistShards = 16
-
-var tenantHistSeed = maphash.MakeSeed()
-
-type tenantHistShard struct {
-	mu sync.RWMutex
-	m  map[string]*AtomicHistogram
-}
-
-// ShardedTenantHistograms aggregates per-tenant atomic histograms behind
-// a lock-striped map: the hot path takes one shard read lock to resolve
-// the tenant's histogram, then updates it with atomic adds. The zero
-// value is ready to use.
-type ShardedTenantHistograms struct {
-	shards [tenantHistShards]tenantHistShard
-}
-
-func (th *ShardedTenantHistograms) shard(tenant string) *tenantHistShard {
-	return &th.shards[maphash.String(tenantHistSeed, tenant)%tenantHistShards]
-}
-
-// Observe records v for tenant, creating the tenant's histogram on first
-// use.
-func (th *ShardedTenantHistograms) Observe(tenant string, v int64) {
-	sh := th.shard(tenant)
-	sh.mu.RLock()
-	h := sh.m[tenant]
-	sh.mu.RUnlock()
-	if h == nil {
-		sh.mu.Lock()
-		h = sh.m[tenant]
-		if h == nil {
-			if sh.m == nil {
-				sh.m = make(map[string]*AtomicHistogram)
-			}
-			h = &AtomicHistogram{}
-			sh.m[tenant] = h
-		}
-		sh.mu.Unlock()
-	}
-	h.Observe(v)
-}
-
-// Snapshot returns a copy of one tenant's histogram (zero histogram if
-// the tenant was never observed).
-func (th *ShardedTenantHistograms) Snapshot(tenant string) Histogram {
-	sh := th.shard(tenant)
-	sh.mu.RLock()
-	h := sh.m[tenant]
-	sh.mu.RUnlock()
-	if h == nil {
-		return Histogram{}
-	}
-	return h.Snapshot()
-}
-
-// Merged folds every tenant's histogram into one.
-func (th *ShardedTenantHistograms) Merged() Histogram {
-	var all Histogram
-	for i := range th.shards {
-		sh := &th.shards[i]
-		sh.mu.RLock()
-		for _, h := range sh.m {
-			snap := h.Snapshot()
-			all.Merge(&snap)
-		}
-		sh.mu.RUnlock()
-	}
-	return all
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sync"
 )
 
 // TraceVersion is the current trace file format version. Loaders reject
@@ -47,34 +46,15 @@ type Trace struct {
 	Config   GenConfig `json:"config"`
 	Requests []Request `json:"requests"`
 	Outcomes []Outcome `json:"outcomes,omitempty"`
-
-	// Memoized Seq→Outcome index (host-side, never serialized). Rebuilt
-	// only when the Outcomes slice changes identity or length, so the
-	// replay paths that consult it per request share one map instead of
-	// re-materializing a fresh one per call.
-	memoMu   sync.Mutex
-	memo     map[int64]Outcome
-	memoHead *Outcome
-	memoLen  int
 }
 
-// OutcomeMap indexes the recorded outcomes by Seq. The result is shared
-// and memoized — callers must treat it as read-only.
+// OutcomeMap indexes the recorded outcomes by Seq, building the map on
+// each call.
 func (t *Trace) OutcomeMap() map[int64]Outcome {
-	t.memoMu.Lock()
-	defer t.memoMu.Unlock()
-	var head *Outcome
-	if len(t.Outcomes) > 0 {
-		head = &t.Outcomes[0]
-	}
-	if t.memo != nil && t.memoHead == head && t.memoLen == len(t.Outcomes) {
-		return t.memo
-	}
 	m := make(map[int64]Outcome, len(t.Outcomes))
 	for _, o := range t.Outcomes {
 		m[o.Seq] = o
 	}
-	t.memo, t.memoHead, t.memoLen = m, head, len(t.Outcomes)
 	return m
 }
 
