@@ -521,8 +521,8 @@ end
 // stat and histogram updates (the server does not record, so it keeps
 // nothing per request) — with no HTTP layer. RunParallel drives it from
 // GOMAXPROCS submitters, so ns/op tracks the contention behavior of the
-// admission path and the sharded bookkeeping, not just single-thread
-// cost. Epoch barriers (every 64 seqs, the CI loadtest cadence) stay in
+// admission path, the chain map and the shared memos, not just
+// single-thread cost. Epoch barriers (every 64 seqs, the CI loadtest cadence) stay in
 // the measurement: they are part of the steady-state serve path.
 func BenchmarkServeHotPath(b *testing.B) {
 	const tenants, inputs = 8, 4

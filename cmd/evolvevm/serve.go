@@ -21,9 +21,8 @@ import (
 
 // profileFlags registers -mutexprofile/-blockprofile on the serving
 // subcommands. start (call after Parse) enables sampling; stop writes
-// the requested profiles on exit. Contention profiling is the acceptance
-// oracle for the sharded serving path: the mutex profile of a loaded
-// server must no longer show the old global cache and bookkeeping locks.
+// the requested profiles on exit. They show which locks a loaded
+// server's requests wait on.
 func profileFlags(fs *flag.FlagSet) (start, stop func()) {
 	var (
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")

@@ -22,10 +22,12 @@
 //
 // Layout:
 //
+//	internal/opspec     declarative op specification (the one source of op semantics)
 //	internal/bytecode   instruction set, assembler, verifier
 //	internal/interp     execution engine (three host tiers), cycle accounting, sampler
 //	internal/opt        optimization passes (fold, DCE, inline, LICM, unroll)
-//	internal/jit        multi-level compiler driver and cost model
+//	internal/jit        multi-level compiler driver, cost model, cross-run code cache
+//	internal/gc         garbage-collection policies and their cost models
 //	internal/vm         machine = engine + JIT + pluggable controller
 //	internal/aos        reactive controller and ideal-strategy oracle
 //	internal/xicl       input characterization language and translator
@@ -33,12 +35,19 @@
 //	internal/core       the evolvable VM (the paper's contribution)
 //	internal/rep        repository-based baseline
 //	internal/programs   the 11-benchmark suite
+//	internal/stats      summary statistics and named random streams
+//	internal/memo       concurrent memo behind the host-side caches
 //	internal/exec       stateless per-run executor with cancellation
 //	internal/session    cross-run state, work units, checkpoint/resume
 //	internal/sched      deterministic bounded-worker task scheduler
 //	internal/harness    scenario runner and experiment generators
+//	internal/traffic    seeded serving workloads, traces, latency histograms
+//	internal/serve      multi-tenant serving front end and load test
 //	internal/difftest   cross-tier differential tester and fuzz targets
-//	cmd/evolvevm        run programs under a scenario
+//	cmd/evolvevm        run programs under a scenario; serve, replay, loadtest
 //	cmd/xiclc           XICL spec checker and translator
 //	cmd/expdriver       regenerate every table and figure
+//	cmd/tiergen         generate the interpreter tiers from internal/opspec
+//	cmd/benchreport     benchmark output to JSON trajectory, and compare gate
+//	examples/...        quickstart, routefinder, evolution, interactive
 package evolvevm

@@ -69,7 +69,7 @@ func GCSelection(ctx context.Context, w io.Writer, opts Options) (*GCResult, err
 	}
 	// The fixed-policy runners are shared across the per-input units:
 	// Default-scenario runs touch no learner state, so concurrent inputs
-	// only share the process-wide striped baseline memo and code cache.
+	// only share the process-wide baseline memo and code cache.
 	msRunner, err := mkRunner(gc.MarkSweep)
 	if err != nil {
 		return nil, err

@@ -15,11 +15,11 @@ import (
 // its JSON-encoded output is memoized in the session, and on resume a
 // completed unit is replayed from the checkpoint instead of re-running.
 // Units that share a Runner only ever touch disjoint cross-run state (or
-// the process-wide striped baseline memo), so the scheduler may
-// execute any ready units concurrently; all result assembly and printing
-// happens after the graph completes, in canonical (insertion) order —
-// which is why every experiment's output is bit-identical regardless of
-// worker count (see DESIGN.md §8).
+// the process-wide baseline memo, which measures each key once), so the
+// scheduler may execute any ready units concurrently; all result
+// assembly and printing happens after the graph completes, in canonical
+// (insertion) order — which is why every experiment's output is
+// bit-identical regardless of worker count (see DESIGN.md §8).
 
 // planner accumulates an experiment's work units.
 type planner struct {

@@ -25,36 +25,31 @@ import (
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
 	"evolvevm/internal/jit"
+	"evolvevm/internal/memo"
 	"evolvevm/internal/programs"
 	"evolvevm/internal/rep"
 	"evolvevm/internal/session"
-	"evolvevm/internal/stripe"
 	"evolvevm/internal/vm"
 	"evolvevm/internal/xicl"
 )
 
-// codeCache is the process-wide cross-run compiled-code cache, bounded
-// with LRU eviction (see jit.DefaultCacheCapacity). Every run still pays
-// its own virtual compile cycles; the cache only removes repeated
-// host-side optimizer work when thousands of runs compile the same
-// functions at the same levels. interp.Code is immutable, so sharing
-// across concurrently executing machines is safe.
+// codeCache is the process-wide cross-run compiled-code cache. Every run
+// still pays its own virtual compile cycles; the cache only removes
+// repeated host-side optimizer work when thousands of runs compile the
+// same functions at the same levels. interp.Code is immutable, so
+// sharing across concurrently executing machines is safe.
 var codeCache = jit.NewCache()
 
-// baselineCache memoizes Default-scenario run outcomes process-wide,
-// bounded at the same capacity as the code cache and lock-striped with
-// CLOCK eviction (internal/stripe) so concurrent serving requests that
-// replay the same baselines never serialize behind a recency update. A
+// baselineCache memoizes Default-scenario run outcomes process-wide. A
 // reactive-controller run is a pure function of (benchmark, corpus seed
 // and size, input, jit tier table, gc config) — the substrate switches
 // provably cannot change a virtual observable (internal/difftest), so
-// they stay out of the key. Experiments re-measure the same baselines
-// from freshly built runners constantly (every figure, every benchmark
-// iteration); replaying the memoized outcome removes those redundant
-// host executions without changing a single reported number. Eviction
-// is equally unobservable: a re-miss re-runs the deterministic baseline
-// measurement.
-var baselineCache = stripe.New[baselineKey, *baselineOutcome](jit.DefaultCacheCapacity)
+// they stay out of the key, and the keys are bounded by the corpora and
+// collector configs the process runs. Experiments re-measure the same
+// baselines from freshly built runners constantly (every figure, every
+// benchmark iteration); replaying the memoized outcome removes those
+// redundant host executions without changing a single reported number.
+var baselineCache memo.Map[baselineKey, *baselineOutcome]
 
 type baselineKey struct {
 	bench  string
@@ -65,22 +60,28 @@ type baselineKey struct {
 	gc     gc.Config
 }
 
-// baselineOutcome is immutable once stored: total virtual cycles plus the
-// per-function baseline-work profile (what rep prefilling records).
+// baselineOutcome is one Default measurement: total virtual cycles plus
+// the per-function baseline-work profile (what rep prefilling records).
+// It is stored before it is measured, so concurrent callers for its key
+// wait instead of measuring again; done closes when the measurement
+// ends, and the fields are immutable from then on. A failed measurement
+// sets err and is removed from the cache before done closes.
 type baselineOutcome struct {
+	done   chan struct{}
 	cycles int64
 	work   []int64
+	err    error
 }
 
 // CodeCacheStats reports the process-wide code cache's counters
 // (diagnostics for benchmark reports).
-func CodeCacheStats() stripe.Stats {
+func CodeCacheStats() memo.Stats {
 	return codeCache.Stats()
 }
 
 // BaselineCacheStats reports the process-wide baseline-outcome cache's
 // counters (diagnostics for benchmark reports).
-func BaselineCacheStats() stripe.Stats {
+func BaselineCacheStats() memo.Stats {
 	return baselineCache.Stats()
 }
 
@@ -415,14 +416,42 @@ func (r *Runner) baselineKey(in programs.Input) baselineKey {
 }
 
 // baseline measures (or replays) the input's Default-scenario outcome.
+// One caller measures each key; a concurrent caller for the same key
+// waits for that measurement or for its own context. If the measurement
+// fails — perhaps only because its caller's context ended — a waiter
+// measures under its own context.
 func (r *Runner) baseline(ctx context.Context, in programs.Input) (*baselineOutcome, error) {
 	key := r.baselineKey(in)
-	if v, ok := baselineCache.Lookup(key); ok {
-		return v, nil
+	for {
+		bl, ok := baselineCache.Lookup(key)
+		if !ok {
+			mine := &baselineOutcome{done: make(chan struct{})}
+			if bl, ok = baselineCache.LoadOrStore(key, mine); !ok {
+				return r.measureBaseline(ctx, in, key, mine)
+			}
+		}
+		// A finished measurement wins over an ended context.
+		select {
+		case <-bl.done:
+		default:
+			select {
+			case <-bl.done:
+			case <-ctx.Done():
+				return nil, context.Cause(ctx)
+			}
+		}
+		if bl.err == nil {
+			return bl, nil
+		}
 	}
+}
+
+// measureBaseline runs the Default measurement for bl, which the caller
+// stored under key.
+func (r *Runner) measureBaseline(ctx context.Context, in programs.Input, key baselineKey, bl *baselineOutcome) (*baselineOutcome, error) {
+	defer close(bl.done)
 	spec := r.spec(in)
 	spec.Controller = func(*vm.Machine) vm.Controller { return aos.NewReactive() }
-	bl := &baselineOutcome{}
 	userInspect := spec.Inspect
 	spec.Inspect = func(m *vm.Machine) {
 		bl.work = append([]int64(nil), m.Engine.Work...)
@@ -432,11 +461,12 @@ func (r *Runner) baseline(ctx context.Context, in programs.Input) (*baselineOutc
 	}
 	out, err := exec.Run(ctx, spec)
 	if err != nil {
+		bl.err = err
+		baselineCache.Delete(key)
 		return nil, err
 	}
 	bl.cycles = out.Cycles
-	v, _ := baselineCache.LoadOrStore(key, bl)
-	return v, nil
+	return bl, nil
 }
 
 // WarmDefaults measures the Default-scenario baseline of every corpus

@@ -1,13 +1,19 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"evolvevm/internal/aos"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/programs"
+	"evolvevm/internal/vm"
 	"evolvevm/internal/xicl"
 )
 
@@ -112,4 +118,77 @@ func TestForksExtractFeaturesConcurrently(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
+}
+
+// baselineSeeds gives every runner built by the baseline tests a corpus
+// seed no other runner in the process uses, so none of its Default
+// baselines is in the process-wide memo yet, even under -count.
+var baselineSeeds atomic.Int64
+
+// baselineRunner returns a compress runner on a fresh corpus seed and a
+// counter of the Default runs it executes.
+func baselineRunner(t *testing.T) (*Runner, *atomic.Int64) {
+	t.Helper()
+	r, err := NewRunner(programs.ByName("compress"), 8, 1<<40+baselineSeeds.Add(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defaults := new(atomic.Int64)
+	r.Inspect = func(m *vm.Machine) {
+		if _, ok := m.Controller.(*aos.Reactive); ok {
+			defaults.Add(1)
+		}
+	}
+	return r, defaults
+}
+
+// TestBaselineMeasuredOnce: Evolve and Rep sequences over one order on
+// one runner, run concurrently as Figure 10 runs them, measure each
+// input's Default baseline once between them.
+func TestBaselineMeasuredOnce(t *testing.T) {
+	r, defaults := baselineRunner(t)
+	order := r.Order(rand.New(rand.NewSource(1)), 16)
+	distinct := make(map[int]bool)
+	for _, idx := range order {
+		distinct[idx] = true
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, scenario := range []Scenario{ScenarioEvolve, ScenarioRep} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = r.RunSequence(testCtx, scenario, order)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := defaults.Load(); got != int64(len(distinct)) {
+		t.Errorf("%d Default runs for %d distinct inputs, want one each", got, len(distinct))
+	}
+
+	t.Run("canceled", func(t *testing.T) {
+		r, defaults := baselineRunner(t)
+		in := r.Inputs[0]
+		ctx, cancel := context.WithCancel(testCtx)
+		cancel()
+		entries := BaselineCacheStats().Entries
+		if _, err := r.DefaultCycles(ctx, in); !errors.Is(err, context.Canceled) {
+			t.Fatalf("DefaultCycles under a canceled context: err %v, want context.Canceled", err)
+		}
+		if got := BaselineCacheStats().Entries; got != entries {
+			t.Fatalf("canceled measurement left %d entries, want %d", got, entries)
+		}
+		before := defaults.Load()
+		for range 2 {
+			if c, err := r.DefaultCycles(testCtx, in); err != nil || c <= 0 {
+				t.Fatalf("DefaultCycles = %d, %v", c, err)
+			}
+		}
+		if got := defaults.Load() - before; got != 1 {
+			t.Errorf("%d Default runs after the canceled call, want 1", got)
+		}
+	})
 }

@@ -114,8 +114,8 @@ func TestSubstrateBenchmarksBitIdentical(t *testing.T) {
 		}
 	}
 	cs := CodeCacheStats()
-	t.Logf("benchmark substrate: %d benchmarks × %d scenarios identical; code cache %d hits / %d misses / %d entries (%d evictions)",
-		len(benches), len(scenarios), cs.Hits, cs.Misses, cs.Entries, cs.Evictions)
+	t.Logf("benchmark substrate: %d benchmarks × %d scenarios identical; code cache %d hits / %d misses / %d entries",
+		len(benches), len(scenarios), cs.Hits, cs.Misses, cs.Entries)
 	if cs.Hits == 0 {
 		t.Error("cross-run code cache never hit during benchmark sequences")
 	}

@@ -12,100 +12,24 @@ func key(i int) CacheKey {
 	return CacheKey{ProgFP: 7, FnIdx: i, Level: 1}
 }
 
-func put(c *Cache, i int) { c.store(key(i), &compiled{}) }
+func put(c *Cache, i int) { c.m.Store(key(i), &compiled{}) }
 
 func TestCacheHitMissCounters(t *testing.T) {
 	c := NewCache()
-	if _, ok := c.lookup(key(1)); ok {
+	if _, ok := c.m.Lookup(key(1)); ok {
 		t.Fatal("hit in empty cache")
 	}
 	put(c, 1)
-	if _, ok := c.lookup(key(1)); !ok {
+	if _, ok := c.m.Lookup(key(1)); !ok {
 		t.Fatal("miss after store")
 	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.Evictions != 0 {
-		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 entry / 0 evictions", s)
-	}
-	if s.Capacity != DefaultCacheCapacity {
-		t.Errorf("capacity = %d, want default %d", s.Capacity, DefaultCacheCapacity)
-	}
-}
-
-// TestCacheEvictsUnderPressure pins the sharded CLOCK contract that
-// replaced exact LRU: the capacity bound is exact, every insert beyond
-// it evicts exactly one entry (conservation: stores − entries ==
-// evictions for distinct keys), and entries stored after the churn are
-// resident.
-func TestCacheEvictsUnderPressure(t *testing.T) {
-	c := NewCacheCap(3)
-	const stores = 20
-	for i := 0; i < stores; i++ {
-		put(c, i)
-		if s := c.Stats(); s.Entries > 3 {
-			t.Fatalf("entries = %d exceeds capacity after %d stores", s.Entries, i+1)
-		}
-	}
-	s := c.Stats()
-	if int(s.Evictions) != stores-s.Entries {
-		t.Errorf("evictions = %d, want stores−entries = %d", s.Evictions, stores-s.Entries)
-	}
-	if _, ok := c.lookup(key(stores - 1)); !ok {
-		t.Error("most recently stored entry evicted")
-	}
-}
-
-func TestCacheBoundedUnderChurn(t *testing.T) {
-	const capacity = 8
-	c := NewCacheCap(capacity)
-	for i := 0; i < 100; i++ {
-		put(c, i)
-	}
-	s := c.Stats()
-	if s.Entries > capacity {
-		t.Errorf("entries = %d exceeds capacity %d", s.Entries, capacity)
-	}
-	if int(s.Evictions) != 100-s.Entries {
-		t.Errorf("evictions = %d, want 100−entries = %d", s.Evictions, 100-s.Entries)
-	}
-}
-
-func TestCacheUpdateInPlaceDoesNotEvict(t *testing.T) {
-	// Capacity 1 collapses the stripe to a single one-slot shard, making
-	// the in-place-update property deterministic under key hashing.
-	c := NewCacheCap(1)
-	put(c, 1)
-	put(c, 1) // same key: update, not insert
-	s := c.Stats()
-	if s.Entries != 1 || s.Evictions != 0 {
-		t.Errorf("stats after re-store = %+v, want 1 entry / 0 evictions", s)
-	}
-	put(c, 2) // distinct key in a full shard: evicts
-	s = c.Stats()
-	if s.Entries != 1 || s.Evictions != 1 {
-		t.Errorf("stats after colliding store = %+v, want 1 entry / 1 eviction", s)
-	}
-	if _, ok := c.lookup(key(2)); !ok {
-		t.Error("new entry missing after eviction")
-	}
-}
-
-func TestCacheUnboundedWhenCapZero(t *testing.T) {
-	c := NewCacheCap(0)
-	for i := 0; i < 10_000; i++ {
-		put(c, i)
-	}
-	s := c.Stats()
-	if s.Entries != 10_000 || s.Evictions != 0 {
-		t.Errorf("unbounded cache stats = %+v", s)
-	}
-	if s.Capacity != 0 {
-		t.Errorf("capacity = %d, want 0 (unbounded)", s.Capacity)
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 entry", s)
 	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
-	c := NewCacheCap(32)
+	c := NewCache()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -113,13 +37,13 @@ func TestCacheConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				put(c, (w*500+i)%64)
-				c.lookup(key(i % 64))
+				c.m.Lookup(key(i % 64))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s := c.Stats(); s.Entries > 32 {
-		t.Errorf("entries = %d exceeds capacity under concurrency", s.Entries)
+	if s := c.Stats(); s.Entries != 64 || s.Hits+s.Misses != 8*500 {
+		t.Errorf("stats = %+v, want 64 entries and %d lookups", s, 8*500)
 	}
 }
 

@@ -3,6 +3,8 @@
 // (baseline) through 2 by running the internal/opt pipelines, and charges
 // deterministic compile cycles according to a Jikes-RVM-style cost model:
 // higher levels compile slower per instruction and produce faster code.
+// A Cache shares compiled forms across runs and machines; every run still
+// pays its own virtual compile charge.
 package jit
 
 import (

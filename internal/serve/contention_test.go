@@ -8,19 +8,19 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"evolvevm/internal/stripe"
+	"evolvevm/internal/memo"
 	"evolvevm/internal/xicl"
 )
 
 // TestServeContentionBattery is the serving-path slice of the race
 // battery: a multi-worker replay runs to completion while GOMAXPROCS
-// hammer goroutines pound the same striped structures the servers use —
-// a sharded code-cache stand-in (stripe.Cache), a
-// feature-vector cache, the server's atomic stat counters, and its
+// hammer goroutines pound the same kinds of shared structures the
+// servers use — a memo.Map standing in for the code and baseline memos,
+// a feature-vector cache, the server's atomic stat counters, and its
 // histogram snapshots. Under -race this proves the hot path is free of
 // data races; the serial oracle proves the concurrency is unobservable
-// in virtual terms; and the cache stats prove the exact capacity bound
-// and counter conservation survive the hammering.
+// in virtual terms; and the memo stats prove that hits plus misses
+// equal lookups and that no memo holds more than the keys it was given.
 func TestServeContentionBattery(t *testing.T) {
 	tr := testTrace(t, 96, 4)
 	ref := runTrace(t, testConfig(1), tr)
@@ -36,9 +36,9 @@ func TestServeContentionBattery(t *testing.T) {
 	}
 	defer s.Close()
 
-	const cacheCap = 64
-	sc := stripe.New[int, int](cacheCap)
-	fv := xicl.NewFVCacheCap(cacheCap)
+	const keys = 256
+	var mc memo.Map[int, int]
+	fv := xicl.NewFVCache()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var lookups int64
@@ -57,9 +57,9 @@ func TestServeContentionBattery(t *testing.T) {
 					return
 				default:
 				}
-				key := (w*31 + i) % (cacheCap * 4)
-				if _, ok := sc.Lookup(key); !ok {
-					sc.Store(key, key)
+				key := (w*31 + i) % keys
+				if _, ok := mc.Lookup(key); !ok {
+					mc.Store(key, key)
 				}
 				n++
 				sig := fmt.Sprintf("sig-%d", key)
@@ -67,8 +67,8 @@ func TestServeContentionBattery(t *testing.T) {
 					fv.Put(sig, nil, int64(key))
 				}
 				if i%64 == 0 {
-					// Stat reads ride the same striped/atomic state the
-					// request path updates.
+					// Stat reads ride the same atomic state the request
+					// path updates.
 					_ = s.StatsNow()
 					_ = s.vhist.Snapshot()
 					_ = s.retryAfter()
@@ -104,16 +104,14 @@ func TestServeContentionBattery(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Cache invariants: exact capacity bound and counter conservation.
-	st := sc.Stats()
-	if st.Entries > cacheCap {
-		t.Errorf("stripe cache holds %d entries, capacity %d", st.Entries, cacheCap)
-	}
-	if st.Hits+st.Misses != lookups {
-		t.Errorf("stripe cache hits %d + misses %d != lookups %d", st.Hits, st.Misses, lookups)
-	}
-	fst := fv.Stats()
-	if fst.Entries > cacheCap {
-		t.Errorf("fv cache holds %d entries, capacity %d", fst.Entries, cacheCap)
+	// Memo invariants: counter conservation, and no entry beyond the
+	// keys used.
+	for name, st := range map[string]memo.Stats{"memo": mc.Stats(), "fv cache": fv.Stats()} {
+		if st.Hits+st.Misses != lookups {
+			t.Errorf("%s hits %d + misses %d != lookups %d", name, st.Hits, st.Misses, lookups)
+		}
+		if st.Entries > keys {
+			t.Errorf("%s holds %d entries for %d keys", name, st.Entries, keys)
+		}
 	}
 }

@@ -1,13 +1,11 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 )
 
@@ -119,40 +117,26 @@ func (s *Server) retryAfter() string {
 // maxRequestBody bounds POST bodies; run requests are a few dozen bytes.
 const maxRequestBody = 1 << 20
 
-// bufPool recycles encode/decode buffers across requests so the serving
-// hot path doesn't allocate a fresh buffer (and, on the write side, a
-// chunked-transfer state machine) per request.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readJSON decodes one JSON value from r through a pooled buffer.
+// readJSON decodes one JSON value from r.
 func readJSON(r io.Reader, v any) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(io.LimitReader(r, maxRequestBody)); err != nil {
+	b, err := io.ReadAll(io.LimitReader(r, maxRequestBody))
+	if err != nil {
 		return err
 	}
-	return json.Unmarshal(buf.Bytes(), v)
+	return json.Unmarshal(b, v)
 }
 
+// writeJSON answers with v as one newline-terminated JSON value. Setting
+// Content-Length keeps the response out of chunked framing.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	buf := bufPool.Get().(*bytes.Buffer)
-	defer putBuf(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	b, err := json.Marshal(v)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	b = append(b, '\n')
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
-}
-
-// putBuf returns a buffer to the pool unless it grew past the point
-// where keeping it would pin memory.
-func putBuf(buf *bytes.Buffer) {
-	if buf.Cap() > 1<<16 {
-		return
-	}
-	buf.Reset()
-	bufPool.Put(buf)
+	_, _ = w.Write(b)
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"evolvevm/internal/traffic"
@@ -24,7 +24,9 @@ type LoadConfig struct {
 }
 
 // LoadReport summarizes one load test. Checksums and virtual quantiles
-// are deterministic; wall metrics are reporting-only.
+// are deterministic; wall metrics are reporting-only. WallP50 and WallP99
+// are exact nearest-rank percentiles of the executed requests' wall
+// times.
 type LoadReport struct {
 	Requests int   `json:"requests"`
 	Chains   int   `json:"chains"`
@@ -121,14 +123,22 @@ func LoadTest(ctx context.Context, cfg LoadConfig) (*LoadReport, *traffic.Trace,
 	return rep, tr, nil
 }
 
+// report summarizes a drained recording server.
 func report(s *Server, requests int, wall time.Duration) *LoadReport {
 	st := s.StatsNow()
 	sums := s.TenantChecksums()
+	var walls []int64
+	for _, resp := range s.recorded() {
+		if resp.Wall > 0 { // replayed cancellations never executed
+			walls = append(walls, resp.Wall.Nanoseconds())
+		}
+	}
+	slices.Sort(walls)
 	tenants := make([]string, 0, len(sums))
 	for t := range sums {
 		tenants = append(tenants, t)
 	}
-	sort.Strings(tenants)
+	slices.Sort(tenants)
 	var fold fnvState
 	fold.sum = 14695981039346656037
 	for _, t := range tenants {
@@ -144,8 +154,8 @@ func report(s *Server, requests int, wall time.Duration) *LoadReport {
 		Traps:           st.Traps,
 		Canceled:        st.Canceled,
 		WallSeconds:     wall.Seconds(),
-		WallP50:         st.WallP50,
-		WallP99:         st.WallP99,
+		WallP50:         nearestRank(walls, 50),
+		WallP99:         nearestRank(walls, 99),
 		VirtualP50:      st.VirtualP50,
 		VirtualP99:      st.VirtualP99,
 		TenantChecksums: sums,
@@ -155,6 +165,16 @@ func report(s *Server, requests int, wall time.Duration) *LoadReport {
 		rep.Throughput = float64(requests) / wall.Seconds()
 	}
 	return rep
+}
+
+// nearestRank returns the pct-th percentile (1 ≤ pct ≤ 100) of sorted by
+// the nearest-rank method: the smallest value with at least pct% of the
+// values at or below it, or 0 when sorted is empty.
+func nearestRank(sorted []int64, pct int) int64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	return sorted[(pct*len(sorted)+99)/100-1] // rank ⌈pct/100 × n⌉
 }
 
 // coldStart extracts the cold tenant's prediction trajectory.

@@ -38,6 +38,10 @@
 // A server keeps its learned state — one chain per (tenant, benchmark)
 // and the shared tier — and nothing per request. Outcomes, per-tenant
 // checksums and the recorded trace exist only when Config.Record is set.
+// The process-wide memos the runs share (compiled code, feature vectors,
+// Default baselines) have no capacity: their keys are the served
+// programs' functions and levels and the corpora's inputs, all fixed
+// when the server starts.
 package serve
 
 import (
@@ -46,8 +50,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"hash/maphash"
 	"io"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -169,61 +173,6 @@ type chain struct {
 	runs int
 }
 
-// shardCount stripes the chain map. 16 matches internal/stripe's
-// default — enough to spread any plausible worker count without making
-// snapshot iteration expensive.
-const shardCount = 16
-
-var chainSeed = maphash.MakeSeed()
-
-// chainShard is one stripe of the chain map; its mutex guards only the
-// map structure, never chain state (chains are touched only from their
-// serially-executing pool tasks).
-type chainShard struct {
-	mu sync.Mutex
-	m  map[string]*chain
-}
-
-// chainMap is the lock-striped chain key → chain map. Different chains
-// resolve on different shards, so concurrent tasks creating or looking
-// up chains no longer serialize on one global chainMu.
-type chainMap struct {
-	shards [shardCount]chainShard
-}
-
-func (cm *chainMap) init() {
-	for i := range cm.shards {
-		cm.shards[i].m = make(map[string]*chain)
-	}
-}
-
-func (cm *chainMap) shard(key string) *chainShard {
-	return &cm.shards[maphash.String(chainSeed, key)%shardCount]
-}
-
-// get returns the chain for key, or nil.
-func (cm *chainMap) get(key string) *chain {
-	sh := cm.shard(key)
-	sh.mu.Lock()
-	ch := sh.m[key]
-	sh.mu.Unlock()
-	return ch
-}
-
-// all collects every chain across shards (order unspecified).
-func (cm *chainMap) all() []*chain {
-	var out []*chain
-	for i := range cm.shards {
-		sh := &cm.shards[i]
-		sh.mu.Lock()
-		for _, ch := range sh.m {
-			out = append(out, ch)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
 // Server is the multi-tenant serving front end. Create with New, submit
 // with Submit/TrySubmit (live) or Run (trace replay), stop with Close.
 type Server struct {
@@ -237,8 +186,8 @@ type Server struct {
 	// admission accounting, epoch-barrier enqueueing, and pool
 	// submission, making pool queue order equal seq order — the
 	// determinism source. It is intentionally narrow: completion
-	// bookkeeping and stat counters live outside it on striped or atomic
-	// state, and a recording server keeps responses under recMu.
+	// bookkeeping and stat counters live outside it on atomic state,
+	// and a recording server keeps responses under recMu.
 	mu        sync.Mutex
 	space     *sync.Cond // signaled when queue slots free up
 	drained   *sync.Cond // broadcast when inflight reaches zero
@@ -263,7 +212,10 @@ type Server struct {
 	tierMu sync.RWMutex
 	tier   map[string]*session.Frozen
 
-	chains chainMap // lock-striped; see chainMap
+	// chainMu guards the chains map itself, never chain state (chains
+	// are touched only from their serially-executing pool tasks).
+	chainMu sync.Mutex
+	chains  map[string]*chain // keyed by traffic.Request.Chain
 
 	// Latency histograms over every tenant: virtual cycles and wall
 	// nanos (reporting only).
@@ -296,9 +248,9 @@ func New(cfg Config) (*Server, error) {
 		sess:      session.New(),
 		perTenant: make(map[string]int),
 		tier:      make(map[string]*session.Frozen),
+		chains:    make(map[string]*chain),
 		lastEpoch: -1,
 	}
-	s.chains.init()
 	s.space = sync.NewCond(&s.mu)
 	s.drained = sync.NewCond(&s.mu)
 	for _, name := range cfg.Benches {
@@ -544,17 +496,16 @@ func (s *Server) execute(req traffic.Request) *Response {
 // the current epoch's barrier — unless the server is Isolated.
 func (s *Server) chain(req traffic.Request) *chain {
 	key := req.Chain()
-	sh := s.chains.shard(key)
-	sh.mu.Lock()
-	ch := sh.m[key]
+	s.chainMu.Lock()
+	ch := s.chains[key]
 	if ch == nil {
 		ch = &chain{
 			tenant: req.Tenant,
 			bench:  req.Bench,
 			runner: s.protos[req.Bench].Fork(),
 		}
-		sh.m[key] = ch
-		sh.mu.Unlock()
+		s.chains[key] = ch
+		s.chainMu.Unlock()
 		if !s.cfg.Isolated {
 			s.tierMu.RLock()
 			f := s.tier[req.Bench]
@@ -569,8 +520,15 @@ func (s *Server) chain(req traffic.Request) *chain {
 		_ = s.sess.Attach(key, ch.runner.State)
 		return ch
 	}
-	sh.mu.Unlock()
+	s.chainMu.Unlock()
 	return ch
+}
+
+// allChains returns every chain, in no particular order.
+func (s *Server) allChains() []*chain {
+	s.chainMu.Lock()
+	defer s.chainMu.Unlock()
+	return slices.Collect(maps.Values(s.chains))
 }
 
 // publish is the epoch barrier body: with the pool drained, freeze the
@@ -582,9 +540,9 @@ func (s *Server) publish() {
 		return
 	}
 	// Best-chain selection is a max over (runs desc, tenant asc) — order-
-	// independent, so shard iteration order doesn't matter.
+	// independent, so map iteration order doesn't matter.
 	best := make(map[string]*chain)
-	for _, ch := range s.chains.all() {
+	for _, ch := range s.allChains() {
 		if ch.runs == 0 {
 			continue
 		}
@@ -814,7 +772,7 @@ func (s *Server) StatsNow() Stats {
 	st.Completed = s.completed.Load()
 	st.Traps = s.traps.Load()
 	st.Canceled = s.canceled.Load()
-	chains := s.chains.all()
+	chains := s.allChains()
 	st.Chains = len(chains)
 	tenants := make(map[string]bool)
 	for _, ch := range chains {
@@ -845,7 +803,7 @@ func (s *Server) LedgerBalanced() error {
 		return fmt.Errorf("serve: %d per-run ledger violations (first: %s)", nledger, first)
 	}
 	runs := 0
-	for _, ch := range s.chains.all() {
+	for _, ch := range s.allChains() {
 		runs += ch.runs
 	}
 	if runs != deterministic {

@@ -224,7 +224,11 @@ func TestRecordingOfReplayReloads(t *testing.T) {
 
 // TestHeapPlateau: a live server without Record keeps nothing per
 // request. Once every chain exists and has seen the whole corpus, 900
-// more requests must leave the live heap where it was.
+// more requests must leave the live heap where it was, and must add no
+// entry to the code memo, the baseline memo or either prototype's
+// feature-vector memo: those memos have no capacity, and this is the
+// test that their key sets stay bounded. The code memo holds at most one
+// form per function and level (4 levels) of the served programs.
 func TestHeapPlateau(t *testing.T) {
 	cfg := testConfig(2)
 	cfg.CorpusSize = 4
@@ -253,13 +257,36 @@ func TestHeapPlateau(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
+	memos := func() map[string]int {
+		m := map[string]int{
+			"code":     harness.CodeCacheStats().Entries,
+			"baseline": harness.BaselineCacheStats().Entries,
+		}
+		for _, b := range cfg.Benches {
+			m[b+" feature-vector"] = s.protos[b].State.FVCache().Stats().Entries
+		}
+		return m
+	}
 	serve(0, 100)
+	memosAt100 := memos()
 	before := liveHeap()
 	serve(100, 1000)
 	grew := liveHeap() - before
-	t.Logf("live heap %+d B over 900 requests", grew)
+	t.Logf("live heap %+d B over 900 requests; memo entries %v", grew, memosAt100)
 	if grew >= 32<<10 {
 		t.Fatalf("live heap grew %d B over 900 requests (%d B/request), want under 32 KiB", grew, grew/900)
+	}
+	for name, n := range memos() {
+		if n != memosAt100[name] {
+			t.Errorf("%s memo went from %d entries at request 100 to %d at request 1000", name, memosAt100[name], n)
+		}
+	}
+	funcs := 0
+	for _, b := range cfg.Benches {
+		funcs += len(s.protos[b].Prog.Funcs)
+	}
+	if n := memosAt100["code"]; n > 4*funcs {
+		t.Errorf("code memo holds %d forms, want at most 4 per function (%d)", n, 4*funcs)
 	}
 }
 
@@ -307,7 +334,7 @@ func TestCheckpointNeverTearsUnderLoad(t *testing.T) {
 			if units := chk.UnitKeys(); len(units) != 0 {
 				t.Fatalf("checkpoint holds %d units, want learned state only", len(units))
 			}
-			chains := s.chains.all()
+			chains := s.allChains()
 			if len(chains) == 0 {
 				t.Fatal("no chains served")
 			}
@@ -425,7 +452,7 @@ func TestAdmissionDeadlineExpires(t *testing.T) {
 	if err := s.LedgerBalanced(); err != nil {
 		t.Fatal(err)
 	}
-	runs := s.chains.get("t0/compress").runs
+	runs := s.chains["t0/compress"].runs
 	if runs != 1 {
 		t.Fatalf("chain counted %d runs, want 1 (canceled run must not count)", runs)
 	}
@@ -580,6 +607,37 @@ func TestChecksumBytes(t *testing.T) {
 			resp.Cycles, resp.Predicted)
 		if got, want := checksum(resp), h.Sum64(); got != want {
 			t.Errorf("checksum(%+v) = %#x, want %#x", resp, got, want)
+		}
+	}
+}
+
+// TestLoadReportExactWallQuantiles: a load report's wall p50 and p99 are
+// nearest-rank values over the recorded responses' wall times, not
+// histogram bucket edges. A replayed cancellation never executed, has no
+// wall time, and does not count.
+func TestLoadReportExactWallQuantiles(t *testing.T) {
+	s := &Server{}
+	for i := 200; i >= 1; i-- {
+		s.responses = append(s.responses, &Response{Seq: int64(i), Tenant: "t", Wall: time.Duration(i) * time.Microsecond})
+	}
+	s.responses = append(s.responses, &Response{Seq: 0, Tenant: "t", Status: traffic.StatusCanceled})
+	rep := report(s, len(s.responses), time.Second)
+	if rep.WallP50 != 100_000 || rep.WallP99 != 198_000 {
+		t.Errorf("wall p50/p99 = %d/%d ns, want 100000/198000", rep.WallP50, rep.WallP99)
+	}
+	for _, c := range []struct {
+		walls []int64
+		pct   int
+		want  int64
+	}{
+		{nil, 50, 0},
+		{[]int64{7}, 99, 7},
+		{[]int64{1, 2}, 50, 1},
+		{[]int64{1, 2, 3}, 50, 2},
+		{[]int64{1, 2, 3}, 99, 3},
+	} {
+		if got := nearestRank(c.walls, c.pct); got != c.want {
+			t.Errorf("nearestRank(%v, %d) = %d, want %d", c.walls, c.pct, got, c.want)
 		}
 	}
 }

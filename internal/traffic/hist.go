@@ -1,9 +1,7 @@
 package traffic
 
 import (
-	"fmt"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 )
 
@@ -35,15 +33,6 @@ func (h *Histogram) Observe(v int64) {
 	h.Sum += v
 }
 
-// Merge folds other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.Buckets {
-		h.Buckets[i] += c
-	}
-	h.Count += other.Count
-	h.Sum += other.Sum
-}
-
 // Quantile returns an upper bound for the q-quantile (0 ≤ q ≤ 1): the
 // exclusive upper edge of the bucket containing the q-th observation.
 // Bucket edges are exact powers of two, so the bound is deterministic
@@ -65,38 +54,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return 1<<63 - 1
-}
-
-// Mean returns the exact mean of the observations.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// String renders the non-empty buckets compactly, e.g.
-// "count=12 sum=340 [2^4:3 2^5:9]".
-func (h *Histogram) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "count=%d sum=%d [", h.Count, h.Sum)
-	first := true
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		if !first {
-			b.WriteByte(' ')
-		}
-		first = false
-		if i == 0 {
-			fmt.Fprintf(&b, "<=0:%d", c)
-		} else {
-			fmt.Fprintf(&b, "2^%d:%d", i-1, c)
-		}
-	}
-	b.WriteByte(']')
-	return b.String()
 }
 
 // AtomicHistogram is the contention-free counterpart of Histogram: every

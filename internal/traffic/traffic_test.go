@@ -218,12 +218,6 @@ func TestHistogramBuckets(t *testing.T) {
 	if q := h.Quantile(1); q != 1<<21 {
 		t.Fatalf("q1 = %d, want %d", q, int64(1)<<21)
 	}
-	// Merge doubles everything.
-	h2 := h
-	h.Merge(&h2)
-	if h.Count != 18 || h.Buckets[2] != 4 {
-		t.Fatalf("merge: count=%d b2=%d", h.Count, h.Buckets[2])
-	}
 }
 
 // TestHistogramDeterministicAcrossOrder: bucket counts are independent

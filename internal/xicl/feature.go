@@ -16,7 +16,8 @@
 // translator while it initializes (XICLFeatureVector.updateV in the
 // paper). Attr names starting with "m" are programmer-defined feature
 // extractors resolved through a Registry; the rest are predefined (VAL,
-// SIZE, LINES, WORDS, LEN).
+// SIZE, LINES, WORDS, LEN). An FVCache memoizes the static translation of
+// each input of a corpus.
 package xicl
 
 import (

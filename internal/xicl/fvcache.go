@@ -1,29 +1,16 @@
 package xicl
 
-import (
-	"evolvevm/internal/stripe"
-)
+import "evolvevm/internal/memo"
 
-// DefaultFVCacheCapacity bounds a feature-vector cache. Vectors are a few
-// dozen floats plus a signature string, so the bound keeps a cache to a
-// couple of megabytes while still covering any realistic input corpus —
-// the same sizing philosophy as jit.DefaultCacheCapacity. Long sessions
-// that stream unbounded distinct inputs evict (approximately) the least
-// recently used vector instead of growing without limit.
-const DefaultFVCacheCapacity = 4096
-
-// FVCache memoizes feature-vector extraction by input signature, bounded
-// with lock-striped CLOCK eviction (internal/stripe): a hit takes only a
-// per-shard read lock plus one atomic reference-bit touch, so concurrent
-// serving requests extracting features for the same inputs never
-// serialize behind a recency-list update. Feature extraction is a pure
-// function of the input (command line plus files), so a learner that
-// sees the same input many times across a production sequence can reuse
-// the vector and its extraction cost instead of re-materializing both —
-// the virtual extraction charge is still paid by every run, exactly as
-// if the translator had run again. Eviction (CLOCK-approximate LRU)
-// cannot change virtual results: a re-miss merely re-runs the
-// deterministic extractor.
+// FVCache memoizes feature-vector extraction by input signature
+// (internal/memo). A runner and its forks share one per input corpus, so
+// it holds at most one vector per input of that corpus and needs no
+// capacity. Feature extraction is a pure function of the input (command
+// line plus files), so a learner that sees the same input many times
+// across a production sequence can reuse the vector and its extraction
+// cost instead of re-materializing both — the virtual extraction charge
+// is still paid by every run, exactly as if the translator had run
+// again.
 //
 // Cached vectors are shared: callers (and anything they hand the vector
 // to, such as training examples) must treat them as immutable. A
@@ -31,7 +18,7 @@ const DefaultFVCacheCapacity = 4096
 // and must not be memoized; the cache is for the static BuildFVector
 // path.
 type FVCache struct {
-	c *stripe.Cache[string, *fvEntry]
+	m memo.Map[string, *fvEntry]
 }
 
 // fvEntry is immutable once stored.
@@ -40,18 +27,12 @@ type fvEntry struct {
 	cost int64
 }
 
-// NewFVCache returns an empty cache bounded at DefaultFVCacheCapacity.
-func NewFVCache() *FVCache { return NewFVCacheCap(DefaultFVCacheCapacity) }
-
-// NewFVCacheCap returns an empty cache holding at most capacity entries
-// (capacity <= 0 means unbounded).
-func NewFVCacheCap(capacity int) *FVCache {
-	return &FVCache{c: stripe.New[string, *fvEntry](capacity)}
-}
+// NewFVCache returns an empty cache.
+func NewFVCache() *FVCache { return &FVCache{} }
 
 // Get returns the memoized vector and extraction cost for the signature.
 func (c *FVCache) Get(sig string) (Vector, int64, bool) {
-	e, ok := c.c.Lookup(sig)
+	e, ok := c.m.Lookup(sig)
 	if !ok {
 		return nil, 0, false
 	}
@@ -61,11 +42,8 @@ func (c *FVCache) Get(sig string) (Vector, int64, bool) {
 // Put memoizes a vector and its extraction cost under the signature. The
 // cache takes shared ownership of vec; it must not be mutated afterwards.
 func (c *FVCache) Put(sig string, vec Vector, cost int64) {
-	c.c.Store(sig, &fvEntry{vec: vec, cost: cost})
+	c.m.Store(sig, &fvEntry{vec: vec, cost: cost})
 }
 
-// Len returns the number of memoized signatures.
-func (c *FVCache) Len() int { return c.c.Len() }
-
-// Stats returns a snapshot of the cache's counters and occupancy.
-func (c *FVCache) Stats() stripe.Stats { return c.c.Stats() }
+// Stats returns the cache's hit and miss counters and its entry count.
+func (c *FVCache) Stats() memo.Stats { return c.m.Stats() }
