@@ -38,8 +38,8 @@ func genFuse(table []opspec.Op) string {
 	}
 	b.WriteString("}\n\n")
 
-	b.WriteString("// opGroup is an opcode's scalar group: the shared-helper family\n")
-	b.WriteString("// (intBin, intCmp, fltBin, fltCmp) that implements its semantics.\n")
+	b.WriteString("// opGroup is an opcode's scalar group in the spec: intbin, intcmp,\n")
+	b.WriteString("// fltbin or fltcmp.\n")
 	b.WriteString("type opGroup uint8\n\n")
 	b.WriteString("const (\n")
 	b.WriteString("\tgroupNone opGroup = iota\n")

@@ -8,12 +8,13 @@ import (
 )
 
 // genRegir emits internal/interp/regir_gen.go: the register tier's
-// lowering rules. The stack-to-register converter's structural handling
-// (symbolic stack, register allocation, exits, inlining) is scaffolding
-// in regir.go; which register form each value op lowers to — and the
-// trap message a trapping group op reports — is derived from the spec
+// lowering rules and operator opcodes. The stack-to-register converter's
+// structural handling (symbolic stack, register allocation, exits,
+// inlining) is scaffolding in regir.go; which register form each value op
+// lowers to, and the opcodes of those forms, are derived from the spec
 // here, so a spec-only opcode reaches the trace tier with no converter
-// edits.
+// edits. The arms that execute the opcodes are in trace_run_gen.go
+// (genTraceRun).
 func genRegir(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString(regirTop)
@@ -25,14 +26,67 @@ func genRegir(table []opspec.Op) string {
 		fmt.Fprintf(&b, "bytecode.%s: %s,\n", o.Enum, k)
 	}
 	b.WriteString("}\n\n")
-	b.WriteString(`// regTrapMsg is the trap message of each trapping group op, for the
-// register forms that re-check the trap condition at run time.
-var regTrapMsg = [bytecode.NumOps]string{
+
+	forms := regForms(table)
+	b.WriteString(`// The operator opcodes of the register tier, one per spec op and
+// operand form: rOP reads both operands (all of a kernel's) from
+// registers, rOPi takes the second from imm, rOPk divides by the
+// precomputed reciprocal divs[imm] of a nonzero constant, and the
+// compare-and-exit forms rxOP/rxOPi (rxnOP/rxnOPi) take exit x when the
+// comparison holds (fails). Value forms come first.
+const (
 `)
-	for _, o := range table {
-		if o.Group != "" && o.CanTrap() {
-			fmt.Fprintf(&b, "bytecode.%s: %q,\n", o.Enum, o.Traps[0].Msg)
+	for i, f := range forms {
+		if i == 0 {
+			fmt.Fprintf(&b, "%s rOp = rGen + iota // %s\n", f.name, f.doc())
+		} else {
+			fmt.Fprintf(&b, "%s // %s\n", f.name, f.doc())
 		}
+	}
+	b.WriteString("rNumOps // the number of register opcodes\n")
+	for _, f := range forms {
+		if f.kind == formExit || f.kind == formExitI {
+			fmt.Fprintf(&b, "\nrGenExit = %s // the first compare-and-exit form\n", f.name)
+			break
+		}
+	}
+	b.WriteString(")\n\n")
+
+	b.WriteString(`// regRR maps each operator to its register form.
+var regRR = [bytecode.NumOps]rOp{
+`)
+	for _, f := range forms {
+		if f.kind == formRR {
+			fmt.Fprintf(&b, "bytecode.%s: %s,\n", f.op.Enum, f.name)
+		}
+	}
+	b.WriteString(`}
+
+// regRI maps each integer operator to its immediate form; for the
+// trapping IDIV and IMOD that is the by-constant form.
+var regRI = [bytecode.NumOps]rOp{
+`)
+	for _, f := range forms {
+		if f.kind == formRI || f.kind == formK {
+			fmt.Fprintf(&b, "bytecode.%s: %s,\n", f.op.Enum, f.name)
+		}
+	}
+	b.WriteString(`}
+
+// regBranch maps each comparison form to its compare-and-exit forms,
+// indexed by the sense that exits: [0] when the comparison fails, [1]
+// when it holds. Other opcodes map to zeros.
+var regBranch = [rNumOps][2]rOp{
+`)
+	for _, f := range forms {
+		if f.kind != formRR && f.kind != formRI || !isCmpGroup(f.op.Group) {
+			continue
+		}
+		suffix := ""
+		if f.kind == formRI {
+			suffix = "i"
+		}
+		fmt.Fprintf(&b, "%s: {rxn%s%s, rx%s%s},\n", f.name, f.op.Enum, suffix, f.op.Enum, suffix)
 	}
 	b.WriteString("}\n")
 	return interpFile(b.String())
@@ -66,25 +120,119 @@ func regLowerKindOf(o opspec.Op) string {
 	return ""
 }
 
+// regFormKind is the operand shape of one generated register opcode.
+type regFormKind int
+
+const (
+	formRR    regFormKind = iota // operands in registers a, b (kernels: a, b, c)
+	formRI                       // second operand the int32 imm
+	formK                        // divisor the nonzero constant with reciprocal divs[imm]
+	formExit                     // compare registers a, b; exit x on the sense
+	formExitI                    // compare register a with imm; exit x on the sense
+)
+
+// regForm is one generated register opcode: a spec op in one operand
+// form (and, for compare-and-exit forms, the sense that exits).
+type regForm struct {
+	name  string
+	op    opspec.Op
+	kind  regFormKind
+	sense bool
+}
+
+// doc is the opcode's one-line comment in the generated const block.
+func (f regForm) doc() string {
+	switch f.kind {
+	case formRI:
+		return f.op.Name + ", immediate imm"
+	case formK:
+		return f.op.Name + " by the constant with reciprocal divs[imm]"
+	case formExit, formExitI:
+		s := "holds"
+		if !f.sense {
+			s = "fails"
+		}
+		if f.kind == formExitI {
+			return "exit x when " + f.op.Name + " with immediate imm " + s
+		}
+		return "exit x when " + f.op.Name + " " + s
+	}
+	if f.op.CanTrap() {
+		return f.op.Name + ", trap x"
+	}
+	return f.op.Name
+}
+
+func isCmpGroup(group string) bool { return group == "intcmp" || group == "fltcmp" }
+
+// regForms lists every generated register opcode in opcode order: the
+// value forms of every grouped and kernel op in spec order, then the
+// compare-and-exit forms of the comparisons.
+func regForms(table []opspec.Op) []regForm {
+	var forms []regForm
+	for _, o := range table {
+		if regLowerKindOf(o) == "" {
+			continue
+		}
+		forms = append(forms, regForm{name: "r" + o.Enum, op: o, kind: formRR})
+		switch {
+		case o.Group == "intbin" && o.CanTrap():
+			forms = append(forms, regForm{name: "r" + o.Enum + "k", op: o, kind: formK})
+		case o.Group == "intbin" || o.Group == "intcmp":
+			forms = append(forms, regForm{name: "r" + o.Enum + "i", op: o, kind: formRI})
+		}
+	}
+	for _, o := range table {
+		if !isCmpGroup(o.Group) {
+			continue
+		}
+		for _, sense := range []bool{true, false} {
+			prefix := "rx"
+			if !sense {
+				prefix = "rxn"
+			}
+			forms = append(forms, regForm{name: prefix + o.Enum, op: o, kind: formExit, sense: sense})
+			if o.Group == "intcmp" {
+				forms = append(forms, regForm{name: prefix + o.Enum + "i", op: o, kind: formExitI, sense: sense})
+			}
+		}
+	}
+	return forms
+}
+
+// divForm returns the rdiv method that computes a trapping integer op by
+// a nonzero constant: the reciprocal identities hold for Go's truncated
+// quotient and remainder exactly, so only those two scalars qualify.
+func divForm(o opspec.Op) string {
+	switch o.Scalar {
+	case "a / b":
+		return "quo"
+	case "a % b":
+		return "rem"
+	}
+	fail("trapping op %s (%q) has no by-constant register form", o.Enum, o.Scalar)
+	return ""
+}
+
 const regirTop = `// regLowerKind classifies how the stack-to-register converter lowers a
-// value op: scalar groups map to their shared register forms (with
-// immediate variants and integer constant folding), trapping group
-// members re-check their trap condition at run time, and pure kernel
-// ops become rPureN over the generated semantic tables. lowPure1..3
-// are consecutive: the converter computes the arity as
+// value op: scalar groups and kernels map to their generated register
+// forms (integer groups with immediate forms and constant folding,
+// trapping members with a trap record or, by a nonzero constant, a
+// reciprocal), and comparisons fuse into compare-and-exit forms.
+// lowPure1..3 are consecutive: the converter computes a kernel's arity as
 // kind - lowPure1 + 1.
 type regLowerKind uint8
 
 const (
 	lowNone    regLowerKind = iota // converter scaffolding handles (or refuses) by name
-	lowIntBin                      // rBin/rBinI
-	lowIntCmp                      // rCmp/rCmpI, fusible into branch exits
-	lowFltBin                      // rFBin
-	lowFltCmp                      // rFCmp, fusible into branch exits
-	lowTrapBin                     // rDivMod with trap record
-	lowPure1                       // rPure1: semTab1 kernel
-	lowPure2                       // rPure2: semTab2 kernel
-	lowPure3                       // rPure3: semTab3 kernel
+	lowIntBin                      // rOP/rOPi
+	lowIntCmp                      // rOP/rOPi, fusible into rxOP/rxnOP(i)
+	lowFltBin                      // rOP
+	lowFltCmp                      // rOP, fusible into rxOP/rxnOP
+	lowTrapBin                     // rOP with trap record, rOPk by a nonzero constant
+	lowPure1                       // rOP: 1-operand kernel
+	lowPure2                       // rOP: 2-operand kernel
+	lowPure3                       // rOP: 3-operand kernel
 )
 
 // regLower maps every opcode to its lowering rule.

@@ -7,10 +7,12 @@ import (
 	"evolvevm/internal/opspec"
 )
 
-// genSem emits internal/interp/sem_gen.go: the scalar group helpers every
-// tier calls (intBin, intCmp, fltBin, fltCmp), the semantic kernels of
-// the pure ops outside any scalar group, and the kernel dispatch tables
-// of the register tier.
+// genSem emits internal/interp/sem_gen.go: the integer group helpers the
+// fused tier's superinstructions and the register-tier converter's
+// constant folds call (intBin, intCmp), the semantic kernels of the pure
+// ops outside any scalar group, and the kernel tables the converter folds
+// through. Every other use of a scalar group splices the spec expression
+// into its own arm.
 func genSem(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString("// The semantic core of the instruction set: every tier's arithmetic\n")
@@ -21,10 +23,6 @@ func genSem(table []opspec.Op) string {
 		"// intBin applies a non-trapping integer binop, mirroring the accounted\n// interpreter case by case.\n")
 	genGroupFn(&b, table, "intcmp", "intCmp", "int64", "bool",
 		"// intCmp applies an integer comparison, mirroring the accounted\n// interpreter case by case.\n")
-	genGroupFn(&b, table, "fltbin", "fltBin", "float64", "float64",
-		"// fltBin applies a float binop, mirroring the accounted interpreter.\n")
-	genGroupFn(&b, table, "fltcmp", "fltCmp", "float64", "bool",
-		"// fltCmp applies a float comparison, mirroring the accounted interpreter.\n")
 
 	// Kernels for the pure ops outside any scalar group.
 	for _, o := range table {
@@ -44,8 +42,7 @@ func genSem(table []opspec.Op) string {
 	}
 
 	// Kernel dispatch tables, indexed by opcode and split by arity; the
-	// register tier's rPure1/rPure2/rPure3 instructions dispatch through
-	// them, and the converter uses them for constant folding.
+	// register-tier converter folds constant operands through them.
 	for arity := 1; arity <= 3; arity++ {
 		fmt.Fprintf(&b, "// semTab%d maps each %d-operand kernel op to its kernel.\n", arity, arity)
 		fmt.Fprintf(&b, "var semTab%d = [bytecode.NumOps]func(%s) bytecode.Value{\n",

@@ -102,7 +102,10 @@ type Substrate struct {
 // as in a JIT without on-stack replacement).
 //
 // OnInvoke fires after the code for a new activation has been fetched,
-// with the function's cumulative invocation count (1 on first call).
+// with the function's cumulative invocation count (1 on first call). It
+// may charge cycles and swap code, but must not write Globals: a register
+// trace reads the globals it never writes once per activation, and an
+// inlined call fires the hook inside one.
 // OnSample fires once per SampleStride cycles of executed code, attributed
 // to the function executing when the stride boundary is crossed — the
 // deterministic analogue of Jikes RVM's timer-based sampler.
@@ -256,12 +259,24 @@ func (e *Engine) NewArray(n int64) (bytecode.Value, error) {
 	return bytecode.Arr(int64(len(e.heap) - 1)), nil
 }
 
-// Array returns the backing slice of an array reference.
+// Array returns the backing slice of an array reference. It inlines
+// into every tier's array ops: the error is a plain value whose message
+// is formatted only when read.
 func (e *Engine) Array(v bytecode.Value) ([]bytecode.Value, error) {
-	if v.Kind != bytecode.KArr || v.I < 0 || v.I >= int64(len(e.heap)) || e.heap[v.I] == nil {
-		return nil, fmt.Errorf("interp: %s is not a live array reference", v)
+	if v.Kind == bytecode.KArr && uint64(v.I) < uint64(len(e.heap)) {
+		if arr := e.heap[v.I]; arr != nil {
+			return arr, nil
+		}
 	}
-	return e.heap[v.I], nil
+	return nil, notArrayError{v}
+}
+
+// notArrayError is Array's error for a value that is not a live array
+// reference.
+type notArrayError struct{ v bytecode.Value }
+
+func (e notArrayError) Error() string {
+	return fmt.Sprintf("interp: %s is not a live array reference", e.v)
 }
 
 // LiveCells returns the number of live heap cells.
@@ -384,7 +399,7 @@ type runScratch struct {
 	locals []bytecode.Value
 	stack  []bytecode.Value
 	frames []frame
-	regs   []bytecode.Value
+	regs   *regFile
 
 	// Trace-tier side channels (trace.go): curCodes holds the guarded
 	// current callee code per inlined call site of the running trace;

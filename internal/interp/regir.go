@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"math/bits"
 
 	"evolvevm/internal/bytecode"
 )
@@ -12,11 +13,15 @@ import (
 // segment geometry) is abstract-interpreted with a symbolic operand
 // stack: LOADs become register references (copy propagation), pushed
 // immediates and constants stay symbolic until a consumer needs them in a
-// register (constant rematerialization), and pure stack shuffles (DUP,
-// SWAP, POP) compile to nothing. What remains is a short register
-// program over a file that mirrors the frame's locals in its low slots —
-// loop-carried values never touch the operand stack while the trace
-// runs.
+// register (constant rematerialization), GLOADs of globals the trace
+// never writes read a pinned register the trace's prologue fills
+// (hoisting), and pure stack shuffles (DUP, SWAP, POP) compile to
+// nothing. What remains is a short register program over a file that
+// mirrors the frame's locals in its low slots — loop-carried values never
+// touch the operand stack while the trace runs. A branch whose taken
+// target lies later on the traced path, with an empty symbolic stack at
+// both ends, becomes a forward skip over the instructions in between
+// rather than a side exit.
 //
 // CALL is admitted by trace-style inlining: a small, non-recursive callee
 // body is linearized (following its hot fall-through path) and spliced
@@ -42,10 +47,12 @@ import (
 // every side exit or trap carries the summed charge of the unexecuted
 // instruction suffix — split per function once calls are inlined — so the
 // rollback lands on exactly the ledger state of the per-instruction
-// loop. Register writes are invisible between exits by construction:
-// locals are copied in at trace entry and written back at every exit, and
-// nothing observable (globals, output, heap) is ever reordered or elided
-// — only stack and local traffic is.
+// loop; a forward skip subtracts the skipped items' charge the same way.
+// Register writes are invisible between exits by construction: locals
+// are copied in at trace entry and written back at every exit, no write
+// to a global, the output or the heap is ever reordered or elided, and a
+// global is read ahead of its GLOAD only when nothing in the trace writes
+// it — only stack and local traffic is removed.
 
 // Trace conversion limits.
 const (
@@ -53,68 +60,139 @@ const (
 	// instructions included).
 	traceMaxInstrs = 256
 	// traceMaxRegs caps the register file: the function's locals plus the
-	// converter's temporaries plus pinned callee-local blocks.
+	// converter's temporaries plus pinned callee-local blocks and hoisted
+	// globals.
 	traceMaxRegs = 64
 	// inlineMaxInstrs caps one inlined callee body ("small" in the
 	// trace-inlining rule): the linearized path from entry to RET.
 	inlineMaxInstrs = 48
 )
 
-// rOp is a register-IR opcode.
+// rOp is a register-IR opcode. The structural opcodes below are
+// scaffolding; the operator opcodes, one per spec op and operand form,
+// are generated from the spec (regir_gen.go) starting at rGen, and so are
+// their arms in Engine.runTrace (trace_run_gen.go).
 type rOp uint8
 
 const (
 	rLoadI   rOp = iota // regs[d] = Int(a)
 	rLoadC              // regs[d] = Consts[a]
 	rMove               // regs[d] = regs[a]
-	rGLoad              // regs[d] = Globals[a]
+	rGLoad              // regs[d] = Globals[a], for a global the trace writes
 	rGStore             // Globals[a] = regs[b]
 	rInc                // regs[d].I += a (kind-preserving, like IINC)
-	rBin                // regs[d] = Int(intBin(sub, regs[a].I, regs[b].I))
-	rBinI               // regs[d] = Int(intBin(sub, regs[a].I, b))
-	rCmp                // regs[d] = Bool(intCmp(sub, regs[a].I, regs[b].I))
-	rCmpI               // regs[d] = Bool(intCmp(sub, regs[a].I, b))
-	rFBin               // regs[d] = Float(fltBin(sub, regs[a].AsFloat(), regs[b].AsFloat()))
-	rFCmp               // regs[d] = Bool(fltCmp(sub, regs[a].AsFloat(), regs[b].AsFloat()))
-	rPure1              // regs[d] = semTab1[sub](regs[a])
-	rPure2              // regs[d] = semTab2[sub](regs[a], regs[b])
-	rPure3              // regs[d] = semTab3[sub](regs[a], regs[b], regs[x])
-	rDivMod             // regs[d] = Int(regs[a].I / or % regs[b].I); trap x on zero
 	rALoad              // regs[d] = Array(regs[a])[regs[b].AsInt()]; trap x
 	rAStore             // Array(regs[a])[regs[b].AsInt()] = regs[d]; trap x
 	rALen               // regs[d] = Int(len(Array(regs[a]))); trap x
 	rPrint              // Output = append(Output, regs[a])
 	rBrTrue             // exit x when regs[a].IsTrue()
 	rBrFalse            // exit x when !regs[a].IsTrue()
-	rBrCmp              // exit x when intCmp(sub, regs[a].I, regs[b].I) == (d != 0)
-	rBrCmpI             // exit x when intCmp(sub, regs[a].I, b) == (d != 0)
-	rBrFCmp             // exit x when fltCmp(sub, regs[a].AsFloat(), regs[b].AsFloat()) == (d != 0)
 	rCall               // inlined call site x: guard, hook, zero callee locals
+	rGen                // the first generated operator opcode
 )
 
-// rins is one register instruction. d is the destination register except
-// for rAStore (value source), rInc (the incremented local), and the
-// branch-exit ops (the wanted condition sense, 0/1). x indexes the
-// trace's exit table for branches, its trap table for trapping ops, and
-// its call table for rCall.
+// rins is one register instruction. d, a, b and c are registers: d the
+// destination (rAStore: the value stored; rInc: the incremented local),
+// a, b and c the operands (c only a 3-operand kernel's third). imm is the
+// immediate: the value of rLoadI, rInc and the immediate forms, or the
+// constant-pool, global or reciprocal index of rLoadC, rGLoad/rGStore and
+// the by-constant forms. x indexes the trace's exit table for branches,
+// its trap table for trapping ops, and its call table for rCall.
 type rins struct {
-	op   rOp
-	sub  bytecode.Op // arithmetic/comparison selector for grouped ops
-	d    int32
-	a, b int32
-	x    int32
+	op         rOp
+	d, a, b, c uint8
+	imm        int32
+	x          int32
 }
+
+// regFile is the register file of the trace tier. Register numbers are
+// uint8 and the file has 256 slots, so no register access needs a bounds
+// check; traces use the first traceMaxRegs.
+type regFile [256]bytecode.Value
+
+// The register numbers of a trace must fit rins's uint8 fields.
+const _ = uint8(traceMaxRegs - 1)
 
 // rWritesD reports whether op writes regs[d] as a pure result — the set
 // the store peephole may retarget at a local.
 func rWritesD(op rOp) bool {
 	switch op {
-	case rLoadI, rLoadC, rMove, rGLoad, rBin, rBinI, rCmp, rCmpI,
-		rFBin, rFCmp, rPure1, rPure2, rPure3,
-		rDivMod, rALoad, rALen:
+	case rLoadI, rLoadC, rMove, rGLoad, rALoad, rALen:
 		return true
 	}
-	return false
+	return op >= rGen && op < rGenExit
+}
+
+// rdiv is the precomputed reciprocal of a nonzero constant divisor d, so
+// the register tier divides with a multiply-high instead of a hardware
+// divide. For |d| ≥ 2 it is the magic multiplier m and shift s of
+// Hacker's Delight §10-1, with a = ±1 adding or subtracting the dividend
+// when m's sign differs from d's and fix = 1 rounding toward zero; for
+// d = ±1 it is m = 0, a = d, s = 0, fix = 0. quo and rem then equal Go's
+// truncated n / d and n % d for every int64 n, MinInt64 / -1 included.
+type rdiv struct {
+	d, m, a, fix int64
+	s            uint8
+}
+
+// newRdiv computes the reciprocal of the nonzero divisor d.
+func newRdiv(d int64) rdiv {
+	if d == 1 || d == -1 {
+		return rdiv{d: d, a: d}
+	}
+	const two63 = uint64(1) << 63
+	ad := uint64(d)
+	if d < 0 {
+		ad = -ad
+	}
+	t := two63 + uint64(d)>>63
+	anc := t - 1 - t%ad // |nc|
+	p := 63
+	q1, r1 := two63/anc, two63%anc // 2^p / |nc|
+	q2, r2 := two63/ad, two63%ad   // 2^p / |d|
+	for {
+		p++
+		q1, r1 = 2*q1, 2*r1
+		if r1 >= anc {
+			q1, r1 = q1+1, r1-anc
+		}
+		q2, r2 = 2*q2, 2*r2
+		if r2 >= ad {
+			q2, r2 = q2+1, r2-ad
+		}
+		if delta := ad - r2; q1 >= delta && (q1 != delta || r1 != 0) {
+			break
+		}
+	}
+	m := int64(q2 + 1)
+	if d < 0 {
+		m = -m
+	}
+	k := rdiv{d: d, m: m, s: uint8(p - 64), fix: 1}
+	switch {
+	case d > 0 && m < 0:
+		k.a = 1
+	case d < 0 && m > 0:
+		k.a = -1
+	}
+	return k
+}
+
+// quo returns n / k.d, truncated.
+func (k *rdiv) quo(n int64) int64 {
+	hi, _ := bits.Mul64(uint64(k.m), uint64(n))
+	q := int64(hi) - k.m>>63&n - n>>63&k.m + k.a*n // high word of m·n, signed, ± n
+	q >>= k.s
+	return q + int64(uint64(q)>>63)&k.fix
+}
+
+// rem returns n % k.d, with the dividend's sign.
+func (k *rdiv) rem(n int64) int64 { return n - k.quo(n)*k.d }
+
+// rhoist is one hoisted global: the pinned register the trace's prologue
+// fills with Globals[g] at every activation.
+type rhoist struct {
+	reg, g int32
 }
 
 // rpush is one value the engine must push onto the real operand stack
@@ -138,6 +216,11 @@ type slotRem struct {
 // rematerialize. A callee exit (callIdx >= 0) additionally materializes a
 // callee frame resuming at cpc, with the callee's operand stack in cpush
 // (push then holds only the caller's residual stack below the call).
+//
+// A forward skip (to > 0) is a branch whose target is a later item of the
+// same iteration: it never leaves the trace. It resumes at instruction to
+// and subtracts only the skipped items' charges, which tot, rem, remBase
+// and crem then hold.
 type rexit struct {
 	pc           int32
 	tot          int32
@@ -147,6 +230,7 @@ type rexit struct {
 	callIdx      int32 // -1 for plain exits
 	cpc          int32 // callee resume pc (callee exits only)
 	cpush        []rpush
+	to           int32 // forward skips: the instruction to resume at
 	// link is the trace the engine loop would run at pc, set by
 	// tracePlan.link for plain exits with nothing to rematerialize.
 	link *trace
@@ -234,12 +318,23 @@ type rconv struct {
 	exits []rexit
 	traps []rtrap
 	calls []rcall
+	divs  []rdiv
+
+	// written holds the globals some item stores (inlined callees
+	// included); a GLOAD of any other global reads the pinned register
+	// the prologue fills (hoist).
+	written map[int32]bool
+	hoist   []rhoist
+
+	// skips are the branches that may become forward skips, confirmed
+	// when conversion reaches their target item (landSkips).
+	skips []pendingSkip
 
 	stk    []sym
 	nloc   int
-	nregs  int
+	nregs  int     // registers in use: locals, temps, pinned blocks
 	ref    []int16 // per-register refcount; slots < nloc are locals (untracked)
-	pinned []bool  // pinned callee-local blocks: never allocated, never refcounted
+	pinned []bool  // callee-local blocks and hoisted globals: never allocated, never refcounted
 
 	// Callee-conversion context: curCall >= 0 while converting inside an
 	// inlined body; floor is the symbolic stack depth at callee entry
@@ -252,6 +347,13 @@ type rconv struct {
 	// the plan records it so traceFor can rebuild once the callee's code
 	// exists (see tracePlan.missing).
 	missing []int32
+}
+
+// pendingSkip is a branch at item from, with exit record x, whose taken
+// target is the later item to.
+type pendingSkip struct {
+	x        int32
+	from, to int
 }
 
 // convertTrace compiles one linearized loop iteration into a trace. pcs
@@ -281,7 +383,14 @@ func convertTrace(c *Code, head int, pcs []int, inline bool, peek func(int) *Cod
 	if reason := cv.sumSuffixes(); reason != degCount {
 		return nil, reason, nil
 	}
+	cv.written = make(map[int32]bool)
+	for _, it := range cv.items {
+		if in := it.code.Instrs[it.pc]; in.Op == bytecode.GSTORE {
+			cv.written[in.A] = true
+		}
+	}
 	for i := range cv.items {
+		cv.landSkips(i)
 		if ok, reason := cv.instr(i); !ok {
 			return nil, reason, nil
 		}
@@ -295,12 +404,13 @@ func convertTrace(c *Code, head int, pcs []int, inline bool, peek func(int) *Cod
 		cost0:  int64(cv.sufS[0][0]),
 		base0:  int64(cv.sufSB[0][0]),
 		nloc:   int32(cv.nloc),
-		nregs:  int32(cv.nregs),
 		consts: cv.consts,
 		ins:    cv.ins,
 		exits:  cv.exits,
 		traps:  cv.traps,
 		calls:  cv.calls,
+		divs:   cv.divs,
+		hoist:  cv.hoist,
 	}
 	for s := 1; s < len(cv.fns); s++ {
 		t.xfns = append(t.xfns, cv.fns[s])
@@ -506,13 +616,13 @@ func (cv *rconv) use(s sym) int32 {
 	case symImm:
 		d := cv.alloc()
 		if d >= 0 {
-			cv.emit(rins{op: rLoadI, d: d, a: s.v})
+			cv.emit(rins{op: rLoadI, d: uint8(d), imm: s.v})
 		}
 		return d
 	default:
 		d := cv.alloc()
 		if d >= 0 {
-			cv.emit(rins{op: rLoadC, d: d, a: s.v})
+			cv.emit(rins{op: rLoadC, d: uint8(d), imm: s.v})
 		}
 		return d
 	}
@@ -572,7 +682,7 @@ func (cv *rconv) spillLocal(k int32) bool {
 				if t = cv.alloc(); t < 0 {
 					return false
 				}
-				cv.emit(rins{op: rMove, d: t, a: k})
+				cv.emit(rins{op: rMove, d: uint8(t), a: uint8(k)})
 			} else {
 				cv.retain(t)
 			}
@@ -590,25 +700,25 @@ func (cv *rconv) spillLocal(k int32) bool {
 func (cv *rconv) store(k int32, v sym) {
 	switch v.k {
 	case symImm:
-		cv.emit(rins{op: rLoadI, d: k, a: v.v})
+		cv.emit(rins{op: rLoadI, d: uint8(k), imm: v.v})
 	case symConst:
-		cv.emit(rins{op: rLoadC, d: k, a: v.v})
+		cv.emit(rins{op: rLoadC, d: uint8(k), imm: v.v})
 	default:
 		if int(v.v) >= cv.nloc {
 			cv.release(v.v)
 			if !cv.pinned[v.v] && cv.ref[v.v] == 0 && len(cv.ins) > 0 {
-				if last := &cv.ins[len(cv.ins)-1]; last.d == v.v && rWritesD(last.op) {
-					last.d = k
+				if last := &cv.ins[len(cv.ins)-1]; int32(last.d) == v.v && rWritesD(last.op) {
+					last.d = uint8(k)
 					return
 				}
 			}
 			if v.v != k {
-				cv.emit(rins{op: rMove, d: k, a: v.v})
+				cv.emit(rins{op: rMove, d: uint8(k), a: uint8(v.v)})
 			}
 			return
 		}
 		if v.v != k {
-			cv.emit(rins{op: rMove, d: k, a: v.v})
+			cv.emit(rins{op: rMove, d: uint8(k), a: uint8(v.v)})
 		}
 	}
 }
@@ -628,15 +738,82 @@ func snapshot(syms []sym) []rpush {
 // remAt returns the rollback charges for resuming before item j: the
 // engine-clock total, the caller slot's share, and the per-callee shares.
 func (cv *rconv) remAt(j int) (tot, rem, remBase int32, crem []slotRem) {
-	tot = cv.sufT[j]
-	rem = cv.sufS[0][j]
-	remBase = cv.sufSB[0][j]
+	return cv.chargeBetween(j, len(cv.items))
+}
+
+// chargeBetween returns the charges of items j..k-1, split like remAt's.
+func (cv *rconv) chargeBetween(j, k int) (tot, rem, remBase int32, crem []slotRem) {
+	tot = cv.sufT[j] - cv.sufT[k]
+	rem = cv.sufS[0][j] - cv.sufS[0][k]
+	remBase = cv.sufSB[0][j] - cv.sufSB[0][k]
 	for s := 1; s < len(cv.fns); s++ {
-		if cv.sufS[s][j] != 0 || cv.sufSB[s][j] != 0 {
-			crem = append(crem, slotRem{slot: int32(s), rem: cv.sufS[s][j], remBase: cv.sufSB[s][j]})
+		r, rb := cv.sufS[s][j]-cv.sufS[s][k], cv.sufSB[s][j]-cv.sufSB[s][k]
+		if r != 0 || rb != 0 {
+			crem = append(crem, slotRem{slot: int32(s), rem: r, remBase: rb})
 		}
 	}
 	return
+}
+
+// laterItem returns the index of the item after i at which the trace's
+// own function reaches pc, or -1: the target of a branch that can skip
+// forward within the iteration.
+func (cv *rconv) laterItem(i, pc int) int {
+	for k := i + 1; k < len(cv.items); k++ {
+		if it := cv.items[k]; it.code == cv.caller && int(it.pc) == pc {
+			return k
+		}
+	}
+	return -1
+}
+
+// landSkips confirms the pending skips that target item k. The symbolic
+// stack was empty at the branch; if it is empty here too, no state but
+// the registers crosses the skipped items, so the branch can resume at
+// the first instruction item k emits, subtracting the skipped items'
+// charges. A skip whose target has values pending stays a side exit.
+func (cv *rconv) landSkips(k int) {
+	if len(cv.stk) != 0 {
+		return
+	}
+	for _, sk := range cv.skips {
+		if sk.to == k {
+			ex := &cv.exits[sk.x]
+			ex.to = int32(len(cv.ins))
+			ex.tot, ex.rem, ex.remBase, ex.crem = cv.chargeBetween(sk.from+1, k)
+		}
+	}
+}
+
+// hoisted returns the pinned register the trace's prologue fills with
+// global g, claiming one at g's first load, or -1 when the register file
+// is full.
+func (cv *rconv) hoisted(g int32) int32 {
+	for _, h := range cv.hoist {
+		if h.g == g {
+			return h.reg
+		}
+	}
+	if cv.nregs >= traceMaxRegs {
+		return -1
+	}
+	r := int32(cv.nregs)
+	cv.nregs++
+	cv.ref = append(cv.ref, 1)
+	cv.pinned = append(cv.pinned, true)
+	cv.hoist = append(cv.hoist, rhoist{reg: r, g: g})
+	return r
+}
+
+// recip returns the index of d's reciprocal in the trace's table.
+func (cv *rconv) recip(d int64) int32 {
+	for j, k := range cv.divs {
+		if k.d == d {
+			return int32(j)
+		}
+	}
+	cv.divs = append(cv.divs, newRdiv(d))
+	return int32(len(cv.divs) - 1)
 }
 
 // addExit records a side exit at item position i resuming at target,
@@ -716,13 +893,23 @@ func (cv *rconv) instr(i int) (bool, int) {
 		cv.store(k, v)
 
 	case bytecode.GLOAD:
-		// Globals are mutable under the trace's own GSTOREs, so a global
-		// read materializes immediately instead of staying symbolic.
+		// A global no item writes is loop-invariant: the load is a
+		// reference to the register the prologue fills, the way LOAD is
+		// copy propagation. A global the trace writes materializes at the
+		// load, since a later GSTORE may change it.
+		if !cv.written[in.A] {
+			r := cv.hoisted(in.A)
+			if r < 0 {
+				return false, degRegs
+			}
+			cv.push(sym{k: symReg, v: r})
+			break
+		}
 		d := cv.alloc()
 		if d < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rGLoad, d: d, a: in.A})
+		cv.emit(rins{op: rGLoad, d: uint8(d), imm: in.A})
 		cv.push(sym{k: symReg, v: d})
 	case bytecode.GSTORE:
 		v, ok := cv.pop()
@@ -733,7 +920,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if r < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rGStore, a: in.A, b: r})
+		cv.emit(rins{op: rGStore, a: uint8(r), imm: in.A})
 		cv.release(r)
 
 	case bytecode.IINC:
@@ -741,7 +928,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if !cv.spillLocal(k) {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rInc, d: k, a: in.B})
+		cv.emit(rins{op: rInc, d: uint8(k), imm: in.B})
 
 	case bytecode.POP:
 		v, ok := cv.pop()
@@ -785,7 +972,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if d < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rALoad, d: d, a: rr, b: ri, x: cv.addTrap(i)})
+		cv.emit(rins{op: rALoad, d: uint8(d), a: uint8(rr), b: uint8(ri), x: cv.addTrap(i)})
 		cv.push(sym{k: symReg, v: d})
 
 	case bytecode.ASTORE:
@@ -807,7 +994,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if rr < 0 || ri < 0 || rv < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rAStore, d: rv, a: rr, b: ri, x: cv.addTrap(i)})
+		cv.emit(rins{op: rAStore, d: uint8(rv), a: uint8(rr), b: uint8(ri), x: cv.addTrap(i)})
 		cv.release(rr)
 		cv.release(ri)
 		cv.release(rv)
@@ -826,7 +1013,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if d < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rALen, d: d, a: rr, x: cv.addTrap(i)})
+		cv.emit(rins{op: rALen, d: uint8(d), a: uint8(rr), x: cv.addTrap(i)})
 		cv.push(sym{k: symReg, v: d})
 
 	case bytecode.PRINT:
@@ -838,7 +1025,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if r < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rPrint, a: r})
+		cv.emit(rins{op: rPrint, a: uint8(r)})
 		cv.release(r)
 
 	case bytecode.JMP:
@@ -883,7 +1070,16 @@ func (cv *rconv) instr(i int) (bool, int) {
 			return true, degCount
 		}
 		x := cv.addExit(i, exitPC, false)
-		want := int32(0)
+		// A taken branch of the trace's own function to a later item of
+		// the iteration, with nothing on the symbolic stack, may skip
+		// forward instead of leaving the trace (landSkips decides once
+		// conversion reaches the target).
+		if exitWhenTaken && cv.curCall < 0 && len(cv.stk) == 0 {
+			if k := cv.laterItem(i, exitPC); k >= 0 {
+				cv.skips = append(cv.skips, pendingSkip{x: x, from: i, to: k})
+			}
+		}
+		want := 0
 		if wantTrue {
 			want = 1
 		}
@@ -892,16 +1088,9 @@ func (cv *rconv) instr(i int) (bool, int) {
 			if cv.ref[v.v] == 0 && len(cv.ins) > 0 {
 				// Compare-and-branch fusion: fold a dead, just-emitted
 				// comparison into the exit test itself.
-				if last := &cv.ins[len(cv.ins)-1]; last.d == v.v {
-					switch last.op {
-					case rCmp:
-						*last = rins{op: rBrCmp, sub: last.sub, d: want, a: last.a, b: last.b, x: x}
-						return true, degCount
-					case rCmpI:
-						*last = rins{op: rBrCmpI, sub: last.sub, d: want, a: last.a, b: last.b, x: x}
-						return true, degCount
-					case rFCmp:
-						*last = rins{op: rBrFCmp, sub: last.sub, d: want, a: last.a, b: last.b, x: x}
+				if last := &cv.ins[len(cv.ins)-1]; int32(last.d) == v.v {
+					if br := regBranch[last.op][want]; br != 0 {
+						*last = rins{op: br, a: last.a, b: last.b, imm: last.imm, x: x}
 						return true, degCount
 					}
 				}
@@ -911,7 +1100,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if wantTrue {
 			op = rBrTrue
 		}
-		cv.emit(rins{op: op, a: v.v, x: x})
+		cv.emit(rins{op: op, a: uint8(v.v), x: x})
 
 	case bytecode.CALL:
 		if cv.curCall >= 0 || it.call < 0 {
@@ -944,11 +1133,11 @@ func (cv *rconv) instr(i int) (bool, int) {
 			d := rc.lbase + int32(j)
 			switch a.k {
 			case symImm:
-				cv.emit(rins{op: rLoadI, d: d, a: a.v})
+				cv.emit(rins{op: rLoadI, d: uint8(d), imm: a.v})
 			case symConst:
-				cv.emit(rins{op: rLoadC, d: d, a: a.v})
+				cv.emit(rins{op: rLoadC, d: uint8(d), imm: a.v})
 			default:
-				cv.emit(rins{op: rMove, d: d, a: a.v})
+				cv.emit(rins{op: rMove, d: uint8(d), a: uint8(a.v)})
 			}
 		}
 		cv.stk = cv.stk[:len(cv.stk)-argc]
@@ -990,10 +1179,11 @@ func (cv *rconv) instr(i int) (bool, int) {
 }
 
 // lower compiles one value-producing instruction by its spec-derived
-// lowering rule. Scalar groups keep their immediate forms and integer
-// constant folds; pure kernel ops fold through the generated kernel
-// itself when every operand is symbolically known, and otherwise become
-// an rPureN over the generated semantic tables.
+// lowering rule into its generated register form (regir_gen.go). Integer
+// groups keep their immediate forms and constant folds; IDIV and IMOD by
+// a nonzero constant divide by its reciprocal; pure kernel ops fold
+// through the generated kernel itself when every operand is symbolically
+// known.
 func (cv *rconv) lower(i int, in bytecode.Instr) (bool, int) {
 	kind := regLower[in.Op]
 	switch kind {
@@ -1024,7 +1214,7 @@ func (cv *rconv) lower(i int, in bytecode.Instr) (bool, int) {
 		if d < 0 {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rPure1 + rOp(ar-1), sub: in.Op, d: d, a: rs[0], b: rs[1], x: rs[2]})
+		cv.emit(rins{op: regRR[in.Op], d: uint8(d), a: uint8(rs[0]), b: uint8(rs[1]), c: uint8(rs[2])})
 		cv.push(sym{k: symReg, v: d})
 		return true, degCount
 
@@ -1037,43 +1227,48 @@ func (cv *rconv) lower(i int, in bytecode.Instr) (bool, int) {
 		if !ok {
 			return false, degStack
 		}
-		if kind == lowIntBin || kind == lowIntCmp {
-			av, aImm := cv.immVal(a)
-			bv, bImm := cv.immVal(b)
-			if aImm && bImm {
-				if kind == lowIntCmp {
-					// Bool() is Int(0/1), so the fold stays an integer
-					// immediate.
-					r := int32(0)
-					if intCmp(in.Op, av, bv) {
-						r = 1
-					}
-					cv.push(sym{k: symImm, v: r})
-					return true, degCount
+		av, aImm := cv.immVal(a)
+		bv, bImm := cv.immVal(b)
+		if aImm && bImm && (kind == lowIntBin || kind == lowIntCmp) {
+			if kind == lowIntCmp {
+				// Bool() is Int(0/1), so the fold stays an integer
+				// immediate.
+				r := int32(0)
+				if intCmp(in.Op, av, bv) {
+					r = 1
 				}
-				if r := intBin(in.Op, av, bv); r >= math.MinInt32 && r <= math.MaxInt32 {
-					cv.push(sym{k: symImm, v: int32(r)})
-					return true, degCount
-				}
-			}
-			if bImm && bv >= math.MinInt32 && bv <= math.MaxInt32 {
-				ra := cv.use(a)
-				if ra < 0 {
-					return false, degRegs
-				}
-				cv.release(ra)
-				d := cv.alloc()
-				if d < 0 {
-					return false, degRegs
-				}
-				op := rBinI
-				if kind == lowIntCmp {
-					op = rCmpI
-				}
-				cv.emit(rins{op: op, sub: in.Op, d: d, a: ra, b: int32(bv)})
-				cv.push(sym{k: symReg, v: d})
+				cv.push(sym{k: symImm, v: r})
 				return true, degCount
 			}
+			if r := intBin(in.Op, av, bv); r >= math.MinInt32 && r <= math.MaxInt32 {
+				cv.push(sym{k: symImm, v: int32(r)})
+				return true, degCount
+			}
+		}
+		// The immediate forms: an int32 second operand, or a nonzero
+		// divisor of any size, divided by its reciprocal, which cannot
+		// trap.
+		var imm int32
+		immForm := false
+		switch {
+		case (kind == lowIntBin || kind == lowIntCmp) && bImm && bv >= math.MinInt32 && bv <= math.MaxInt32:
+			imm, immForm = int32(bv), true
+		case kind == lowTrapBin && bImm && bv != 0:
+			imm, immForm = cv.recip(bv), true
+		}
+		if immForm {
+			ra := cv.use(a)
+			if ra < 0 {
+				return false, degRegs
+			}
+			cv.release(ra)
+			d := cv.alloc()
+			if d < 0 {
+				return false, degRegs
+			}
+			cv.emit(rins{op: regRI[in.Op], d: uint8(d), a: uint8(ra), imm: imm})
+			cv.push(sym{k: symReg, v: d})
+			return true, degCount
 		}
 		ra := cv.use(a)
 		rb := cv.use(b)
@@ -1086,18 +1281,8 @@ func (cv *rconv) lower(i int, in bytecode.Instr) (bool, int) {
 		if d < 0 {
 			return false, degRegs
 		}
-		ins := rins{sub: in.Op, d: d, a: ra, b: rb}
-		switch kind {
-		case lowIntBin:
-			ins.op = rBin
-		case lowIntCmp:
-			ins.op = rCmp
-		case lowFltBin:
-			ins.op = rFBin
-		case lowFltCmp:
-			ins.op = rFCmp
-		default:
-			ins.op = rDivMod
+		ins := rins{op: regRR[in.Op], d: uint8(d), a: uint8(ra), b: uint8(rb)}
+		if kind == lowTrapBin {
 			ins.x = cv.addTrap(i)
 		}
 		cv.emit(ins)

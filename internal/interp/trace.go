@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"evolvevm/internal/bytecode"
@@ -15,12 +14,17 @@ import (
 // fall-throughs and unconditional jumps, recording a side exit at every
 // conditional branch — until the path closes back at the head. One
 // iteration becomes one register program; the engine runs it in a flat
-// loop that charges the whole iteration in a single batched debit.
+// loop (runTrace, generated into trace_run_gen.go) that charges the whole
+// iteration in a single batched debit. A branch whose taken target is
+// later on the path is a forward skip instead of a side exit: it jumps
+// over the instructions in between and subtracts their charge, so the
+// clock always holds the executed prefix plus the linear suffix.
 //
 // Two mechanisms widen the tier's reach beyond whole simple loops:
 //
 // On-stack replacement (OSR). Besides the head trace, the plan carries
-// partial traces anchored at the head trace's in-loop side-exit pcs.
+// partial traces anchored at the head trace's in-loop side-exit pcs
+// (forward skips never leave the trace and need none).
 // When the switch/fused interpreter finds itself mid-iteration at such a
 // pc — most often right after a side exit took the cold arm of a branch
 // — it enters the register tier there, runs the REST of the iteration as
@@ -106,12 +110,13 @@ type trace struct {
 	xcost, xbase []int64
 
 	nloc   int32 // locals mirrored in regs[0:nloc]
-	nregs  int32 // full register file size (locals + temps + pinned blocks)
 	consts []bytecode.Value
 	ins    []rins
 	exits  []rexit
 	traps  []rtrap
 	calls  []rcall
+	divs   []rdiv   // reciprocals of the by-constant divisions
+	hoist  []rhoist // the prologue: globals the trace reads and never writes
 
 	// once marks an OSR partial trace: it covers the tail of one
 	// iteration from a mid-loop pc to the back edge and always returns at
@@ -140,10 +145,9 @@ type tracePlan struct {
 	tr  []*trace
 	osr []*trace
 
-	// nregs and ncalls are the largest register file and call-site table
-	// of any trace in the plan: one activation can run several traces
-	// through links, so the scratch is sized once for all of them.
-	nregs  int32
+	// ncalls is the largest call-site table of any trace in the plan:
+	// one activation can run several traces through links, so the
+	// scratch is sized once for all of them.
 	ncalls int
 
 	// missing lists callees that defeated an inlining attempt only
@@ -266,10 +270,11 @@ func buildTracePlan(c *Code, inline bool, peek func(int) *Code) *tracePlan {
 		// exit pc back to the head. Exits that left values on the operand
 		// stack cannot have a stack-neutral remainder (the head trace's
 		// own neutrality proves the remainder must consume them), so the
-		// conversion below would refuse them; skip the work.
+		// conversion below would refuse them; skip the work. A forward
+		// skip never leaves the trace and needs no entry point.
 		for _, ex := range t.exits {
 			epc := int(ex.pc)
-			if ex.callIdx >= 0 || len(ex.push) != 0 ||
+			if ex.callIdx >= 0 || len(ex.push) != 0 || ex.to > 0 ||
 				epc <= lp.Head || epc > lastEnd[lp.Head] || tp.tr[epc] != nil || tp.osr[epc] != nil {
 				continue
 			}
@@ -294,17 +299,17 @@ func buildTracePlan(c *Code, inline bool, peek func(int) *Code) *tracePlan {
 // link sizes the plan's shared scratch and points every plain side exit
 // with an empty symbolic stack at the trace the engine loop would pick at
 // its resume pc. Callee exits materialize a frame and exits with pending
-// stack values must rematerialize them, so both always hand back.
+// stack values must rematerialize them, so both always hand back; forward
+// skips stay in their own trace.
 func (tp *tracePlan) link() {
 	for _, ts := range [2][]*trace{tp.tr, tp.osr} {
 		for _, t := range ts {
 			if t == nil {
 				continue
 			}
-			tp.nregs = max(tp.nregs, t.nregs)
 			tp.ncalls = max(tp.ncalls, len(t.calls))
 			for i := range t.exits {
-				if ex := &t.exits[i]; ex.callIdx < 0 && len(ex.push) == 0 {
+				if ex := &t.exits[i]; ex.callIdx < 0 && len(ex.push) == 0 && ex.to == 0 {
 					ex.link = tp.at(int(ex.pc))
 				}
 			}
@@ -392,7 +397,7 @@ func linearizeFrom(c *Code, p *plan, start, head int, inline bool) ([]int, int) 
 
 // rpushVal rematerializes one symbolic stack slot onto the real operand
 // stack at a deoptimization point.
-func rpushVal(stack []bytecode.Value, tr *trace, regs []bytecode.Value, p rpush) []bytecode.Value {
+func rpushVal(stack []bytecode.Value, tr *trace, regs *regFile, p rpush) []bytecode.Value {
 	switch symKind(p.kind) {
 	case symReg:
 		return append(stack, regs[p.v])
@@ -403,255 +408,18 @@ func rpushVal(stack []bytecode.Value, tr *trace, regs []bytecode.Value, p rpush)
 	}
 }
 
-// runTrace executes iterations of tr until the next one would not fit
-// the sample window (normal return at the head; after a single pass for
-// once-traces), a side exit fires, or a trap fires. A side exit or an
-// OSR tail's back edge whose link passes the activation gate continues
-// in the linked trace instead of returning. The caller has already
-// verified the first iteration fits and charged nothing; every path out
-// of this function leaves the engine's ledgers, locals, operand stack,
-// frames-to-be, and resume pc bit-identical to the per-instruction
-// loop's. depth is the current frame-stack depth (the inlined-call depth
-// check).
-//
-// Returns the (possibly grown) operand stack, the resume pc, and — for
-// traps only — the trap's successor pc and message (msg == "" means no
-// trap). Two further outcomes travel through sc: sc.deopt asks the
-// engine loop to materialize an inlined-callee frame, and sc.trapFn
-// re-attributes a trap to an inlined callee.
-func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
-	if cap(sc.regs) < int(tp.nregs) {
-		sc.regs = make([]bytecode.Value, tp.nregs)
+// enter counts one activation of t and runs its prologue: every global t
+// reads and never writes is loaded into its pinned register, which t's
+// instructions read in place of the global. An activation is the engine
+// loop's entry, a link, or an OSR tail's return to its head trace. Within
+// one activation only t runs, so the registers stay current; the code
+// that runs between two activations may write the globals, so each
+// activation loads them again.
+func (e *Engine) enter(t *trace, regs *regFile, tc *traceCounts) {
+	tc.activate(t)
+	for _, h := range t.hoist {
+		regs[h.reg] = e.Globals[h.g]
 	}
-	if cap(sc.curCodes) < tp.ncalls {
-		sc.curCodes = make([]*Code, tp.ncalls)
-	}
-	regs := sc.regs[:tp.nregs]
-	sc.curCodes = sc.curCodes[:tp.ncalls]
-	nloc := int(tr.nloc) // every trace of a plan mirrors the same locals
-	copy(regs[:nloc], locals[lb:lb+nloc])
-	tc := &sc.tc
-	tc.activate(tr)
-
-	for {
-		// One batched debit per iteration, split per charged function;
-		// exits and traps roll back the unexecuted suffix below.
-		e.Cycles += tr.cost
-		*workP += tr.base0
-		*cycP += tr.cost0
-		for k, fn := range tr.xfns {
-			e.Work[fn] += tr.xbase[k]
-			e.FnCycles[fn] += tr.xcost[k]
-		}
-
-		x := int32(-1) // the side exit taken, if any
-	body:
-		for i := range tr.ins {
-			in := &tr.ins[i]
-			switch in.op {
-			case rLoadI:
-				regs[in.d] = bytecode.Int(int64(in.a))
-			case rLoadC:
-				regs[in.d] = tr.consts[in.a]
-			case rMove:
-				regs[in.d] = regs[in.a]
-			case rGLoad:
-				regs[in.d] = e.Globals[in.a]
-			case rGStore:
-				e.Globals[in.a] = regs[in.b]
-			case rInc:
-				regs[in.d].I += int64(in.a)
-			case rBin:
-				regs[in.d] = bytecode.Int(intBin(in.sub, regs[in.a].I, regs[in.b].I))
-			case rBinI:
-				regs[in.d] = bytecode.Int(intBin(in.sub, regs[in.a].I, int64(in.b)))
-			case rCmp:
-				regs[in.d] = bytecode.Bool(intCmp(in.sub, regs[in.a].I, regs[in.b].I))
-			case rCmpI:
-				regs[in.d] = bytecode.Bool(intCmp(in.sub, regs[in.a].I, int64(in.b)))
-			case rFBin:
-				regs[in.d] = bytecode.Float(fltBin(in.sub, regs[in.a].AsFloat(), regs[in.b].AsFloat()))
-			case rFCmp:
-				regs[in.d] = bytecode.Bool(fltCmp(in.sub, regs[in.a].AsFloat(), regs[in.b].AsFloat()))
-			case rPure1:
-				regs[in.d] = semTab1[in.sub](regs[in.a])
-			case rPure2:
-				regs[in.d] = semTab2[in.sub](regs[in.a], regs[in.b])
-			case rPure3:
-				regs[in.d] = semTab3[in.sub](regs[in.a], regs[in.b], regs[in.x])
-			case rDivMod:
-				y := regs[in.b].I
-				if y == 0 {
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP, regTrapMsg[in.sub])
-				}
-				if in.sub == bytecode.IDIV {
-					regs[in.d] = bytecode.Int(regs[in.a].I / y)
-				} else {
-					regs[in.d] = bytecode.Int(regs[in.a].I % y)
-				}
-			case rALoad:
-				arr, aerr := e.Array(regs[in.a])
-				if aerr == nil {
-					idx := regs[in.b].AsInt()
-					if idx >= 0 && idx < int64(len(arr)) {
-						regs[in.d] = arr[idx]
-						break
-					}
-					aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
-				}
-				return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
-					fmt.Sprintf("aload: %v", aerr))
-			case rAStore:
-				arr, aerr := e.Array(regs[in.a])
-				if aerr == nil {
-					idx := regs[in.b].AsInt()
-					if idx >= 0 && idx < int64(len(arr)) {
-						arr[idx] = regs[in.d]
-						break
-					}
-					aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
-				}
-				return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
-					fmt.Sprintf("astore: %v", aerr))
-			case rALen:
-				arr, aerr := e.Array(regs[in.a])
-				if aerr != nil {
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
-						fmt.Sprintf("alen: %v", aerr))
-				}
-				regs[in.d] = bytecode.Int(int64(len(arr)))
-			case rPrint:
-				e.Output = append(e.Output, regs[in.a])
-			case rBrTrue:
-				if regs[in.a].IsTrue() {
-					x = in.x
-					break body
-				}
-			case rBrFalse:
-				if !regs[in.a].IsTrue() {
-					x = in.x
-					break body
-				}
-			case rBrCmp:
-				if intCmp(in.sub, regs[in.a].I, regs[in.b].I) == (in.d != 0) {
-					x = in.x
-					break body
-				}
-			case rBrCmpI:
-				if intCmp(in.sub, regs[in.a].I, int64(in.b)) == (in.d != 0) {
-					x = in.x
-					break body
-				}
-			case rBrFCmp:
-				if fltCmp(in.sub, regs[in.a].AsFloat(), regs[in.b].AsFloat()) == (in.d != 0) {
-					x = in.x
-					break body
-				}
-			case rCall:
-				rc := &tr.calls[in.x]
-				// Inline guard: the engine's current code for the callee
-				// must still be what was inlined. On mismatch, side-exit
-				// AT the CALL (arguments rematerialized, every charge of
-				// the call rolled back) and let the interpreter replay it
-				// — including any charging Provider fetch — against the
-				// current code.
-				cur := e.PeekCode(int(rc.fnIdx))
-				if cur != rc.code && (cur == nil || cur.Fingerprint() != rc.fp) {
-					tc[tcGuardFails]++
-					x = rc.exitX
-					break body
-				}
-				sc.curCodes[in.x] = cur
-				// Depth check, before the invocation is recorded — the
-				// interpreter's push() errors out in the same order. The
-				// clock is positioned after the CALL's own charge, where
-				// the accounted loop reports this trap (at callee pc 0).
-				if depth >= maxCallDepth {
-					e.rollbackPost(tr, rc, workP, cycP)
-					copy(locals[lb:lb+nloc], regs[:nloc])
-					sc.trapFn = rc.fnIdx
-					tc[tcTraps]++
-					return stack, 0, 0, fmt.Sprintf("call depth exceeds %d", maxCallDepth)
-				}
-				e.Invocations[rc.fnIdx]++
-				if e.OnInvoke != nil {
-					// The hook must observe the clock at the accounted
-					// post-CALL position: subtract the iteration's
-					// still-uncharged suffix, fire, re-add. If the hook
-					// charged cycles (a compile) and the remainder no
-					// longer fits the sample window, deoptimize by
-					// materializing the callee as a real frame at its
-					// entry — the interpreter crosses the boundary on the
-					// accounted path inside the callee, exactly as it
-					// would have.
-					e.rollbackPost(tr, rc, workP, cycP)
-					e.OnInvoke(int(rc.fnIdx), e.Invocations[rc.fnIdx])
-					if e.Cycles+int64(rc.ptot) >= e.nextSample {
-						tc[tcInlineDeopts]++
-						copy(locals[lb:lb+nloc], regs[:nloc])
-						for _, p := range rc.push {
-							stack = rpushVal(stack, tr, regs, p)
-						}
-						sc.deopt = deoptState{
-							active: true, entry: true, code: sc.curCodes[in.x],
-							pc: 0, lbase: rc.lbase, nargs: rc.nargs, nloc: rc.nloc, tr: tr,
-						}
-						return stack, int(rc.callPC) + 1, 0, ""
-					}
-					e.chargePost(tr, rc, workP, cycP)
-				}
-				// Fresh activation: non-argument callee locals start zero
-				// (the argument registers were filled just above by the
-				// trace's own moves).
-				for j := rc.lbase + rc.nargs; j < rc.lbase+rc.nloc; j++ {
-					regs[j] = bytecode.Value{}
-				}
-				tc[tcInlinedCalls]++
-			}
-		}
-
-		if x >= 0 {
-			ex := &tr.exits[x]
-			e.unwind(tr, ex.tot, ex.rem, ex.remBase, ex.crem, workP, cycP)
-			// ForcedDeopt forces every hand-back, so it never links.
-			if ex.link != nil && !e.ForcedDeopt && e.mayRun(ex.link) {
-				tr = ex.link
-				tc.activate(tr)
-				tc[tcLinked]++
-				continue
-			}
-			return e.traceLeave(tr, sc, ex, regs, locals, lb, stack)
-		}
-
-		// Back at the head. ForcedDeopt forces a hand-back every
-		// iteration to hammer the exit/re-entry machinery. A once-trace
-		// (OSR tail) always leaves its own program here: into its parent
-		// head trace when the gate lets the engine loop enter it, else
-		// back to the engine loop. A head trace loops only while the next
-		// full iteration still fits the sample window; the engine loop
-		// crosses the boundary on the accounted path exactly as the other
-		// tiers do.
-		if e.ForcedDeopt {
-			if !tr.once {
-				tc[tcDeopts]++
-			}
-			break
-		}
-		if tr.once {
-			if !e.mayRun(tr.parent) {
-				break
-			}
-			tr = tr.parent
-			tc.activate(tr)
-			tc[tcLinked]++
-			continue
-		}
-		if e.Cycles+tr.cost >= e.nextSample {
-			break
-		}
-	}
-	copy(locals[lb:lb+nloc], regs[:nloc])
-	return stack, int(tr.head), 0, ""
 }
 
 // mayRun is the register tier's activation gate, asked by the engine
@@ -712,7 +480,7 @@ func (e *Engine) chargePost(tr *trace, rc *rcall, workP, cycP *int64) {
 // materialization request in sc.deopt: the engine loop reconstructs the
 // inlined callee as a real frame resuming at the branch target, with the
 // caller set to resume after the CALL.
-func (e *Engine) traceLeave(tr *trace, sc *runScratch, ex *rexit, regs, locals []bytecode.Value, lb int, stack []bytecode.Value) ([]bytecode.Value, int, int32, string) {
+func (e *Engine) traceLeave(tr *trace, sc *runScratch, ex *rexit, regs *regFile, locals []bytecode.Value, lb int, stack []bytecode.Value) ([]bytecode.Value, int, int32, string) {
 	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])
 	for _, p := range ex.push {
 		stack = rpushVal(stack, tr, regs, p)
@@ -734,7 +502,7 @@ func (e *Engine) traceLeave(tr *trace, sc *runScratch, ex *rexit, regs, locals [
 // write-back as a side exit, then the trap surfaces at the successor pc
 // with the message the accounted loop would produce — re-attributed via
 // sc.trapFn when the trapping instruction was inlined from a callee.
-func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, regs, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64, msg string) ([]bytecode.Value, int, int32, string) {
+func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, regs *regFile, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64, msg string) ([]bytecode.Value, int, int32, string) {
 	t := &tr.traps[x]
 	e.unwind(tr, t.tot, t.rem, t.remBase, t.crem, workP, cycP)
 	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])

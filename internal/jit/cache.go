@@ -29,6 +29,12 @@ type CacheKey struct {
 // the same code.
 type Cache struct {
 	m memo.Map[CacheKey, *compiled]
+
+	// afterMiss, when set, runs after every lookup miss and before the
+	// missing compiler builds the form: the window in which another
+	// compiler can miss the same key. Tests step a second compiler
+	// through it.
+	afterMiss func()
 }
 
 // NewCache returns an empty cache.
@@ -37,21 +43,32 @@ func NewCache() *Cache { return &Cache{} }
 // Stats returns the cache's hit and miss counters and its entry count.
 func (c *Cache) Stats() memo.Stats { return c.m.Stats() }
 
+func (c *Compiler) sharedKey(fnIdx, level int) CacheKey {
+	return CacheKey{ProgFP: c.prog.Fingerprint(), FnIdx: fnIdx, Level: level, Cfg: c.cfg}
+}
+
 // sharedGet consults the shared cache for the compiler's program.
 func (c *Compiler) sharedGet(fnIdx, level int) (*compiled, bool) {
 	if c.shared == nil {
 		return nil, false
 	}
-	return c.shared.m.Lookup(CacheKey{
-		ProgFP: c.prog.Fingerprint(), FnIdx: fnIdx, Level: level, Cfg: c.cfg})
+	v, ok := c.shared.m.Lookup(c.sharedKey(fnIdx, level))
+	if !ok && c.shared.afterMiss != nil {
+		c.shared.afterMiss()
+	}
+	return v, ok
 }
 
-func (c *Compiler) sharedPut(fnIdx, level int, v *compiled) {
+// sharedPut publishes v unless another compiler published the key first,
+// and returns the form the key holds. Every compiler continues with that
+// one form, so the execution plans runs build on it are never replaced
+// by a twin compiled concurrently.
+func (c *Compiler) sharedPut(fnIdx, level int, v *compiled) *compiled {
 	if c.shared == nil {
-		return
+		return v
 	}
-	c.shared.m.Store(CacheKey{
-		ProgFP: c.prog.Fingerprint(), FnIdx: fnIdx, Level: level, Cfg: c.cfg}, v)
+	actual, _ := c.shared.m.LoadOrStore(c.sharedKey(fnIdx, level), v)
+	return actual
 }
 
 // UseShared attaches a cross-run cache to the compiler. Call before the

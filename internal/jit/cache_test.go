@@ -209,3 +209,42 @@ end
 			h2, o2, i2, heads, osr, inlined)
 	}
 }
+
+// TestCodeCompiledOnce steps two compilers on one shared cache through
+// the race the cache must absorb: both miss a key before either stores.
+// The second compiler runs inside the first one's miss window, so it
+// compiles and stores first; the first must then continue with the form
+// the cache holds rather than replace it with its own twin, or the trace
+// plans runs built on the first form would be dropped with it.
+func TestCodeCompiledOnce(t *testing.T) {
+	prog := testProg(t)
+	for _, level := range []int{MinLevel, MaxLevel} {
+		shared := NewCache()
+		c1 := NewCompiler(prog, DefaultConfig())
+		c2 := NewCompiler(prog, DefaultConfig())
+		c1.UseShared(shared)
+		c2.UseShared(shared)
+		var code2 *interp.Code
+		var err2 error
+		shared.afterMiss = func() {
+			shared.afterMiss = nil
+			code2, _, err2 = c2.Compile(1, level)
+		}
+		code1, _, err := c1.Compile(1, level)
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		if code2 == nil {
+			t.Fatalf("level %d: the second compiler never ran in the miss window", level)
+		}
+		if code1 != code2 {
+			t.Errorf("level %d: the compilers ended with two forms of one key", level)
+		}
+		if held, ok := shared.m.Lookup(c1.sharedKey(1, level)); !ok || held.code != code1 {
+			t.Errorf("level %d: the cache holds another form than the compilers returned", level)
+		}
+		if s := shared.Stats(); s.Entries != 1 {
+			t.Errorf("level %d: %d entries, want 1", level, s.Entries)
+		}
+	}
+}

@@ -114,10 +114,9 @@ func (c *Compiler) Baseline(fnIdx int) (*interp.Code, int64) {
 	f := c.prog.Funcs[fnIdx]
 	code := interp.NewCode(fnIdx, f, MinLevel, interp.BaselineScalePct)
 	cycles := int64(len(f.Code))*c.cfg.BaseCompileCyclesPerInstr + 20
-	hit := &compiled{code: code, cycles: cycles}
+	hit := c.sharedPut(fnIdx, MinLevel, &compiled{code: code, cycles: cycles})
 	c.cache[key] = hit
-	c.sharedPut(fnIdx, MinLevel, hit)
-	return code, cycles
+	return hit.code, hit.cycles
 }
 
 // Compile produces the Code form of fnIdx at the given level and the
@@ -147,10 +146,9 @@ func (c *Compiler) Compile(fnIdx, level int) (*interp.Code, int64, error) {
 	}
 	code := interp.NewCode(fnIdx, f, level, spec.ScalePct)
 	cycles := res.Cycles * spec.CostMult
-	hit := &compiled{code: code, cycles: cycles, res: res}
+	hit := c.sharedPut(fnIdx, level, &compiled{code: code, cycles: cycles, res: res})
 	c.cache[key] = hit
-	c.sharedPut(fnIdx, level, hit)
-	return code, cycles, nil
+	return hit.code, hit.cycles, nil
 }
 
 // CompileAll compiles every function of the program at the given level

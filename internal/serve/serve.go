@@ -94,7 +94,11 @@ type Config struct {
 	// numbers (default 32). Smaller epochs share learning faster but
 	// drain the pool more often.
 	EpochLength int
-	// Scenario selects the optimization controller (default Evolve).
+	// Scenario selects the optimization controller. The zero value is
+	// harness.ScenarioDefault, the reactive optimizer, which never
+	// predicts; set ScenarioEvolve for cross-input learning. The
+	// `evolvevm serve`, `replay` and `loadtest` commands pass Evolve
+	// unless -scenario says otherwise.
 	Scenario harness.Scenario
 	// Seed keys every deterministic choice: input corpora and, through
 	// the trace, the workload itself.
