@@ -154,3 +154,72 @@ func TestAllocsExecRunCachedProgram(t *testing.T) {
 		t.Fatal("run recorded no cycles")
 	}
 }
+
+const allocArraySrc = `
+global n
+global data
+func main() locals i acc
+  const 0
+  store acc
+  const 0
+  store i
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  load acc
+  gload data
+  load i
+  aload
+  iadd
+  store acc
+  iinc i 1
+  jmp loop
+done:
+  load acc
+  ret
+end
+`
+
+// TestAllocsExecRunArrayInput locks in input arrays: a pooled machine
+// builds each run's 20,000-cell input array in the arrays its previous
+// run left behind, so a warm run with an array input allocates nothing.
+func TestAllocsExecRunArrayInput(t *testing.T) {
+	prog, err := bytecode.Assemble("allocarray", allocArraySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]int64, 20_000)
+	var want int64
+	for i := range data {
+		data[i] = int64(i % 251)
+		want += data[i]
+	}
+	spec := &RunSpec{
+		Prog:       prog,
+		SharedCode: jit.NewCache(),
+		Setup: func(e *interp.Engine) error {
+			ref, cells, err := e.NewArrayCells(int64(len(data)))
+			if err != nil {
+				return err
+			}
+			for i, v := range data {
+				cells[i] = bytecode.Int(v)
+			}
+			if err := e.SetGlobal("data", ref); err != nil {
+				return err
+			}
+			return e.SetGlobal("n", bytecode.Int(int64(len(data))))
+		},
+	}
+	out := &RunOutcome{}
+	checkAllocs(t, "exec array-input run", 0, func() {
+		if err := RunInto(context.Background(), spec, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.Result.I != want {
+		t.Fatalf("array sum %d, want %d", out.Result.I, want)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,6 +69,46 @@ func TestForkAllocatesLittle(t *testing.T) {
 	t.Logf("Runner.Fork: %d B/op, %d allocs/op", res.AllocedBytesPerOp(), res.AllocsPerOp())
 	if got := res.AllocedBytesPerOp(); got > 8<<10 {
 		t.Errorf("Runner.Fork allocates %d B/op, want at most %d", got, 8<<10)
+	}
+}
+
+// TestWarmRequestAllocatesLittle bounds what a warm serving request on
+// a compress chain allocates. Its input array is built in the arrays the
+// pooled machine's previous run left behind, so what remains is the
+// learner's and the result's bookkeeping.
+func TestWarmRequestAllocatesLittle(t *testing.T) {
+	r, err := NewRunner(programs.ByName("compress"), 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	request := func(i int) {
+		r.State.BeginRun()
+		defer r.State.EndRun()
+		res, err := r.RunRequest(testCtx, ScenarioEvolve, r.Inputs[i%len(r.Inputs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Trap != "" {
+			t.Fatalf("%s trapped: %s", res.InputID, res.Trap)
+		}
+	}
+	// Warm the code cache, the machine pool, the Default baselines and
+	// the learner, as a chain that has served a hundred requests.
+	i := 0
+	for ; i < 100; i++ {
+		request(i)
+	}
+	const n, bound = 40, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for end := i + n; i < end; i++ {
+		request(i)
+	}
+	runtime.ReadMemStats(&after)
+	perReq := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("warm compress RunRequest: %d B/request", perReq)
+	if !raceEnabled && perReq > bound {
+		t.Errorf("warm compress RunRequest allocates %d B, want at most %d", perReq, bound)
 	}
 }
 

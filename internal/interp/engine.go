@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"evolvevm/internal/bytecode"
@@ -160,6 +162,10 @@ type Engine struct {
 	heap      [][]bytecode.Value
 	heapCells int64
 	freeSlots []int64
+	// spares are the previous run's arrays at full capacity, sorted by
+	// descending capacity: Reset moves the finished run's heap here and
+	// newArray reuses them instead of allocating.
+	spares [][]bytecode.Value
 
 	// Root sets published for the collector. During Run these alias the
 	// evaluator's live locals arena and operand stack; they are synced
@@ -221,25 +227,41 @@ func (e *Engine) Global(name string) (bytecode.Value, error) {
 	return e.Globals[idx], nil
 }
 
-// NewArray allocates a heap array of n cells and returns its reference
-// value, collecting garbage first when a GC policy is enabled and the
-// heap budget would be exceeded. Exposed so harnesses can pass array
-// inputs to programs.
+// NewArray allocates a heap array of n zero cells and returns its
+// reference value, collecting garbage first when a GC policy is enabled
+// and the heap budget would be exceeded. Exposed so harnesses can pass
+// array inputs to programs.
 func (e *Engine) NewArray(n int64) (bytecode.Value, error) {
+	ref, _, err := e.newArray(n, true)
+	return ref, err
+}
+
+// NewArrayCells allocates like NewArray but returns the new array's cells
+// uncleared, for a caller that fills the array itself: a recycled array
+// still holds its last run's values, so the caller must write every cell
+// before the program runs.
+func (e *Engine) NewArrayCells(n int64) (bytecode.Value, []bytecode.Value, error) {
+	return e.newArray(n, false)
+}
+
+// newArray is the one allocation path: budget, collection, overhead and
+// limit accounting, then a spare of the previous run (cleared when zero
+// is set) or fresh memory.
+func (e *Engine) newArray(n int64, zero bool) (bytecode.Value, []bytecode.Value, error) {
 	if n < 0 {
-		return bytecode.Value{}, fmt.Errorf("interp: negative array length %d", n)
+		return bytecode.Value{}, nil, fmt.Errorf("interp: negative array length %d", n)
 	}
 	collecting := e.GC.Policy != gc.None && e.GC.BudgetCells > 0
 	if collecting && e.heapCells+n > e.GC.BudgetCells {
 		e.Collect()
 		if e.heapCells+n > e.GC.BudgetCells {
-			return bytecode.Value{}, fmt.Errorf(
+			return bytecode.Value{}, nil, fmt.Errorf(
 				"interp: out of memory: %d live + %d requested cells exceed budget %d",
 				e.heapCells, n, e.GC.BudgetCells)
 		}
 	}
 	if e.heapCells+n > e.MaxHeapCells {
-		return bytecode.Value{}, fmt.Errorf("interp: heap limit exceeded (%d cells)", e.MaxHeapCells)
+		return bytecode.Value{}, nil, fmt.Errorf("interp: heap limit exceeded (%d cells)", e.MaxHeapCells)
 	}
 	if collecting {
 		e.GCStats.Allocs++
@@ -248,15 +270,41 @@ func (e *Engine) NewArray(n int64) (bytecode.Value, error) {
 		e.Cycles += overhead
 	}
 	e.heapCells += n
+	cells := e.takeSpare(n)
+	if cells == nil {
+		cells = make([]bytecode.Value, n)
+	} else if zero {
+		clear(cells)
+	}
 	// MarkSweep reuses freed slots; Copying and None bump-append.
 	if e.GC.Policy == gc.MarkSweep && len(e.freeSlots) > 0 {
 		slot := e.freeSlots[len(e.freeSlots)-1]
 		e.freeSlots = e.freeSlots[:len(e.freeSlots)-1]
-		e.heap[slot] = make([]bytecode.Value, n)
-		return bytecode.Arr(slot), nil
+		e.heap[slot] = cells
+		return bytecode.Arr(slot), cells, nil
 	}
-	e.heap = append(e.heap, make([]bytecode.Value, n))
-	return bytecode.Arr(int64(len(e.heap) - 1)), nil
+	e.heap = append(e.heap, cells)
+	return bytecode.Arr(int64(len(e.heap) - 1)), cells, nil
+}
+
+// takeSpare removes the smallest spare of at least n cells and returns
+// its first n, uncleared, or nil when none fits. spares is sorted by
+// descending capacity, so that is the last spare that fits; a run that
+// allocates many equal arrays takes them from the end.
+func (e *Engine) takeSpare(n int64) []bytecode.Value {
+	if n == 0 {
+		return nil // an empty make allocates nothing
+	}
+	i := sort.Search(len(e.spares), func(i int) bool { return int64(cap(e.spares[i])) < n }) - 1
+	if i < 0 {
+		return nil
+	}
+	cells := e.spares[i][:n]
+	last := len(e.spares) - 1
+	copy(e.spares[i:], e.spares[i+1:])
+	e.spares[last] = nil
+	e.spares = e.spares[:last]
+	return cells
 }
 
 // Array returns the backing slice of an array reference. It inlines
@@ -429,6 +477,12 @@ var scratchPool = sync.Pool{
 // to make repeated runs allocation-free; everything a run can observe —
 // globals, output, clocks, ledgers, heap, GC state, limits, hooks, and
 // substrate toggles — is restored to defaults.
+//
+// The finished run's arrays become the spares the next run allocates
+// from, replacing the previous spares, so an engine holds at most one
+// run's arrays between runs. A spare is cleared (NewArray) or written
+// whole (NewArrayCells) before the program can read it, so recycling is
+// unobservable.
 func (e *Engine) Reset() {
 	e.OnInvoke = nil
 	e.OnSample = nil
@@ -445,9 +499,15 @@ func (e *Engine) Reset() {
 	clear(e.FnCycles)
 	e.GC = gc.Config{}
 	e.GCStats = gc.Stats{}
-	for i := range e.heap {
+	clear(e.spares)
+	e.spares = e.spares[:0]
+	for i, arr := range e.heap {
+		if cap(arr) > 0 {
+			e.spares = append(e.spares, arr[:cap(arr)])
+		}
 		e.heap[i] = nil
 	}
+	slices.SortFunc(e.spares, func(a, b []bytecode.Value) int { return cap(b) - cap(a) })
 	e.heap = e.heap[:0]
 	e.heapCells = 0
 	e.freeSlots = e.freeSlots[:0]

@@ -182,7 +182,9 @@ func newRdiv(d int64) rdiv {
 func (k *rdiv) quo(n int64) int64 {
 	hi, _ := bits.Mul64(uint64(k.m), uint64(n))
 	q := int64(hi) - k.m>>63&n - n>>63&k.m + k.a*n // high word of m·n, signed, ± n
-	q >>= k.s
+	// s ≤ 63, so the mask changes nothing but lets the compiler drop its
+	// oversize-shift check.
+	q >>= k.s & 63
 	return q + int64(uint64(q)>>63)&k.fix
 }
 
@@ -693,10 +695,12 @@ func (cv *rconv) spillLocal(k int32) bool {
 }
 
 // store compiles "register k = v" for a local or pinned callee-local k.
-// When v is a dead temp produced by the immediately preceding
-// instruction, that instruction is retargeted at k and the move
-// disappears (safe: spillLocal already ran, so no live symbolic slot
-// reads k, and no instruction was emitted after the producer).
+// When v is a temp produced by the immediately preceding instruction and
+// its only other references are symbolic stack slots (the copy a DUP
+// left), that instruction is retargeted at k, those slots read k, and
+// the move disappears. Safe: spillLocal already ran, so no other live
+// slot reads k; no instruction was emitted after the producer; and a
+// later write to k spills the redirected slots first.
 func (cv *rconv) store(k int32, v sym) {
 	switch v.k {
 	case symImm:
@@ -706,9 +710,15 @@ func (cv *rconv) store(k int32, v sym) {
 	default:
 		if int(v.v) >= cv.nloc {
 			cv.release(v.v)
-			if !cv.pinned[v.v] && cv.ref[v.v] == 0 && len(cv.ins) > 0 {
+			if !cv.pinned[v.v] && len(cv.ins) > 0 && cv.ref[v.v] == cv.stackRefs(v.v) {
 				if last := &cv.ins[len(cv.ins)-1]; int32(last.d) == v.v && rWritesD(last.op) {
 					last.d = uint8(k)
+					for j := range cv.stk {
+						if cv.stk[j].k == symReg && cv.stk[j].v == v.v {
+							cv.stk[j].v = k
+						}
+					}
+					cv.ref[v.v] = 0
 					return
 				}
 			}
@@ -721,6 +731,17 @@ func (cv *rconv) store(k int32, v sym) {
 			cv.emit(rins{op: rMove, d: uint8(k), a: uint8(v.v)})
 		}
 	}
+}
+
+// stackRefs counts the symbolic stack slots that read register r.
+func (cv *rconv) stackRefs(r int32) int16 {
+	var n int16
+	for _, s := range cv.stk {
+		if s.k == symReg && s.v == r {
+			n++
+		}
+	}
+	return n
 }
 
 // snapshot freezes syms into a rematerialization push list.

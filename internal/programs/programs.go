@@ -203,16 +203,14 @@ func appendArraySetup(base func(e *interp.Engine) error, arrName string, data []
 		if err := base(e); err != nil {
 			return err
 		}
-		ref, err := e.NewArray(int64(len(data)))
-		if err != nil {
-			return err
-		}
-		arr, err := e.Array(ref)
+		// The array may be a recycled one holding another run's values:
+		// every cell is written here, once.
+		ref, cells, err := e.NewArrayCells(int64(len(data)))
 		if err != nil {
 			return err
 		}
 		for i, v := range data {
-			arr[i] = bytecode.Int(v)
+			cells[i] = bytecode.Int(v)
 		}
 		return e.SetGlobal(arrName, ref)
 	}
@@ -220,23 +218,5 @@ func appendArraySetup(base func(e *interp.Engine) error, arrName string, data []
 
 // setupGlobalsAndArray installs integer globals plus one data array.
 func setupGlobalsAndArray(globals map[string]int64, arrName string, data []int64) func(e *interp.Engine) error {
-	return func(e *interp.Engine) error {
-		for name, v := range globals {
-			if err := e.SetGlobal(name, bytecode.Int(v)); err != nil {
-				return err
-			}
-		}
-		ref, err := e.NewArray(int64(len(data)))
-		if err != nil {
-			return err
-		}
-		arr, err := e.Array(ref)
-		if err != nil {
-			return err
-		}
-		for i, v := range data {
-			arr[i] = bytecode.Int(v)
-		}
-		return e.SetGlobal(arrName, ref)
-	}
+	return appendArraySetup(setupGlobals(globals), arrName, data)
 }

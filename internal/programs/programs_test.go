@@ -2,6 +2,7 @@ package programs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"evolvevm/internal/bytecode"
@@ -196,5 +197,50 @@ func TestSetupInstallsDeclaredGlobals(t *testing.T) {
 			t.Fatalf("%s: setup references undeclared global: %v", b.Name, err)
 		}
 		_ = bytecode.Value{}
+	}
+}
+
+// TestSetupsFillRecycledArrays: an input setup builds its arrays in the
+// previous run's arrays, uncleared, so it must write every cell. Each
+// input's setup runs on an engine whose spares hold a poison value in
+// every cell and must install exactly what it installs on a fresh
+// engine.
+func TestSetupsFillRecycledArrays(t *testing.T) {
+	poison := bytecode.Value{I: -7777, F: -7.5, Kind: bytecode.KFloat}
+	for _, b := range append(All(), Extensions()...) {
+		t.Run(b.Name, func(t *testing.T) {
+			prog, err := b.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range b.GenInputs(rand.New(rand.NewSource(3)), 3) {
+				fresh := interp.NewEngine(prog)
+				if err := in.Setup(fresh); err != nil {
+					t.Fatal(err)
+				}
+				e := interp.NewEngine(prog)
+				if err := in.Setup(e); err != nil {
+					t.Fatal(err)
+				}
+				for _, g := range e.Globals {
+					if cells, err := e.Array(g); err == nil {
+						for i := range cells {
+							cells[i] = poison
+						}
+					}
+				}
+				e.Reset()
+				if err := in.Setup(e); err != nil {
+					t.Fatal(err)
+				}
+				for k, g := range fresh.Globals {
+					want, werr := fresh.Array(g)
+					got, gerr := e.Array(e.Globals[k])
+					if (werr == nil) != (gerr == nil) || !slices.Equal(got, want) {
+						t.Errorf("%s: global %s differs on a recycled heap", in.ID, prog.Globals[k])
+					}
+				}
+			}
+		})
 	}
 }

@@ -221,11 +221,7 @@ func genRayTracerInputs(rng *rand.Rand, n int) []Input {
 					name string
 					vals []float64
 				}{{"ox", xs}, {"oy", ys}, {"orad", rs}} {
-					ref, err := e.NewArray(int64(len(arr.vals)))
-					if err != nil {
-						return err
-					}
-					cells, err := e.Array(ref)
+					ref, cells, err := e.NewArrayCells(int64(len(arr.vals)))
 					if err != nil {
 						return err
 					}
