@@ -18,7 +18,6 @@ import (
 	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/interp"
-	"evolvevm/internal/jit"
 	"evolvevm/internal/opt"
 	"evolvevm/internal/programs"
 	"evolvevm/internal/serve"
@@ -252,54 +251,14 @@ done:
 end
 `)
 
-	// Call-heavy shape: the same loop with a small non-recursive callee in
-	// the body. Before CALL inlining this shape degraded out of the
-	// register tier entirely; the register/register-noinline spread is the
-	// per-commit tracking signal for the inlining win.
-	callProg := assembleBench(b, "microcall", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  call leaf 1
-  ixor
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-func leaf(x)
-  load x
-  load x
-  imul
-  const 7
-  iadd
-  ret
-end
-`)
-
 	for _, shape := range []struct {
 		prefix string
 		prog   *bytecode.Program
-	}{{"", prog}, {"branch/", branchProg}, {"call/", callProg}} {
+	}{{"", prog}, {"branch/", branchProg}} {
 		for _, tier := range tiers {
 			b.Run(shape.prefix+tier.name, func(b *testing.B) { runDispatch(b, shape.prog, tier.sub) })
 		}
 	}
-	b.Run("call/register-noinline", func(b *testing.B) {
-		runDispatch(b, callProg, interp.Substrate{EagerRegTier: true, NoCallInline: true})
-	})
 }
 
 // assembleBench assembles a microbenchmark program or fails the benchmark.
@@ -423,96 +382,6 @@ func BenchmarkEndToEndEvolveRun(b *testing.B) {
 		if _, err := r.RunOne(testCtx, harness.ScenarioEvolve, in); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkEndToEndCallHeavy measures a full production run (machine
-// pool, controller, code cache, ledger) of a call-dominated workload: a
-// hot loop whose body calls two small leaves every iteration. The
-// columns hold the virtual observables bit-identical (substrate suites)
-// and differ only in host mechanism: `inline` is the full substrate with
-// CALL inlining, `noinline` refuses inlining so the loop degrades out of
-// the register tier at every call site, `noreg` turns the register tier
-// off entirely. The inline/noinline spread is the per-commit tracking
-// signal for the inlining win at end-to-end scope.
-func BenchmarkEndToEndCallHeavy(b *testing.B) {
-	prog, err := bytecode.Assemble("callheavy", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  call mix 1
-  iadd
-  store acc
-  load acc
-  call clamp 1
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-func mix(x)
-  load x
-  load x
-  imul
-  load x
-  ixor
-  const 2654435761
-  imul
-  ret
-end
-func clamp(x)
-  load x
-  const 1048575
-  iand
-  ret
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	columns := []struct {
-		name string
-		sub  exec.Substrate
-	}{
-		{"inline", exec.Substrate{EagerRegTier: true}},
-		{"noinline", exec.Substrate{EagerRegTier: true, NoCallInline: true}},
-		{"noreg", exec.Substrate{NoRegTier: true}},
-	}
-	for _, col := range columns {
-		b.Run(col.name, func(b *testing.B) {
-			spec := &exec.RunSpec{
-				Prog:      prog,
-				Jit:       jit.DefaultConfig(),
-				Substrate: col.sub,
-				Setup: func(e *interp.Engine) error {
-					return e.SetGlobal("n", bytecode.Int(20000))
-				},
-			}
-			out := &exec.RunOutcome{}
-			// Warm untimed: machine pooled, plans and traces built.
-			if err := exec.RunInto(testCtx, spec, out); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := exec.RunInto(testCtx, spec, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -232,9 +232,8 @@ func writeLookupProfile(werr io.Writer, name, path string) {
 // observable.
 func printTraceStats(werr io.Writer) {
 	st := interp.ReadTraceStats()
-	fmt.Fprintf(werr, "trace tier: built=%d head_entries=%d osr_entries=%d linked=%d side_exits=%d traps=%d stress_deopts=%d guard_fails=%d inlined_calls=%d inline_deopts=%d\n",
-		st.Built, st.HeadEntries, st.OSREntries, st.Linked, st.SideExits, st.Traps,
-		st.Deopts, st.GuardFails, st.InlinedCalls, st.InlineDeopts)
+	fmt.Fprintf(werr, "trace tier: built=%d head_entries=%d osr_entries=%d linked=%d side_exits=%d traps=%d stress_deopts=%d\n",
+		st.Built, st.HeadEntries, st.OSREntries, st.Linked, st.SideExits, st.Traps, st.Deopts)
 	if len(st.Degrade) == 0 {
 		fmt.Fprintf(werr, "trace tier: no degradations\n")
 	}

@@ -23,22 +23,16 @@ func (e *Engine) Run() (bytecode.Value, error) {
 	locals := sc.locals[:0]
 	stack := sc.stack[:0]
 	frames := sc.frames[:0]
-	sc.deopt = deoptState{}
-	sc.trapFn = -1
 	e.rootLocals, e.rootStack = nil, nil
 	defer func() {
-		// Hand the (possibly grown) arenas back. The frame stack and the
-		// trace side channels hold *Code pointers; clear them so the pool
-		// pins no compiled code, and unpublish the GC roots so the engine
-		// no longer aliases pooled memory.
+		// Hand the (possibly grown) arenas back. The frame stack holds
+		// *Code pointers; clear it so the pool pins no compiled code, and
+		// unpublish the GC roots so the engine no longer aliases pooled
+		// memory.
 		sc.locals, sc.stack = locals[:0], stack[:0]
 		sc.frames = frames[:cap(frames)]
 		clear(sc.frames)
 		sc.frames = sc.frames[:0]
-		sc.curCodes = sc.curCodes[:cap(sc.curCodes)]
-		clear(sc.curCodes)
-		sc.curCodes = sc.curCodes[:0]
-		sc.deopt = deoptState{}
 		sc.tc.flush()
 		e.rootLocals, e.rootStack = nil, nil
 		scratchPool.Put(sc)
@@ -108,49 +102,16 @@ func (e *Engine) Run() (bytecode.Value, error) {
 			// construction). mayRun is the same gate runTrace asks before
 			// following a linked exit into the next trace in-register.
 			// Side exits and traps roll back the unexecuted suffix and
-			// land on exactly the accounted loop's state; exits inside an
-			// inlined callee materialize a real callee frame.
+			// land on exactly the accounted loop's state.
 			if tp != nil {
 				if run := tp.at(pc); run != nil && e.mayRun(run) {
 					var npc int
 					var tpc int32
 					var msg string
-					stack, npc, tpc, msg = e.runTrace(tp, run, sc, len(frames), locals, lb, stack, workP, cycP)
+					stack, npc, tpc, msg = e.runTrace(run, sc, locals, lb, stack, workP, cycP)
 					if msg != "" {
-						if fn := sc.trapFn; fn >= 0 {
-							sc.trapFn = -1
-							return result, &RuntimeError{Prog: e.Prog.Name,
-								Fn: e.Prog.Funcs[fn].Name, PC: int(tpc), Msg: msg}
-						}
 						fr.pc = int(tpc)
 						return result, rerr("%s", msg)
-					}
-					if sc.deopt.active {
-						// Materialize the inlined callee as a real frame:
-						// locals from its pinned register block (entry
-						// deopt zero-fills past the arguments), operand
-						// stack rematerialized above its frame base. The
-						// caller resumes after the CALL when the callee
-						// returns. fr dangles once frames grows — set its
-						// resume pc first.
-						d := sc.deopt
-						sc.deopt = deoptState{}
-						fr.pc = npc
-						nf := frame{code: d.code, pc: int(d.pc), localsBase: len(locals)}
-						if d.entry {
-							locals = append(locals, sc.regs[d.lbase:d.lbase+d.nargs]...)
-							for i := d.nargs; i < d.nloc; i++ {
-								locals = append(locals, bytecode.Value{})
-							}
-						} else {
-							locals = append(locals, sc.regs[d.lbase:d.lbase+d.nloc]...)
-						}
-						nf.spBase = len(stack)
-						for _, p := range d.cpush {
-							stack = rpushVal(stack, d.tr, sc.regs, p)
-						}
-						frames = append(frames, nf)
-						break body // switch to the reconstructed callee frame
 					}
 					fr.pc = npc
 					continue

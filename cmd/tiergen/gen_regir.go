@@ -10,10 +10,10 @@ import (
 // genRegir emits internal/interp/regir_gen.go: the register tier's
 // lowering rules and operator opcodes. The stack-to-register converter's
 // structural handling (symbolic stack, register allocation, exits,
-// inlining) is scaffolding in regir.go; which register form each value op
-// lowers to, and the opcodes of those forms, are derived from the spec
-// here, so a spec-only opcode reaches the trace tier with no converter
-// edits. The arms that execute the opcodes are in trace_run_gen.go
+// skips, hoisting) is scaffolding in regir.go; which register form each
+// value op lowers to, and the opcodes of those forms, are derived from
+// the spec here, so a spec-only opcode reaches the trace tier with no
+// converter edits. The arms that execute the opcodes are in trace_run_gen.go
 // (genTraceRun).
 func genRegir(table []opspec.Op) string {
 	var b strings.Builder

@@ -9,8 +9,8 @@ import (
 
 // genTraceRun emits internal/interp/trace_run_gen.go: Engine.runTrace,
 // the register tier's interpreter. The tier scaffolding — iteration
-// charge, forward skips, exits, links, traps, inlined calls, and the
-// structural register ops — is spliced in verbatim from the templates in
+// charge, forward skips, exits, links, traps, and the structural register
+// ops — is spliced in verbatim from the templates in
 // gen_trace_tmpl.go; the operator arms are generated from the spec, one
 // per opcode of regForms, so each dispatches once straight to its scalar
 // expression or kernel.
@@ -53,7 +53,7 @@ func emitRegArm(b *strings.Builder, f regForm) {
 	default:
 		b.WriteString(operands + "\n")
 		for _, t := range o.Traps {
-			fmt.Fprintf(b, "if %s {\nreturn e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP, %q)\n}\n",
+			fmt.Fprintf(b, "if %s {\nreturn e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP, %q)\n}\n",
 				t.Cond, t.Msg)
 		}
 		fmt.Fprintf(b, "regs[in.d] = %s(%s)\n", gi.wrap, o.Scalar)

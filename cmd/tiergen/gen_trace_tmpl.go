@@ -14,41 +14,29 @@ const traceTop = `// runTrace executes iterations of tr until the next one would
 // in the linked trace instead of returning; a forward skip continues in
 // the same iteration. The caller has already verified the first
 // iteration fits and charged nothing; every path out of this function
-// leaves the engine's ledgers, locals, operand stack, frames-to-be, and
-// resume pc bit-identical to the per-instruction loop's. depth is the
-// current frame-stack depth (the inlined-call depth check).
+// leaves the engine's ledgers, locals, operand stack, and resume pc
+// bit-identical to the per-instruction loop's.
 //
 // Returns the (possibly grown) operand stack, the resume pc, and — for
 // traps only — the trap's successor pc and message (msg == "" means no
-// trap). Two further outcomes travel through sc: sc.deopt asks the
-// engine loop to materialize an inlined-callee frame, and sc.trapFn
-// re-attributes a trap to an inlined callee.
-func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
+// trap).
+func (e *Engine) runTrace(tr *trace, sc *runScratch, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
 	if sc.regs == nil {
 		sc.regs = new(regFile)
 	}
-	if cap(sc.curCodes) < tp.ncalls {
-		sc.curCodes = make([]*Code, tp.ncalls)
-	}
 	regs := sc.regs
-	sc.curCodes = sc.curCodes[:tp.ncalls]
 	nloc := int(tr.nloc) // every trace of a plan mirrors the same locals
 	copy(regs[:nloc], locals[lb:lb+nloc])
 	tc := &sc.tc
 	e.enter(tr, regs, tc)
 
 	for {
-		// One batched debit per iteration, split per charged function.
-		// Exits, traps and forward skips subtract the charges of what
-		// they leave unexecuted, so the clock always holds the executed
-		// prefix plus the linear suffix.
+		// One batched debit per iteration. Exits, traps and forward skips
+		// subtract the charges of what they leave unexecuted, so the
+		// clock always holds the executed prefix plus the linear suffix.
 		e.Cycles += tr.cost
-		*workP += tr.base0
-		*cycP += tr.cost0
-		for k, fn := range tr.xfns {
-			e.Work[fn] += tr.xbase[k]
-			e.FnCycles[fn] += tr.xcost[k]
-		}
+		*workP += tr.base
+		*cycP += tr.cost
 
 		x := int32(-1) // the exit (or forward skip) taken, if any
 		for i := 0; ; {
@@ -80,7 +68,7 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 						}
 						aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
 					}
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+					return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
 						fmt.Sprintf("aload: %v", aerr))
 				case rAStore:
 					arr, aerr := e.Array(regs[in.a])
@@ -92,12 +80,12 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 						}
 						aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
 					}
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+					return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
 						fmt.Sprintf("astore: %v", aerr))
 				case rALen:
 					arr, aerr := e.Array(regs[in.a])
 					if aerr != nil {
-						return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+						return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
 							fmt.Sprintf("alen: %v", aerr))
 					}
 					regs[in.d] = bytecode.Int(int64(len(arr)))
@@ -113,66 +101,6 @@ func (e *Engine) runTrace(tp *tracePlan, tr *trace, sc *runScratch, depth int, l
 						x = in.x
 						break body
 					}
-				case rCall:
-					rc := &tr.calls[in.x]
-					// Inline guard: the engine's current code for the callee
-					// must still be what was inlined. On mismatch, side-exit
-					// AT the CALL (arguments rematerialized, every charge of
-					// the call rolled back) and let the interpreter replay it
-					// — including any charging Provider fetch — against the
-					// current code.
-					cur := e.PeekCode(int(rc.fnIdx))
-					if cur != rc.code && (cur == nil || cur.Fingerprint() != rc.fp) {
-						tc[tcGuardFails]++
-						x = rc.exitX
-						break body
-					}
-					sc.curCodes[in.x] = cur
-					// Depth check, before the invocation is recorded — the
-					// interpreter's push() errors out in the same order. The
-					// clock is positioned after the CALL's own charge, where
-					// the accounted loop reports this trap (at callee pc 0).
-					if depth >= maxCallDepth {
-						e.rollbackPost(tr, rc, workP, cycP)
-						copy(locals[lb:lb+nloc], regs[:nloc])
-						sc.trapFn = rc.fnIdx
-						tc[tcTraps]++
-						return stack, 0, 0, fmt.Sprintf("call depth exceeds %d", maxCallDepth)
-					}
-					e.Invocations[rc.fnIdx]++
-					if e.OnInvoke != nil {
-						// The hook must observe the clock at the accounted
-						// post-CALL position: subtract the iteration's
-						// still-uncharged suffix, fire, re-add. If the hook
-						// charged cycles (a compile) and the remainder no
-						// longer fits the sample window, deoptimize by
-						// materializing the callee as a real frame at its
-						// entry — the interpreter crosses the boundary on the
-						// accounted path inside the callee, exactly as it
-						// would have.
-						e.rollbackPost(tr, rc, workP, cycP)
-						e.OnInvoke(int(rc.fnIdx), e.Invocations[rc.fnIdx])
-						if e.Cycles+int64(rc.ptot) >= e.nextSample {
-							tc[tcInlineDeopts]++
-							copy(locals[lb:lb+nloc], regs[:nloc])
-							for _, p := range rc.push {
-								stack = rpushVal(stack, tr, regs, p)
-							}
-							sc.deopt = deoptState{
-								active: true, entry: true, code: sc.curCodes[in.x],
-								pc: 0, lbase: rc.lbase, nargs: rc.nargs, nloc: rc.nloc, tr: tr,
-							}
-							return stack, int(rc.callPC) + 1, 0, ""
-						}
-						e.chargePost(tr, rc, workP, cycP)
-					}
-					// Fresh activation: non-argument callee locals start zero
-					// (the argument registers were filled just above by the
-					// trace's own moves).
-					for j := rc.lbase + rc.nargs; j < rc.lbase+rc.nloc; j++ {
-						regs[j] = bytecode.Value{}
-					}
-					tc[tcInlinedCalls]++
 `
 
 const traceBottom = `				}
@@ -185,13 +113,13 @@ const traceBottom = `				}
 			// the executed prefix plus the linear suffix, and go on at
 			// the instruction the target item starts with.
 			sk := &tr.exits[x]
-			e.unwind(tr, sk.tot, sk.rem, sk.remBase, sk.crem, workP, cycP)
+			e.unwind(sk.rem, sk.remBase, workP, cycP)
 			i, x = int(sk.to), -1
 		}
 
 		if x >= 0 {
 			ex := &tr.exits[x]
-			e.unwind(tr, ex.tot, ex.rem, ex.remBase, ex.crem, workP, cycP)
+			e.unwind(ex.rem, ex.remBase, workP, cycP)
 			// ForcedDeopt forces every hand-back, so it never links.
 			if ex.link != nil && !e.ForcedDeopt && e.mayRun(ex.link) {
 				tr = ex.link
@@ -199,7 +127,7 @@ const traceBottom = `				}
 				tc[tcLinked]++
 				continue
 			}
-			return e.traceLeave(tr, sc, ex, regs, locals, lb, stack)
+			return e.traceLeave(tr, tc, ex, regs, locals, lb, stack)
 		}
 
 		// Back at the head. ForcedDeopt forces a hand-back every

@@ -90,8 +90,6 @@ func runPatched(prog *bytecode.Program, fnIdx int, patched *bytecode.Function,
 			codes[i] = interp.NewCode(i, body, jit.MinLevel, interp.BaselineScalePct)
 		}
 		eng.Provider = func(i int) *interp.Code { return codes[i] }
-		// Immutable table ⇒ pure-lookup PeekCode contract holds trivially.
-		eng.PeekCode = func(i int) *interp.Code { return codes[i] }
 	}
 	ex := &Exec{Level: jit.MinLevel}
 	res, err := eng.Run()

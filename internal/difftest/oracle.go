@@ -165,9 +165,6 @@ func RunTierConfigured(prog *bytecode.Program, level int, gcCfg gc.Config, maxCy
 			return nil, fmt.Errorf("difftest: compile at O%d failed: %w", level, err)
 		}
 		eng.Provider = func(i int) *interp.Code { return codes[i] }
-		// The whole-program table is immutable, so the pure-lookup PeekCode
-		// contract holds trivially — enables CALL inlining in the trace tier.
-		eng.PeekCode = func(i int) *interp.Code { return codes[i] }
 		eng.AddCycles(total)
 		ex.CompileCycles = total
 	}

@@ -34,11 +34,10 @@ type substrateMode struct {
 // back-edge arrival), fused and unfused. "full" leaves traces on their
 // production hotness gates, so it also covers mid-run promotion from the
 // fused switch to the register form, with trace plans built inline and
-// CAS-installed mid-run. The OSR / deopt / inlining rows force
-// deoptimization back to the accounted loop after a single trace
-// iteration (every exit boundary's state mapping fires), disable OSR
-// entirely (loop-head entries only), and refuse CALL inlining (traces
-// degrade at calls, pre-inlining behaviour).
+// CAS-installed mid-run. The OSR / deopt rows force deoptimization back
+// to the accounted loop after a single trace iteration (every exit
+// boundary's state mapping fires) and disable OSR entirely (loop-head
+// entries only).
 var substrateModes = []substrateMode{
 	{"off", interp.Substrate{NoBatching: true}},
 	{"batch-nofuse", interp.Substrate{NoFusion: true, NoRegTier: true}},
@@ -48,7 +47,6 @@ var substrateModes = []substrateMode{
 	{"noreg", interp.Substrate{NoRegTier: true}},
 	{"reg-deopt", interp.Substrate{EagerRegTier: true, ForcedDeopt: true}},
 	{"noosr", interp.Substrate{EagerRegTier: true, NoOSR: true}},
-	{"noinline", interp.Substrate{EagerRegTier: true, NoCallInline: true}},
 }
 
 // configure installs the mode on an engine — the engine-level mirror of

@@ -24,7 +24,6 @@ var substrateVariants = []substrateVariant{
 	{"reg-nofuse", exec.Substrate{EagerRegTier: true, NoFusion: true}},
 	{"reg-deopt", exec.Substrate{EagerRegTier: true, ForcedDeopt: true}},
 	{"noosr", exec.Substrate{EagerRegTier: true, NoOSR: true}},
-	{"noinline", exec.Substrate{EagerRegTier: true, NoCallInline: true}},
 	{"full", exec.Substrate{}},
 }
 
@@ -83,8 +82,7 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 // (plus the GC-selection extension) through Default, Rep, and Evolve
 // sequences under every substrateVariants row — fully off, fusion
 // disabled, register tier disabled or eager (fused and unfused), forced
-// deopt, OSR disabled, CALL inlining refused, background compilation
-// (fused and unfused), and fully on (hotness-promoted traces and the
+// deopt, OSR disabled, and fully on (hotness-promoted traces and the
 // cross-run code cache included) — and asserts the recorded RunResults
 // are identical field for field. This is the harness-level counterpart
 // of the difftest substrate soak: it covers the real benchmark programs,

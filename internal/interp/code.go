@@ -11,7 +11,6 @@
 package interp
 
 import (
-	"math"
 	"sync/atomic"
 
 	"evolvevm/internal/bytecode"
@@ -49,19 +48,13 @@ type Code struct {
 	plans [2]atomic.Pointer[plan]
 
 	// traces caches the register-converted hot-loop traces (trace.go,
-	// regir.go): slot 0 without CALL inlining, slot 1 with it. Trace
-	// conversion reads the raw instruction stream over the plan's segment
-	// geometry, which is identical with and without superinstruction
-	// fusion, so fused and unfused runs share one trace program per
-	// inline mode. Built once hot, immutable after, shared across engines
-	// and runs exactly like plans — a Code cached in
-	// jit.Cache carries its register plans, OSR entry maps, and inline
-	// guards to every later run (the guards re-validate against each
-	// run's own code table, so a stale inlined body can never execute).
-	traces [2]atomic.Pointer[tracePlan]
-
-	// fp caches Fingerprint (0 = not yet computed).
-	fp atomic.Uint64
+	// regir.go). Trace conversion reads the raw instruction stream over
+	// the plan's segment geometry, which is identical with and without
+	// superinstruction fusion, so fused and unfused runs share one trace
+	// program. Built once hot, immutable after, shared across engines and
+	// runs exactly like plans — a Code cached in jit.Cache carries its
+	// register plans and OSR entry maps to every later run.
+	traces atomic.Pointer[tracePlan]
 
 	// samples counts deterministic sampler ticks attributed to this code
 	// across every engine and run sharing it — the hotness signal that
@@ -86,110 +79,42 @@ func (c *Code) noteSample() { c.samples.Add(1) }
 // (diagnostics).
 func (c *Code) Samples() int64 { return c.samples.Load() }
 
-// installTracePlan builds the register-converted trace plan for the
-// given inline mode and installs it CAS-once against the plan it is
-// replacing (nil on first build; the retried plan on a provisional-
-// inline rebuild — each callee flips nil→non-nil at most once per code
-// table, so rebuilds are bounded). Competing builders may inline against
-// different callee snapshots, but every inlined site re-guards at run
-// time, so whichever plan lands is valid under any code table; losers
-// discard their build (counted in PlanInstallStats). Promotion policy —
-// hotness and eagerness — lives in Engine.traceTier; this is only the
-// build step.
-func (c *Code) installTracePlan(inline bool, peek func(int) *Code) {
-	slot := 0
-	if inline {
-		slot = 1
-	}
-	old := c.traces[slot].Load()
-	if old != nil && !old.retry(peek) {
-		return
-	}
-	p := buildTracePlan(c, inline, peek)
-	if !c.traces[slot].CompareAndSwap(old, p) {
+// installTracePlan builds the register-converted trace plan and installs
+// it CAS-once. The build is deterministic, so whichever of several
+// concurrent builders wins installs an identical plan; losers discard
+// their build (counted in PlanInstallStats). Promotion policy — hotness
+// and eagerness — lives in Engine.traceTier; this is only the build step.
+func (c *Code) installTracePlan() {
+	if !c.traces.CompareAndSwap(nil, buildTracePlan(c)) {
 		compileStats.lostTraces.Add(1)
 	}
 }
 
 // TraceReady reports whether a trace plan has been built for this code
-// in either inline mode (diagnostics; cache tests use it to prove
-// register plans travel with cached Codes).
-func (c *Code) TraceReady() bool {
-	return c.traces[0].Load() != nil || c.traces[1].Load() != nil
-}
+// (diagnostics; cache tests use it to prove register plans travel with
+// cached Codes).
+func (c *Code) TraceReady() bool { return c.traces.Load() != nil }
 
-// TraceInfo summarizes the built trace plan of one inline mode: the
-// number of loop-head traces, OSR entry points, and inlined call sites.
-// All zeros when no plan is built. Diagnostics; the jit.Cache round-trip
-// test uses it to prove OSR entry maps and inline guards travel with
-// cached Codes.
-func (c *Code) TraceInfo(inline bool) (heads, osrEntries, inlinedCalls int) {
-	slot := 0
-	if inline {
-		slot = 1
-	}
-	tp := c.traces[slot].Load()
+// TraceInfo summarizes the built trace plan: the number of loop-head
+// traces and OSR entry points, both zero when no plan is built.
+// Diagnostics; the jit.Cache round-trip test uses it to prove OSR entry
+// maps travel with cached Codes.
+func (c *Code) TraceInfo() (heads, osrEntries int) {
+	tp := c.traces.Load()
 	if tp == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
 	for _, t := range tp.tr {
 		if t != nil {
 			heads++
-			inlinedCalls += len(t.calls)
 		}
 	}
 	for _, t := range tp.osr {
 		if t != nil {
 			osrEntries++
-			inlinedCalls += len(t.calls)
 		}
 	}
-	return heads, osrEntries, inlinedCalls
-}
-
-// Fingerprint returns a content hash of the code's observable execution
-// behaviour — level, arity, locals, instruction stream, constant pool,
-// and cost table — used as the inline guard of the trace tier: an
-// inlined callee body may run only while the engine's current code for
-// that function still fingerprints the same. Computed lazily and cached;
-// two Codes with equal fingerprints execute identically under the
-// engine.
-func (c *Code) Fingerprint() uint64 {
-	if fp := c.fp.Load(); fp != 0 {
-		return fp
-	}
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(int64(c.Level)))
-	mix(uint64(c.NArgs))
-	mix(uint64(c.NLocals))
-	mix(uint64(len(c.Instrs)))
-	for _, in := range c.Instrs {
-		mix(uint64(in.Op))
-		mix(uint64(int64(in.A)))
-		mix(uint64(int64(in.B)))
-	}
-	mix(uint64(len(c.Consts)))
-	for _, v := range c.Consts {
-		mix(uint64(v.Kind))
-		mix(uint64(v.I))
-		mix(math.Float64bits(v.F))
-	}
-	for _, cost := range c.Cost {
-		mix(uint64(cost))
-	}
-	if h == 0 {
-		h = 1 // reserve 0 for "not yet computed"
-	}
-	c.fp.Store(h)
-	return h
+	return heads, osrEntries
 }
 
 // planFor returns the execution plan of the code, building it on first

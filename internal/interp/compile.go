@@ -21,23 +21,16 @@ func (e *Engine) traceHot(code *Code) bool {
 
 // traceTier returns the register trace plan code should run under, or
 // nil. A hot code without a plan builds one inline at the promotion
-// point. A built plan whose provisional inline refusals could now succeed
-// (retry) is rebuilt the same way.
+// point.
 func (e *Engine) traceTier(code *Code) *tracePlan {
-	inline := !e.NoCallInline
-	slot := 0
-	if inline {
-		slot = 1
+	if p := code.traces.Load(); p != nil {
+		return p
 	}
-	if p := code.traces[slot].Load(); p != nil {
-		if !p.retry(e.PeekCode) {
-			return p
-		}
-	} else if !e.traceHot(code) {
+	if !e.traceHot(code) {
 		return nil
 	}
-	code.installTracePlan(inline, e.PeekCode)
-	return code.traces[slot].Load()
+	code.installTracePlan()
+	return code.traces.Load()
 }
 
 // compileStats counts plan-install CAS races lost process-wide: a loser

@@ -94,11 +94,7 @@ func TestDupStoreNoMove(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := strings.NewReplacer("SPILL", tc.spill, "FIX", tc.fix).Replace(dupStoreSrc)
 			p := mustProg(t, src)
-			codes := make([]*Code, len(p.Funcs))
-			for i, f := range p.Funcs {
-				codes[i] = NewCode(i, f, -1, BaselineScalePct)
-			}
-			tp := buildTracePlan(codes[p.Entry], true, func(fn int) *Code { return codes[fn] })
+			tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
 			var loop *trace
 			for _, tr := range tp.tr {
 				if tr != nil {

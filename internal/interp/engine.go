@@ -80,20 +80,20 @@ type Substrate struct {
 	// NoOSR disables mid-iteration (on-stack replacement) trace entries:
 	// traces activate at loop heads only. ForcedDeopt makes every trace
 	// run hand back to the accounted loop after a single iteration,
-	// hammering the exit/re-entry state mapping. NoCallInline refuses CALL
-	// during trace building, restoring the pre-inlining per-loop
-	// degradation.
-	NoOSR        bool
-	ForcedDeopt  bool
-	NoCallInline bool
+	// hammering the exit/re-entry state mapping.
+	NoOSR       bool
+	ForcedDeopt bool
 
-	// NoClosures and SyncCompile have no effect: the closure-threaded
-	// tier and the background compile pool they switched off no longer
-	// exist, and trace plans always build inline at the promotion point.
-	// They stay only because perfbench/check.go still sets them; delete
-	// both once that file stops.
-	NoClosures  bool
-	SyncCompile bool
+	// NoClosures, SyncCompile and NoCallInline have no effect: the
+	// closure-threaded tier, the background compile pool and trace-level
+	// CALL inlining they switched off no longer exist, trace plans always
+	// build inline at the promotion point, and a loop with a CALL on its
+	// traced path always runs on the fused path. They stay only because
+	// perfbench/check.go still sets them; delete all three once that file
+	// stops.
+	NoClosures   bool
+	SyncCompile  bool
+	NoCallInline bool
 }
 
 // Engine executes a program under a virtual-cycle clock.
@@ -105,9 +105,9 @@ type Substrate struct {
 //
 // OnInvoke fires after the code for a new activation has been fetched,
 // with the function's cumulative invocation count (1 on first call). It
-// may charge cycles and swap code, but must not write Globals: a register
-// trace reads the globals it never writes once per activation, and an
-// inlined call fires the hook inside one.
+// may charge cycles, swap code and write globals: it never runs inside a
+// register trace, and every trace activation reloads the globals it
+// reads ahead of their loads.
 // OnSample fires once per SampleStride cycles of executed code, attributed
 // to the function executing when the stride boundary is crossed — the
 // deterministic analogue of Jikes RVM's timer-based sampler.
@@ -133,16 +133,6 @@ type Engine struct {
 	// policy (see Substrate). Host-side only: virtual results are
 	// bit-identical under every setting.
 	Substrate
-
-	// PeekCode reports the code the engine's current Provider would
-	// return for fnIdx WITHOUT side effects — nil when the function has
-	// no current code form yet (never invoked). The trace tier uses it to
-	// guard inlined call sites; the contract is that whenever PeekCode
-	// returns non-nil, a Provider call for the same function is pure and
-	// returns an equivalent code. NewEngine wires it to the default
-	// Provider's table; anyone replacing Provider (vm.Machine, the
-	// difftest harnesses) replaces PeekCode alongside it.
-	PeekCode func(fnIdx int) *Code
 
 	Globals     []bytecode.Value
 	Output      []bytecode.Value
@@ -204,7 +194,6 @@ func NewEngine(prog *bytecode.Program) *Engine {
 		}
 		return c
 	}
-	e.PeekCode = func(fnIdx int) *Code { return baseline[fnIdx] }
 	return e
 }
 
@@ -449,16 +438,9 @@ type runScratch struct {
 	frames []frame
 	regs   *regFile
 
-	// Trace-tier side channels (trace.go): curCodes holds the guarded
-	// current callee code per inlined call site of the running trace;
-	// deopt carries a callee-frame materialization request out of
-	// runTrace; trapFn re-attributes a trace trap to an inlined callee
-	// (-1: none); tc counts the run's trace-tier activity, flushed to the
-	// process totals when Run returns (stats.go).
-	curCodes []*Code
-	deopt    deoptState
-	trapFn   int32
-	tc       traceCounts
+	// tc counts the run's trace-tier activity, flushed to the process
+	// totals when Run returns (stats.go).
+	tc traceCounts
 }
 
 var scratchPool = sync.Pool{

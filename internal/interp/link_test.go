@@ -152,6 +152,48 @@ func TestLinkedExitTrapInOSRTail(t *testing.T) {
 	}
 }
 
+// callSumSrc is a loop that calls a function with a loop of its own: the
+// caller's loop stays on the fused path, and the callee's loop runs on
+// trace in every call, a short activation per call.
+const callSumSrc = `
+global n
+func main() locals i s
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  load s
+  load i
+  const 16
+  imod
+  call sum 1
+  iadd
+  store s
+  iinc i 1
+  jmp loop
+done:
+  load s
+  ret
+end
+func sum(k) locals j t
+inner:
+  load j
+  load k
+  ige
+  jnz out
+  load t
+  load j
+  iadd
+  store t
+  iinc j 1
+  jmp inner
+out:
+  load t
+  ret
+end
+`
+
 // TestTraceStatsConservation runs one program from G goroutines at once
 // on shared Codes, whose trace plans and hotness gates every engine
 // shares: the per-run counts each engine adds when it returns must sum to
@@ -164,7 +206,7 @@ func TestTraceStatsConservation(t *testing.T) {
 		g    map[string]bytecode.Value
 	}{
 		{"alternating", altSrc, altGlobals(3000, -1)},
-		{"call", callLoopSrc, map[string]bytecode.Value{"n": bytecode.Int(3000)}},
+		{"call", callSumSrc, map[string]bytecode.Value{"n": bytecode.Int(3000)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustProg(t, tc.src)
@@ -175,7 +217,6 @@ func TestTraceStatsConservation(t *testing.T) {
 			run := func() error {
 				e := NewEngine(p)
 				e.Provider = func(fn int) *Code { return codes[fn] }
-				e.PeekCode = func(fn int) *Code { return codes[fn] }
 				for k, v := range tc.g {
 					if err := e.SetGlobal(k, v); err != nil {
 						return err
@@ -216,15 +257,12 @@ func TestTraceStatsConservation(t *testing.T) {
 				wg.Wait()
 			})
 			want := TraceStats{
-				HeadEntries:  goroutines * serial.HeadEntries,
-				OSREntries:   goroutines * serial.OSREntries,
-				Linked:       goroutines * serial.Linked,
-				SideExits:    goroutines * serial.SideExits,
-				Traps:        goroutines * serial.Traps,
-				Deopts:       goroutines * serial.Deopts,
-				GuardFails:   goroutines * serial.GuardFails,
-				InlinedCalls: goroutines * serial.InlinedCalls,
-				InlineDeopts: goroutines * serial.InlineDeopts,
+				HeadEntries: goroutines * serial.HeadEntries,
+				OSREntries:  goroutines * serial.OSREntries,
+				Linked:      goroutines * serial.Linked,
+				SideExits:   goroutines * serial.SideExits,
+				Traps:       goroutines * serial.Traps,
+				Deopts:      goroutines * serial.Deopts,
 			}
 			if !reflect.DeepEqual(concurrent, want) {
 				t.Errorf("%d concurrent runs:\n got %+v\nwant %+v (serial %+v)", goroutines, concurrent, want, serial)

@@ -10,16 +10,16 @@ import (
 	"evolvevm/internal/bytecode"
 )
 
-// This file holds the golden state-mapping tests of the OSR / deopt /
-// call-inlining machinery (DESIGN.md §12): every way of leaving a
-// register trace — plain side exit, callee side exit, trap inside an
-// inlined callee, guard failure, depth trap, forced deopt — must hand the
-// accounted interpreter a machine state bit-identical to the one a pure
-// per-instruction interpretation would have reached. The tests compare
-// complete engine snapshots (result, trap identity, clock, per-function
-// ledgers, invocation counts, sample profile, output, globals) between a
-// reference run with the whole substrate off and runs with traces, OSR,
-// and inlining forced on.
+// This file holds the golden state-mapping tests of the OSR / deopt
+// machinery (DESIGN.md §12): every way of leaving a register trace — side
+// exit, trap, forced deopt — must hand the accounted interpreter a
+// machine state bit-identical to the one a pure per-instruction
+// interpretation would have reached, and a loop that calls must stay off
+// the register tier without changing anything observable. The tests
+// compare complete engine snapshots (result, trap identity, clock,
+// per-function ledgers, invocation counts, sample profile, output,
+// globals) between a reference run with the whole substrate off and runs
+// with traces and OSR forced on.
 //
 // These tests read and reset the package-global trace counters, so they
 // must not run in parallel with each other (they don't: no t.Parallel).
@@ -97,7 +97,6 @@ var traceConfigs = []struct {
 	{"reg", func(e *Engine) { e.EagerRegTier = true }},
 	{"reg-noosr", func(e *Engine) { e.EagerRegTier = true; e.NoOSR = true }},
 	{"reg-deopt", func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true }},
-	{"reg-noinline", func(e *Engine) { e.EagerRegTier = true; e.NoCallInline = true }},
 }
 
 func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Value) {
@@ -279,8 +278,8 @@ func TestTraceTrapStateMapping(t *testing.T) {
 }
 
 // callLoopSrc is the call-heavy shape: a hot loop whose body calls a
-// small non-recursive callee every iteration. With inlining enabled the
-// whole loop — CALL included — must run in the register tier.
+// small non-recursive callee every iteration. The CALL keeps the loop off
+// the register tier, so it runs on the fused path.
 const callLoopSrc = `
 global n
 func main() locals i s
@@ -316,48 +315,8 @@ func leaf(x) locals y
 end
 `
 
-// TestCallInliningRunsInRegisterTier is the acceptance gate of the
-// inlining work: for the call-heavy shape, trace building must not
-// degrade at the CALL (the "call" degradation counter stays zero), the
-// call site must be inlined, and every virtual observable — invocation
-// counts and per-callee cycle ledgers included — must be bit-identical
-// to pure interpretation.
-func TestCallInliningRunsInRegisterTier(t *testing.T) {
-	p := mustProg(t, callLoopSrc)
-	g := map[string]bytecode.Value{"n": bytecode.Int(500)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
-
-	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
-	snapIdentical(t, "inline", ref, got)
-	st := ReadTraceStats()
-	if st.Degrade["call"] != 0 {
-		t.Errorf("call-heavy loop degraded at CALL %d times; want 0 (stats %+v)", st.Degrade["call"], st)
-	}
-	if st.Built == 0 {
-		t.Errorf("no traces built: %+v", st)
-	}
-	if st.InlinedCalls == 0 {
-		t.Errorf("no inlined calls executed: %+v", st)
-	}
-
-	// Same program with inlining refused: the loop degrades at the CALL.
-	ResetTraceStats()
-	got = snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.NoCallInline = true })
-	snapIdentical(t, "noinline", ref, got)
-	st = ReadTraceStats()
-	if st.Degrade["call"] == 0 {
-		t.Errorf("inlining disabled but no call degradation recorded: %+v", st)
-	}
-
-	// Full ladder for good measure (OSR, stress deopt, ...).
-	checkTraceLadder(t, callLoopSrc, g)
-}
-
-// zeroArgCallSrc calls a zero-argument callee at an empty operand stack,
-// so the inline guard's exit resumes at the CALL with nothing to
-// rematerialize — the shape where a trace entered at that CALL would fail
-// the same guard again forever.
+// zeroArgCallSrc calls a zero-argument callee at an empty operand stack:
+// the CALL is the first instruction of the loop body after the exit test.
 const zeroArgCallSrc = `
 global n
 global k
@@ -389,111 +348,9 @@ func leaf()
 end
 `
 
-// TestInlineGuardFailureDeopts swaps the callee's code mid-run — the
-// recompilation pattern — so the inline guard's fingerprint check fails
-// and the trace must side-exit at the CALL and replay it through the
-// interpreter, which then serves the new code. Reference and traced runs
-// apply the identical swap, so every observable must still match. The
-// zero-argument shape hangs if any trace may start at the CALL.
-func TestInlineGuardFailureDeopts(t *testing.T) {
-	checkGuardFailure(t, callLoopSrc, map[string]bytecode.Value{"n": bytecode.Int(400)})
-	checkGuardFailure(t, zeroArgCallSrc, map[string]bytecode.Value{"n": bytecode.Int(400), "k": bytecode.Int(3)})
-}
-
-func checkGuardFailure(t *testing.T, src string, g map[string]bytecode.Value) {
-	t.Helper()
-	p := mustProg(t, src)
-	leafIdx, ok := p.FuncIndex("leaf")
-	if !ok {
-		t.Fatal("no leaf function")
-	}
-
-	// The swapped-in code is semantically identical but at a different
-	// tier (different costs), so its fingerprint — and the virtual clock
-	// from the swap point on — legitimately differs from the original.
-	withSwap := func(extra func(*Engine)) func(*Engine) {
-		return func(e *Engine) {
-			slow := NewCode(leafIdx, p.Funcs[leafIdx], -1, 100)
-			fast := NewCode(leafIdx, p.Funcs[leafIdx], 2, 40)
-			cur := slow
-			base := e.Provider
-			basePeek := e.PeekCode
-			e.Provider = func(fn int) *Code {
-				if fn == leafIdx {
-					return cur
-				}
-				return base(fn)
-			}
-			e.PeekCode = func(fn int) *Code {
-				if fn == leafIdx {
-					return cur
-				}
-				return basePeek(fn)
-			}
-			e.OnInvoke = func(fn int, count int64) {
-				if fn == leafIdx && count == 100 {
-					cur = fast
-				}
-			}
-			if extra != nil {
-				extra(e)
-			}
-		}
-	}
-
-	ref := snapRun(t, p, g, withSwap(func(e *Engine) { e.NoBatching = true }))
-	ResetTraceStats()
-	got := snapRun(t, p, g, withSwap(func(e *Engine) { e.EagerRegTier = true }))
-	snapIdentical(t, "guard-fail", ref, got)
-	st := ReadTraceStats()
-	if st.GuardFails == 0 {
-		t.Errorf("code swap produced no inline guard failures: %+v", st)
-	}
-	if st.InlinedCalls == 0 {
-		t.Errorf("no inlined calls before the swap: %+v", st)
-	}
-}
-
-// TestInlineHookChargeDeopts installs an OnInvoke hook that charges the
-// clock (the controller-recompile pattern): charges landing inside a
-// trace's prepaid window force the entry deopt — the callee frame is
-// materialized at pc 0 and the interpreter continues inside the call.
-func TestInlineHookChargeDeopts(t *testing.T) {
-	p := mustProg(t, callLoopSrc)
-	g := map[string]bytecode.Value{"n": bytecode.Int(300)}
-	leafIdx, ok := p.FuncIndex("leaf")
-	if !ok {
-		t.Fatal("no leaf function")
-	}
-	withHook := func(extra func(*Engine)) func(*Engine) {
-		return func(e *Engine) {
-			e.OnInvoke = func(fn int, count int64) {
-				if fn == leafIdx && count%50 == 0 {
-					e.AddCycles(10_000) // deterministic "compile" charge
-				}
-			}
-			if extra != nil {
-				extra(e)
-			}
-		}
-	}
-	ref := snapRun(t, p, g, withHook(func(e *Engine) { e.NoBatching = true }))
-	ResetTraceStats()
-	got := snapRun(t, p, g, withHook(func(e *Engine) { e.EagerRegTier = true }))
-	snapIdentical(t, "hook-charge", ref, got)
-	st := ReadTraceStats()
-	if st.InlinedCalls == 0 {
-		t.Errorf("no inlined calls executed under hook: %+v", st)
-	}
-}
-
-// TestInlineDepthTrap drives the call-heavy loop at the very edge of the
-// call-depth budget, so the inlined CALL's depth check must fire — with
-// the exact trap identity (callee name, pc 0, message) and clock position
-// (after the CALL charge, before the invocation count) the interpreter
-// produces.
-func TestInlineDepthTrap(t *testing.T) {
-	src := `
+// depthTrapSrc recurses to the edge of the call-depth budget and then
+// runs a loop that calls, so the loop's first CALL traps on depth.
+var depthTrapSrc = `
 global n
 func main() locals r
   const ` + fmt.Sprint(maxCallDepth-2) + `
@@ -536,28 +393,148 @@ func leaf(x)
   ret
 end
 `
-	p := mustProg(t, src)
-	g := map[string]bytecode.Value{"n": bytecode.Int(10)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
-	if !strings.Contains(ref.trap, "call depth exceeds") {
-		t.Fatalf("reference did not depth-trap: trap=%q", ref.trap)
+
+// TestCallLoopsStayOnFusedPath holds loops with a CALL on their path to
+// the accounted loop under the trace ladder and a sample-stride sweep:
+// the plain call loop, a callee whose code the Provider swaps mid-loop
+// (the recompilation pattern), an OnInvoke hook that charges the clock
+// (a controller's compile), and a call that traps on depth. Each loop
+// must build no trace and record a "call" degradation: the CALL, the
+// Provider fetch and the hook run between trace activations, on the
+// fused path.
+func TestCallLoopsStayOnFusedPath(t *testing.T) {
+	// swapLeaf serves leaf's code through the Provider and swaps it for a
+	// cheaper tier at leaf's 100th invocation. Each engine gets its own
+	// swap state.
+	swapLeaf := func(p *bytecode.Program) func(*Engine) {
+		leafIdx, _ := p.FuncIndex("leaf")
+		return func(e *Engine) {
+			cur := NewCode(leafIdx, p.Funcs[leafIdx], -1, 100)
+			fast := NewCode(leafIdx, p.Funcs[leafIdx], 2, 40)
+			base := e.Provider
+			e.Provider = func(fn int) *Code {
+				if fn == leafIdx {
+					return cur
+				}
+				return base(fn)
+			}
+			e.OnInvoke = func(fn int, count int64) {
+				if fn == leafIdx && count == 100 {
+					cur = fast
+				}
+			}
+		}
 	}
-	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
-	snapIdentical(t, "depth-trap", ref, got)
+	chargeHook := func(p *bytecode.Program) func(*Engine) {
+		leafIdx, _ := p.FuncIndex("leaf")
+		return func(e *Engine) {
+			e.OnInvoke = func(fn int, count int64) {
+				if fn == leafIdx && count%50 == 0 {
+					e.AddCycles(10_000) // deterministic "compile" charge
+				}
+			}
+		}
+	}
+	// period is the cost of one call-loop iteration. Strides 1..period+1
+	// over 2·(period+1) iterations put the window boundary at every offset
+	// of the iteration, the CALL and the callee included.
+	noBatch := func(e *Engine) { e.NoBatching = true }
+	n := func(n int64) map[string]bytecode.Value { return map[string]bytecode.Value{"n": bytecode.Int(n)} }
+	cp := mustProg(t, callLoopSrc)
+	period := snapRun(t, cp, n(4), noBatch).cycles - snapRun(t, cp, n(3), noBatch).cycles
+	iters := 2*period + 2
+	for _, tc := range []struct {
+		name  string
+		src   string
+		g     map[string]bytecode.Value
+		setup func(*bytecode.Program) func(*Engine)
+		trap  string
+	}{
+		{"call", callLoopSrc, n(iters), nil, ""},
+		{"code-swap", zeroArgCallSrc, map[string]bytecode.Value{"n": bytecode.Int(iters), "k": bytecode.Int(3)}, swapLeaf, ""},
+		{"hook-charge", callLoopSrc, n(iters), chargeHook, ""},
+		{"depth-trap", depthTrapSrc, n(10), nil, "call depth exceeds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := mustProg(t, tc.src)
+			with := func(stride int64, cfg func(*Engine)) func(*Engine) {
+				return func(e *Engine) {
+					if stride > 0 {
+						e.SampleStride = stride
+					}
+					if tc.setup != nil {
+						tc.setup(p)(e)
+					}
+					cfg(e)
+				}
+			}
+			// Stride 0 keeps the default: the ladder itself.
+			for stride := int64(0); stride <= period+1; stride++ {
+				ref := snapRun(t, p, tc.g, with(stride, noBatch))
+				if !strings.Contains(ref.trap, tc.trap) || (tc.trap == "") != (ref.trap == "") {
+					t.Fatalf("stride %d: reference trap %q, want %q", stride, ref.trap, tc.trap)
+				}
+				for _, cfg := range traceConfigs {
+					got := snapRun(t, p, tc.g, with(stride, cfg.configure))
+					snapIdentical(t, fmt.Sprintf("%s stride=%d", cfg.name, stride), ref, got)
+				}
+			}
+			st := linkCounts(t, p, tc.g, with(0, func(e *Engine) { e.EagerRegTier = true }))
+			if st.Built != 0 || st.HeadEntries != 0 || st.Degrade["call"] == 0 {
+				t.Errorf("call loop: built=%d head_entries=%d degrade[call]=%d, want no trace and a call degradation (%+v)",
+					st.Built, st.HeadEntries, st.Degrade["call"], st)
+			}
+		})
+	}
 }
+
+// leafLoopSrc is callLoopSrc with leaf's body written into the loop, so
+// the whole loop runs in the register tier.
+const leafLoopSrc = `
+global n
+func main() locals i s y
+  const 0
+  store s
+  const 0
+  store i
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  load s
+  load i
+  load i
+  imul
+  store y
+  load y
+  const 1
+  iadd
+  iadd
+  store s
+  iinc i 1
+  jmp loop
+done:
+  load s
+  ret
+end
+`
 
 // TestStressDeoptCounts proves ForcedDeopt actually exercises the
 // deopt boundary: every non-OSR trace execution hands control back after
 // one iteration.
 func TestStressDeoptCounts(t *testing.T) {
-	p := mustProg(t, callLoopSrc)
+	p := mustProg(t, leafLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(200)}
 	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
 	ResetTraceStats()
 	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true })
 	snapIdentical(t, "stress-deopt", ref, got)
-	if st := ReadTraceStats(); st.Deopts == 0 {
+	st := ReadTraceStats()
+	if st.Built == 0 || st.HeadEntries == 0 {
+		t.Errorf("loop never ran on trace: %+v", st)
+	}
+	if st.Deopts == 0 {
 		t.Errorf("ForcedDeopt recorded no deopts: %+v", st)
 	}
 }

@@ -23,31 +23,20 @@ import (
 // both ends, becomes a forward skip over the instructions in between
 // rather than a side exit.
 //
-// CALL is admitted by trace-style inlining: a small, non-recursive callee
-// body is linearized (following its hot fall-through path) and spliced
-// into the iteration's item stream, with the callee's locals pinned to a
-// fresh contiguous register block. The inlined body is guarded by the
-// callee Code's fingerprint — if the runtime callee no longer matches,
-// the trace deoptimizes at the CALL itself and the interpreter replays
-// the whole call sequence. Conditional branches inside the callee become
-// callee exits: deoptimization points that materialize a real callee
-// frame (locals from the pinned block, operand stack rematerialized) so
-// the switch loop resumes mid-callee bit-identically.
-//
 // The conversion refuses anything it cannot prove equivalent and reports
 // a degradation reason (stats.go), degrading that loop to the fused
-// path: ops outside the segment-safe set, operand-stack
-// pops below the loop-entry depth or a non-empty symbolic stack at the
-// back edge ("escaping stack depth"), register or cost overflows, and
-// callee bodies with loops, nested calls, or allocation.
+// path: ops outside the segment-safe set (CALL among them: a loop that
+// calls runs on the fused path), operand-stack pops below the loop-entry
+// depth or a non-empty symbolic stack at the back edge ("escaping stack
+// depth"), and register or cost overflows.
 //
 // Bit identity is inherited from the same two mechanisms as the fused
-// tier (fuse.go §comment, DESIGN.md §10): a whole iteration
-// is charged only when it fits inside the current sample window, and
-// every side exit or trap carries the summed charge of the unexecuted
-// instruction suffix — split per function once calls are inlined — so the
-// rollback lands on exactly the ledger state of the per-instruction
-// loop; a forward skip subtracts the skipped items' charge the same way.
+// tier (fuse.go §comment, DESIGN.md §10): a whole iteration is charged
+// only when it fits inside the current sample window, and every side
+// exit or trap carries the summed charge of the unexecuted instruction
+// suffix, so the rollback lands on exactly the ledger state of the
+// per-instruction loop; a forward skip subtracts the skipped items'
+// charge the same way.
 // Register writes are invisible between exits by construction: locals
 // are copied in at trace entry and written back at every exit, no write
 // to a global, the output or the heap is ever reordered or elided, and a
@@ -56,16 +45,11 @@ import (
 
 // Trace conversion limits.
 const (
-	// traceMaxInstrs caps one linearized iteration (inlined callee
-	// instructions included).
+	// traceMaxInstrs caps one linearized iteration.
 	traceMaxInstrs = 256
 	// traceMaxRegs caps the register file: the function's locals plus the
-	// converter's temporaries plus pinned callee-local blocks and hoisted
-	// globals.
+	// converter's temporaries plus hoisted globals.
 	traceMaxRegs = 64
-	// inlineMaxInstrs caps one inlined callee body ("small" in the
-	// trace-inlining rule): the linearized path from entry to RET.
-	inlineMaxInstrs = 48
 )
 
 // rOp is a register-IR opcode. The structural opcodes below are
@@ -87,7 +71,6 @@ const (
 	rPrint              // Output = append(Output, regs[a])
 	rBrTrue             // exit x when regs[a].IsTrue()
 	rBrFalse            // exit x when !regs[a].IsTrue()
-	rCall               // inlined call site x: guard, hook, zero callee locals
 	rGen                // the first generated operator opcode
 )
 
@@ -96,8 +79,8 @@ const (
 // a, b and c the operands (c only a 3-operand kernel's third). imm is the
 // immediate: the value of rLoadI, rInc and the immediate forms, or the
 // constant-pool, global or reciprocal index of rLoadC, rGLoad/rGStore and
-// the by-constant forms. x indexes the trace's exit table for branches,
-// its trap table for trapping ops, and its call table for rCall.
+// the by-constant forms. x indexes the trace's exit table for branches
+// and its trap table for trapping ops.
 type rins struct {
 	op         rOp
 	d, a, b, c uint8
@@ -205,72 +188,30 @@ type rpush struct {
 	v    int32
 }
 
-// slotRem is the rollback charge of one inlined-callee slot (1-based
-// index into trace.xfns via slot-1): the summed Cost/Base of that
-// function's not-yet-executed instructions.
-type slotRem struct {
-	slot, rem, remBase int32
-}
-
 // rexit is one side exit: the off-trace resume pc plus the suffix
-// rollback — tot comes off the engine clock, rem/remBase off the caller's
-// ledgers, crem off each inlined callee's — and the symbolic stack to
-// rematerialize. A callee exit (callIdx >= 0) additionally materializes a
-// callee frame resuming at cpc, with the callee's operand stack in cpush
-// (push then holds only the caller's residual stack below the call).
+// rollback — rem comes off the engine clock and the function's cycle
+// ledger, remBase off its work ledger — and the symbolic stack to
+// rematerialize.
 //
 // A forward skip (to > 0) is a branch whose target is a later item of the
 // same iteration: it never leaves the trace. It resumes at instruction to
-// and subtracts only the skipped items' charges, which tot, rem, remBase
-// and crem then hold.
+// and subtracts only the skipped items' charges, which rem and remBase
+// then hold.
 type rexit struct {
 	pc           int32
-	tot          int32
 	rem, remBase int32
-	crem         []slotRem
 	push         []rpush
-	callIdx      int32 // -1 for plain exits
-	cpc          int32 // callee resume pc (callee exits only)
-	cpush        []rpush
 	to           int32 // forward skips: the instruction to resume at
 	// link is the trace the engine loop would run at pc, set by
-	// tracePlan.link for plain exits with nothing to rematerialize.
+	// tracePlan.link for exits with nothing to rematerialize.
 	link *trace
 }
 
 // rtrap is the rollback record of one trapping instruction: suffix
-// charges and the successor pc the accounted loop would report. fn >= 0
-// attributes the trap to an inlined callee (error Fn/PC name that
-// function, exactly as the interpreted call would).
+// charges and the successor pc the accounted loop would report.
 type rtrap struct {
-	tot          int32
 	rem, remBase int32
-	crem         []slotRem
 	tpc          int32
-	fn           int32 // -1: the trace's own function
-}
-
-// rcall is one inlined call site: the build-time callee (the guard), the
-// pinned register block holding the callee's locals, the deopt records
-// for guard failure (exitX: resume at the CALL with the args still on the
-// stack) and for a mid-call bail after the invocation hook charged cycles
-// (ptot/prem/premBase/pcrem position the clock at the accounted post-CALL
-// point; push rematerializes the caller's residual stack).
-type rcall struct {
-	fnIdx  int32
-	slot   int32 // charge slot (index into trace.xfns via slot-1)
-	code   *Code // expected callee code at build time
-	fp     uint64
-	callPC int32
-	lbase  int32 // pinned register block: callee local k lives in regs[lbase+k]
-	nargs  int32
-	nloc   int32
-	exitX  int32
-
-	ptot           int32
-	prem, premBase int32
-	pcrem          []slotRem
-	push           []rpush // caller residual stack (args consumed)
 }
 
 // symKind classifies a symbolic stack slot.
@@ -279,7 +220,7 @@ type symKind uint8
 const (
 	symReg   symKind = iota // a register (local or temp) holds the value
 	symImm                  // an int32 immediate, not yet materialized
-	symConst                // a merged-constant-pool entry, not yet materialized
+	symConst                // a constant-pool entry, not yet materialized
 )
 
 // sym is one slot of the converter's symbolic operand stack.
@@ -288,43 +229,22 @@ type sym struct {
 	v int32
 }
 
-// titem is one linearized instruction of the trace: its owning Code (the
-// loop's function, or an inlined callee), its pc there, the charge slot
-// its Cost/Base accrue to, and — for a CALL instruction — the ordinal of
-// its call site.
-type titem struct {
-	code *Code
-	pc   int32
-	slot int32
-	call int32 // call-site ordinal at a CALL item, else -1
-}
-
 // rconv is the conversion state for one trace.
 type rconv struct {
-	caller *Code
-	head   int
-	items  []titem
-	fns    []int32 // charge-slot function indexes; fns[0] is the caller
+	c    *Code
+	head int
+	pcs  []int // the linearized iteration, one pc per item
 
-	// Per-slot suffix charge sums over items (len(items)+1 each): sufT is
-	// the engine-clock total, sufS/sufSB split it per charge slot.
-	sufT        []int32
-	sufS, sufSB [][]int32
-
-	// consts is the trace's constant pool: the caller's pool, copied on
-	// write when an inlined callee contributes entries.
-	consts      []bytecode.Value
-	constsOwned bool
+	// Suffix sums of the items' Cost and Base (len(pcs)+1 each).
+	sufCost, sufBase []int32
 
 	ins   []rins
 	exits []rexit
 	traps []rtrap
-	calls []rcall
 	divs  []rdiv
 
-	// written holds the globals some item stores (inlined callees
-	// included); a GLOAD of any other global reads the pinned register
-	// the prologue fills (hoist).
+	// written holds the globals some item stores; a GLOAD of any other
+	// global reads the pinned register the prologue fills (hoist).
 	written map[int32]bool
 	hoist   []rhoist
 
@@ -334,21 +254,9 @@ type rconv struct {
 
 	stk    []sym
 	nloc   int
-	nregs  int     // registers in use: locals, temps, pinned blocks
+	nregs  int     // registers in use: locals, temps, hoisted globals
 	ref    []int16 // per-register refcount; slots < nloc are locals (untracked)
-	pinned []bool  // callee-local blocks and hoisted globals: never allocated, never refcounted
-
-	// Callee-conversion context: curCall >= 0 while converting inside an
-	// inlined body; floor is the symbolic stack depth at callee entry
-	// (pops below it refuse, exits split caller/callee stacks there).
-	curCall int32
-	floor   int
-
-	// missing records a CALL refused only because the callee has never
-	// been compiled (peek returned nil). Such a refusal is provisional:
-	// the plan records it so traceFor can rebuild once the callee's code
-	// exists (see tracePlan.missing).
-	missing []int32
+	pinned []bool  // hoisted globals: never allocated, never refcounted
 }
 
 // pendingSkip is a branch at item from, with exit record x, whose taken
@@ -358,198 +266,69 @@ type pendingSkip struct {
 	from, to int
 }
 
-// convertTrace compiles one linearized loop iteration into a trace. pcs
-// holds the caller's linearized pcs (CALL instructions included when
-// inlining); callee bodies are expanded here. Returns nil and a
-// degradation reason when any instruction defeats the conversion; the
-// third result lists callees whose absence (never compiled) caused the
-// refusal, so the caller can schedule a rebuild when they appear.
-func convertTrace(c *Code, head int, pcs []int, inline bool, peek func(int) *Code) (*trace, int, []int32) {
+// convertTrace compiles one linearized loop iteration (pcs, from
+// linearizeFrom) into a trace. Returns nil and a degradation reason when
+// any instruction defeats the conversion.
+func convertTrace(c *Code, head int, pcs []int) (*trace, int) {
 	if c.NLocals >= traceMaxRegs {
-		return nil, degRegs, nil
+		return nil, degRegs
 	}
 	cv := &rconv{
-		caller:  c,
-		head:    head,
-		fns:     []int32{int32(c.FnIdx)},
-		consts:  c.Consts,
-		nloc:    c.NLocals,
-		nregs:   c.NLocals,
-		ref:     make([]int16, c.NLocals),
-		pinned:  make([]bool, c.NLocals),
-		curCall: -1,
-	}
-	if reason := cv.expand(pcs, inline, peek); reason != degCount {
-		return nil, reason, cv.missing
+		c:      c,
+		head:   head,
+		pcs:    pcs,
+		nloc:   c.NLocals,
+		nregs:  c.NLocals,
+		ref:    make([]int16, c.NLocals),
+		pinned: make([]bool, c.NLocals),
 	}
 	if reason := cv.sumSuffixes(); reason != degCount {
-		return nil, reason, nil
+		return nil, reason
 	}
 	cv.written = make(map[int32]bool)
-	for _, it := range cv.items {
-		if in := it.code.Instrs[it.pc]; in.Op == bytecode.GSTORE {
+	for _, pc := range pcs {
+		if in := c.Instrs[pc]; in.Op == bytecode.GSTORE {
 			cv.written[in.A] = true
 		}
 	}
-	for i := range cv.items {
+	for i := range pcs {
 		cv.landSkips(i)
 		if ok, reason := cv.instr(i); !ok {
-			return nil, reason, nil
+			return nil, reason
 		}
 	}
 	if len(cv.stk) != 0 {
-		return nil, degStack, nil // iteration not stack-neutral: escaping stack depth
+		return nil, degStack // iteration not stack-neutral: escaping stack depth
 	}
-	t := &trace{
+	return &trace{
 		head:   int32(head),
-		cost:   int64(cv.sufT[0]),
-		cost0:  int64(cv.sufS[0][0]),
-		base0:  int64(cv.sufSB[0][0]),
+		cost:   int64(cv.sufCost[0]),
+		base:   int64(cv.sufBase[0]),
 		nloc:   int32(cv.nloc),
-		consts: cv.consts,
+		consts: c.Consts,
 		ins:    cv.ins,
 		exits:  cv.exits,
 		traps:  cv.traps,
-		calls:  cv.calls,
 		divs:   cv.divs,
 		hoist:  cv.hoist,
-	}
-	for s := 1; s < len(cv.fns); s++ {
-		t.xfns = append(t.xfns, cv.fns[s])
-		t.xcost = append(t.xcost, int64(cv.sufS[s][0]))
-		t.xbase = append(t.xbase, int64(cv.sufSB[s][0]))
-	}
-	return t, degCount, nil
+	}, degCount
 }
 
-// expand turns the caller's linearized pcs into the trace's item stream,
-// splicing each inlinable CALL's callee body in place. Returns degCount
-// on success, a degradation reason otherwise.
-func (cv *rconv) expand(pcs []int, inline bool, peek func(int) *Code) int {
-	c := cv.caller
-	for _, pc := range pcs {
-		in := c.Instrs[pc]
-		if in.Op != bytecode.CALL {
-			cv.items = append(cv.items, titem{code: c, pc: int32(pc), slot: 0, call: -1})
-			continue
-		}
-		if !inline || peek == nil {
-			return degCall
-		}
-		fnIdx := int(in.A)
-		if fnIdx == c.FnIdx {
-			return degCall // self-recursion can never be guard-stable
-		}
-		cc := peek(fnIdx)
-		if cc == nil {
-			// Callee never invoked: nothing to inline against yet. Record
-			// it so the plan can be rebuilt once the code table has a body
-			// — with a lazy provider the first build often precedes the
-			// callee's first invocation.
-			cv.missing = append(cv.missing, int32(fnIdx))
-			return degCall
-		}
-		cpcs, reason := linearizeCallee(cc)
-		if cpcs == nil {
-			return reason
-		}
-		slot := int32(-1)
-		for s, fn := range cv.fns {
-			if fn == int32(fnIdx) {
-				slot = int32(s)
-				break
-			}
-		}
-		if slot < 0 {
-			cv.fns = append(cv.fns, int32(fnIdx))
-			slot = int32(len(cv.fns) - 1)
-		}
-		cv.calls = append(cv.calls, rcall{
-			fnIdx:  int32(fnIdx),
-			slot:   slot,
-			code:   cc,
-			fp:     cc.Fingerprint(),
-			callPC: int32(pc),
-			nargs:  in.B,
-			nloc:   int32(cc.NLocals),
-		})
-		cv.items = append(cv.items, titem{code: c, pc: int32(pc), slot: 0, call: int32(len(cv.calls) - 1)})
-		for _, cpc := range cpcs {
-			cv.items = append(cv.items, titem{code: cc, pc: cpc, slot: slot, call: -1})
-		}
-	}
-	if len(cv.items) > traceMaxInstrs {
-		return degTooLarge
-	}
-	return degCount
-}
-
-// linearizeCallee walks a callee body from its entry to RET, following
-// fall-throughs, unconditional jumps, and the fall-through arm of
-// conditional branches (the taken arm becomes a callee exit during
-// conversion). Refuses loops, nested calls, allocation, HALT, and bodies
-// over the inline size cap.
-func linearizeCallee(cc *Code) ([]int32, int) {
-	var pcs []int32
-	seen := make(map[int]bool)
-	pc := 0
-	for {
-		if pc < 0 || pc >= len(cc.Instrs) || seen[pc] {
-			return nil, degCallee
-		}
-		seen[pc] = true
-		in := cc.Instrs[pc]
-		switch in.Op {
-		case bytecode.RET:
-			pcs = append(pcs, int32(pc))
-			return pcs, degCount
-		case bytecode.JMP:
-			pcs = append(pcs, int32(pc))
-			pc = int(in.A)
-		case bytecode.CALL:
-			return nil, degCallee // depth-1 inlining only
-		case bytecode.NEWARR:
-			return nil, degNewArr
-		case bytecode.HALT:
-			return nil, degHalt
-		default:
-			pcs = append(pcs, int32(pc))
-			pc++
-		}
-		if len(pcs) > inlineMaxInstrs {
-			return nil, degCallee
-		}
-	}
-}
-
-// sumSuffixes computes the per-position suffix charge sums over the item
-// stream: the engine-clock total and the per-slot split the exit and trap
-// rollbacks subtract.
+// sumSuffixes computes the per-position suffix charge sums over the
+// items, which the exit and trap rollbacks subtract.
 func (cv *rconv) sumSuffixes() int {
-	n := len(cv.items)
-	cv.sufT = make([]int32, n+1)
-	cv.sufS = make([][]int32, len(cv.fns))
-	cv.sufSB = make([][]int32, len(cv.fns))
-	for s := range cv.sufS {
-		cv.sufS[s] = make([]int32, n+1)
-		cv.sufSB[s] = make([]int32, n+1)
-	}
+	n := len(cv.pcs)
+	cv.sufCost = make([]int32, n+1)
+	cv.sufBase = make([]int32, n+1)
 	var total int64
 	for k := n - 1; k >= 0; k-- {
-		it := cv.items[k]
-		cost := it.code.Cost[it.pc]
-		base := it.code.Base[it.pc]
-		total += cost
+		pc := cv.pcs[k]
+		total += cv.c.Cost[pc]
 		if total > math.MaxInt32 {
 			return degTooLarge
 		}
-		cv.sufT[k] = cv.sufT[k+1] + int32(cost)
-		for s := range cv.sufS {
-			cv.sufS[s][k] = cv.sufS[s][k+1]
-			cv.sufSB[s][k] = cv.sufSB[s][k+1]
-		}
-		cv.sufS[it.slot][k] += int32(cost)
-		cv.sufSB[it.slot][k] += int32(base)
+		cv.sufCost[k] = cv.sufCost[k+1] + int32(cv.c.Cost[pc])
+		cv.sufBase[k] = cv.sufBase[k+1] + int32(cv.c.Base[pc])
 	}
 	return degCount
 }
@@ -559,10 +338,9 @@ func (cv *rconv) emit(in rins) { cv.ins = append(cv.ins, in) }
 func (cv *rconv) push(s sym) { cv.stk = append(cv.stk, s) }
 
 // pop takes the top symbolic slot; failure means the instruction would
-// consume a value pushed before the loop (or, inside an inlined callee,
-// before the call) was entered.
+// consume a value pushed before the loop was entered.
 func (cv *rconv) pop() (sym, bool) {
-	if len(cv.stk) <= cv.floor {
+	if len(cv.stk) == 0 {
 		return sym{}, false
 	}
 	s := cv.stk[len(cv.stk)-1]
@@ -571,8 +349,8 @@ func (cv *rconv) pop() (sym, bool) {
 }
 
 // alloc claims a free temporary register (refcount 1), or -1 when the
-// file is full. Pinned callee-local blocks hold refcount 1 forever, so
-// the scan never reuses them.
+// file is full. Hoisted registers hold refcount 1 forever, so the scan
+// never reuses them.
 func (cv *rconv) alloc() int32 {
 	for i := cv.nloc; i < cv.nregs; i++ {
 		if cv.ref[i] == 0 {
@@ -637,40 +415,9 @@ func (cv *rconv) immVal(s sym) (int64, bool) {
 	case symImm:
 		return int64(s.v), true
 	case symConst:
-		return cv.consts[s.v].I, true
+		return cv.c.Consts[s.v].I, true
 	}
 	return 0, false
-}
-
-// constIdx maps a constant-pool reference of code to the trace's merged
-// pool, copying the caller's pool on first callee contribution.
-func (cv *rconv) constIdx(code *Code, idx int32) int32 {
-	if code == cv.caller {
-		return idx
-	}
-	v := code.Consts[idx]
-	for j, have := range cv.consts {
-		if have == v {
-			return int32(j)
-		}
-	}
-	if !cv.constsOwned {
-		cv.consts = append(append([]bytecode.Value(nil), cv.consts...), v)
-		cv.constsOwned = true
-	} else {
-		cv.consts = append(cv.consts, v)
-	}
-	return int32(len(cv.consts) - 1)
-}
-
-// localReg maps a LOAD/STORE/IINC slot of the current context to its
-// register: the caller's locals mirror regs[0:nloc], an inlined callee's
-// live in its pinned block.
-func (cv *rconv) localReg(k int32) int32 {
-	if cv.curCall >= 0 {
-		return cv.calls[cv.curCall].lbase + k
-	}
-	return k
 }
 
 // spillLocal rewrites symbolic stack slots that reference register k into
@@ -694,7 +441,7 @@ func (cv *rconv) spillLocal(k int32) bool {
 	return true
 }
 
-// store compiles "register k = v" for a local or pinned callee-local k.
+// store compiles "register k = v" for a local k.
 // When v is a temp produced by the immediately preceding instruction and
 // its only other references are symbolic stack slots (the copy a DUP
 // left), that instruction is retargeted at k, those slots read k, and
@@ -757,31 +504,21 @@ func snapshot(syms []sym) []rpush {
 }
 
 // remAt returns the rollback charges for resuming before item j: the
-// engine-clock total, the caller slot's share, and the per-callee shares.
-func (cv *rconv) remAt(j int) (tot, rem, remBase int32, crem []slotRem) {
-	return cv.chargeBetween(j, len(cv.items))
+// summed Cost and Base of items j onwards.
+func (cv *rconv) remAt(j int) (rem, remBase int32) {
+	return cv.chargeBetween(j, len(cv.pcs))
 }
 
-// chargeBetween returns the charges of items j..k-1, split like remAt's.
-func (cv *rconv) chargeBetween(j, k int) (tot, rem, remBase int32, crem []slotRem) {
-	tot = cv.sufT[j] - cv.sufT[k]
-	rem = cv.sufS[0][j] - cv.sufS[0][k]
-	remBase = cv.sufSB[0][j] - cv.sufSB[0][k]
-	for s := 1; s < len(cv.fns); s++ {
-		r, rb := cv.sufS[s][j]-cv.sufS[s][k], cv.sufSB[s][j]-cv.sufSB[s][k]
-		if r != 0 || rb != 0 {
-			crem = append(crem, slotRem{slot: int32(s), rem: r, remBase: rb})
-		}
-	}
-	return
+// chargeBetween returns the summed Cost and Base of items j..k-1.
+func (cv *rconv) chargeBetween(j, k int) (rem, remBase int32) {
+	return cv.sufCost[j] - cv.sufCost[k], cv.sufBase[j] - cv.sufBase[k]
 }
 
-// laterItem returns the index of the item after i at which the trace's
-// own function reaches pc, or -1: the target of a branch that can skip
-// forward within the iteration.
+// laterItem returns the index of the item after i at pc, or -1: the
+// target of a branch that can skip forward within the iteration.
 func (cv *rconv) laterItem(i, pc int) int {
-	for k := i + 1; k < len(cv.items); k++ {
-		if it := cv.items[k]; it.code == cv.caller && int(it.pc) == pc {
+	for k := i + 1; k < len(cv.pcs); k++ {
+		if cv.pcs[k] == pc {
 			return k
 		}
 	}
@@ -801,7 +538,7 @@ func (cv *rconv) landSkips(k int) {
 		if sk.to == k {
 			ex := &cv.exits[sk.x]
 			ex.to = int32(len(cv.ins))
-			ex.tot, ex.rem, ex.remBase, ex.crem = cv.chargeBetween(sk.from+1, k)
+			ex.rem, ex.remBase = cv.chargeBetween(sk.from+1, k)
 		}
 	}
 }
@@ -839,52 +576,19 @@ func (cv *rconv) recip(d int64) int32 {
 
 // addExit records a side exit at item position i resuming at target,
 // snapshotting the symbolic stack (condition already popped) for
-// rematerialization. atCall includes item i itself in the rollback (the
-// guard-failure exit replays the CALL instruction). Inside an inlined
-// callee the exit becomes a callee-frame deopt: the caller's residual
-// stack and the callee's own stack are split at the call floor.
-func (cv *rconv) addExit(i, target int, atCall bool) int32 {
-	j := i + 1
-	if atCall {
-		j = i
-	}
-	tot, rem, remBase, crem := cv.remAt(j)
-	ex := rexit{
-		pc:      int32(target),
-		tot:     tot,
-		rem:     rem,
-		remBase: remBase,
-		crem:    crem,
-		callIdx: -1,
-	}
-	if cv.curCall >= 0 {
-		ex.callIdx = cv.curCall
-		ex.cpc = int32(target)
-		ex.pc = cv.calls[cv.curCall].callPC
-		ex.push = snapshot(cv.stk[:cv.floor])
-		ex.cpush = snapshot(cv.stk[cv.floor:])
-	} else {
-		ex.push = snapshot(cv.stk)
-	}
+// rematerialization.
+func (cv *rconv) addExit(i, target int) int32 {
+	ex := rexit{pc: int32(target), push: snapshot(cv.stk)}
+	ex.rem, ex.remBase = cv.remAt(i + 1)
 	cv.exits = append(cv.exits, ex)
 	return int32(len(cv.exits) - 1)
 }
 
 // addTrap records the rollback data of a trapping instruction at item
-// position i, attributing it to the inlined callee when inside one.
+// position i.
 func (cv *rconv) addTrap(i int) int32 {
-	tot, rem, remBase, crem := cv.remAt(i + 1)
-	t := rtrap{
-		tot:     tot,
-		rem:     rem,
-		remBase: remBase,
-		crem:    crem,
-		tpc:     cv.items[i].pc + 1,
-		fn:      -1,
-	}
-	if cv.curCall >= 0 {
-		t.fn = cv.calls[cv.curCall].fnIdx
-	}
+	t := rtrap{tpc: int32(cv.pcs[i]) + 1}
+	t.rem, t.remBase = cv.remAt(i + 1)
 	cv.traps = append(cv.traps, t)
 	return int32(len(cv.traps) - 1)
 }
@@ -892,26 +596,24 @@ func (cv *rconv) addTrap(i int) int32 {
 // instr converts the item at position i; on failure the second return is
 // the degradation reason.
 func (cv *rconv) instr(i int) (bool, int) {
-	it := cv.items[i]
-	pc := int(it.pc)
-	in := it.code.Instrs[it.pc]
+	pc := cv.pcs[i]
+	in := cv.c.Instrs[pc]
 	switch in.Op {
 	case bytecode.NOP:
 
 	case bytecode.IPUSH:
 		cv.push(sym{k: symImm, v: in.A})
 	case bytecode.CONST:
-		cv.push(sym{k: symConst, v: cv.constIdx(it.code, in.A)})
+		cv.push(sym{k: symConst, v: in.A})
 	case bytecode.LOAD:
-		cv.push(sym{k: symReg, v: cv.localReg(in.A)})
+		cv.push(sym{k: symReg, v: in.A})
 
 	case bytecode.STORE:
 		v, ok := cv.pop()
-		k := cv.localReg(in.A)
-		if !ok || !cv.spillLocal(k) {
+		if !ok || !cv.spillLocal(in.A) {
 			return false, degStack
 		}
-		cv.store(k, v)
+		cv.store(in.A, v)
 
 	case bytecode.GLOAD:
 		// A global no item writes is loop-invariant: the load is a
@@ -945,11 +647,10 @@ func (cv *rconv) instr(i int) (bool, int) {
 		cv.release(r)
 
 	case bytecode.IINC:
-		k := cv.localReg(in.A)
-		if !cv.spillLocal(k) {
+		if !cv.spillLocal(in.A) {
 			return false, degRegs
 		}
-		cv.emit(rins{op: rInc, d: uint8(k), imm: in.B})
+		cv.emit(rins{op: rInc, d: uint8(in.A), imm: in.B})
 
 	case bytecode.POP:
 		v, ok := cv.pop()
@@ -958,7 +659,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		}
 		cv.releaseSym(v)
 	case bytecode.DUP:
-		if len(cv.stk) <= cv.floor {
+		if len(cv.stk) == 0 {
 			return false, degStack
 		}
 		s := cv.stk[len(cv.stk)-1]
@@ -968,7 +669,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		cv.push(s)
 	case bytecode.SWAP:
 		n := len(cv.stk)
-		if n-cv.floor < 2 {
+		if n < 2 {
 			return false, degStack
 		}
 		cv.stk[n-1], cv.stk[n-2] = cv.stk[n-2], cv.stk[n-1]
@@ -1059,19 +760,14 @@ func (cv *rconv) instr(i int) (bool, int) {
 			return false, degStack
 		}
 		// Where does the off-trace edge go, and on which branch sense?
-		// In the caller: non-closing branches (and a closing branch whose
-		// fall-through is the head) exit when taken; a closing branch
-		// whose taken target is the head exits when not taken, at the
-		// fall-through. Inside an inlined callee the fall-through is the
-		// traced path, so the exit is always the taken arm.
+		// Non-closing branches (and a closing branch whose fall-through
+		// is the head) exit when taken; a closing branch whose taken
+		// target is the head exits when not taken, at the fall-through.
 		exitWhenTaken := true
 		exitPC := int(in.A)
-		if cv.curCall < 0 {
-			closing := i == len(cv.items)-1
-			if closing && int(in.A) == cv.head {
-				exitWhenTaken = false
-				exitPC = pc + 1
-			}
+		if i == len(cv.pcs)-1 && int(in.A) == cv.head {
+			exitWhenTaken = false
+			exitPC = pc + 1
 		}
 		wantTrue := exitWhenTaken // JNZ is taken on IsTrue
 		if in.Op == bytecode.JZ {
@@ -1083,19 +779,18 @@ func (cv *rconv) instr(i int) (bool, int) {
 			// path never completes, so the trace is useless.
 			t := v.v != 0
 			if v.k == symConst {
-				t = cv.consts[v.v].IsTrue()
+				t = cv.c.Consts[v.v].IsTrue()
 			}
 			if t == wantTrue {
 				return false, degOther
 			}
 			return true, degCount
 		}
-		x := cv.addExit(i, exitPC, false)
-		// A taken branch of the trace's own function to a later item of
-		// the iteration, with nothing on the symbolic stack, may skip
-		// forward instead of leaving the trace (landSkips decides once
-		// conversion reaches the target).
-		if exitWhenTaken && cv.curCall < 0 && len(cv.stk) == 0 {
+		x := cv.addExit(i, exitPC)
+		// A taken branch to a later item of the iteration, with nothing
+		// on the symbolic stack, may skip forward instead of leaving the
+		// trace (landSkips decides once conversion reaches the target).
+		if exitWhenTaken && len(cv.stk) == 0 {
 			if k := cv.laterItem(i, exitPC); k >= 0 {
 				cv.skips = append(cv.skips, pendingSkip{x: x, from: i, to: k})
 			}
@@ -1123,77 +818,11 @@ func (cv *rconv) instr(i int) (bool, int) {
 		}
 		cv.emit(rins{op: op, a: uint8(v.v), x: x})
 
-	case bytecode.CALL:
-		if cv.curCall >= 0 || it.call < 0 {
-			return false, degCall
-		}
-		argc := int(in.B)
-		if len(cv.stk) < argc {
-			return false, degStack // args pushed before the loop was entered
-		}
-		rc := &cv.calls[it.call]
-		// Guard-failure exit first, while the args are still symbolically
-		// on the stack: it resumes AT the CALL, so its rollback includes
-		// this item's own charge and the interpreter replays the call.
-		rc.exitX = cv.addExit(i, pc, true)
-		// Pin a fresh contiguous register block for the callee's locals.
-		if cv.nregs+int(rc.nloc) > traceMaxRegs {
-			return false, degRegs
-		}
-		rc.lbase = int32(cv.nregs)
-		for j := int32(0); j < rc.nloc; j++ {
-			cv.ref = append(cv.ref, 1)
-			cv.pinned = append(cv.pinned, true)
-		}
-		cv.nregs += int(rc.nloc)
-		// Materialize the arguments into the block, then drop their
-		// symbolic references (no allocation happens in between, so exit
-		// snapshots taken above stay valid at runtime).
-		args := cv.stk[len(cv.stk)-argc:]
-		for j, a := range args {
-			d := rc.lbase + int32(j)
-			switch a.k {
-			case symImm:
-				cv.emit(rins{op: rLoadI, d: uint8(d), imm: a.v})
-			case symConst:
-				cv.emit(rins{op: rLoadC, d: uint8(d), imm: a.v})
-			default:
-				cv.emit(rins{op: rMove, d: uint8(d), a: uint8(a.v)})
-			}
-		}
-		cv.stk = cv.stk[:len(cv.stk)-argc]
-		for _, a := range args {
-			cv.releaseSym(a)
-		}
-		rc.push = snapshot(cv.stk)
-		rc.ptot, rc.prem, rc.premBase, rc.pcrem = cv.remAt(i + 1)
-		cv.emit(rins{op: rCall, x: it.call})
-		cv.curCall = it.call
-		cv.floor = len(cv.stk)
-
-	case bytecode.RET:
-		if cv.curCall < 0 {
-			return false, degRet
-		}
-		rv, ok := cv.pop()
-		if !ok {
-			return false, degStack
-		}
-		// The accounted RET truncates to the frame base before pushing the
-		// return value: drop anything the callee left above its floor.
-		for len(cv.stk) > cv.floor {
-			s, _ := cv.pop()
-			cv.releaseSym(s)
-		}
-		cv.curCall = -1
-		cv.floor = 0
-		cv.push(rv)
-
 	default:
 		// Everything else is a value op whose lowering rule is derived
 		// from the spec (regLower, regir_gen.go). NEWARR, HALT and
 		// anything unknown classify lowNone and degrade rather than
-		// miscompile.
+		// miscompile; CALL and RET never reach here (linearizeFrom).
 		return cv.lower(i, in)
 	}
 	return true, degCount
@@ -1326,7 +955,7 @@ func (cv *rconv) foldKernel(op bytecode.Op, ar int, vs [3]sym) (sym, bool) {
 		case symImm:
 			vals[j] = bytecode.Int(int64(vs[j].v))
 		case symConst:
-			vals[j] = cv.consts[vs[j].v]
+			vals[j] = cv.c.Consts[vs[j].v]
 		default:
 			return sym{}, false
 		}

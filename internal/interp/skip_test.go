@@ -15,11 +15,10 @@ import (
 // a run-length-3 array and takes its "new run" arm only when the value
 // changes, so the branch over the arm skips forward on two iterations
 // out of three. The arm divides by i-ta, so it traps at iteration ta
-// when the arm runs there, and makes an inlined call, so a skip must
-// also take back the callee's charge; the join divides by i-tb, so it
-// traps at iteration tb; and after the join the loop makes another
-// inlined call. The array is filled by a loop of fixed length, so n
-// changes only the traced loop's cost.
+// when the arm runs there, and multiplies the quotient by 3; the join
+// divides by i-tb, so it traps at iteration tb, and multiplies again.
+// The array is filled by a loop of fixed length, so n changes only the
+// traced loop's cost.
 const rleSrc = `
 global n
 global ta
@@ -68,7 +67,8 @@ loop:
   gload ta
   isub
   idiv
-  call leaf 1
+  const 3
+  imul
   iadd
   store runs
   load cur
@@ -79,7 +79,8 @@ same:
   gload tb
   isub
   imod
-  call leaf 1
+  const 3
+  imul
   load s
   iadd
   store s
@@ -89,12 +90,6 @@ done:
   load runs
   load s
   iadd
-  ret
-end
-func leaf(x)
-  load x
-  const 3
-  imul
   ret
 end
 `
@@ -107,8 +102,9 @@ func rleGlobals(n, ta, tb int64) map[string]bytecode.Value {
 // run-length loop — plain, with a trap inside the skipped arm (at an
 // iteration that runs the arm and at one that skips it), and with a trap
 // after the join — and checks every virtual observable against the
-// accounted loop. It then checks that the loop really skips: no linked
-// exit and no OSR entry, and one engine-loop entry per sample window.
+// accounted loop. It then checks that both loops trace and that the
+// run-length loop really skips: no linked exit and no OSR entry, and one
+// engine-loop entry per sample window.
 func TestForwardSkipStateMapping(t *testing.T) {
 	p := mustProg(t, rleSrc)
 	noBatch := func(e *Engine) { e.NoBatching = true }
@@ -138,6 +134,10 @@ func TestForwardSkipStateMapping(t *testing.T) {
 	for _, s := range ref.samples {
 		windows += s
 	}
+	if st.Built != 2 || st.HeadEntries == 0 {
+		t.Errorf("run-length loop not traced: built=%d head_entries=%d, want both loops built and entered (%+v)",
+			st.Built, st.HeadEntries, st)
+	}
 	entries := st.HeadEntries + st.OSREntries - st.Linked
 	if st.Linked != 0 || st.OSREntries != 0 || st.SideExits > 2 || entries > windows+2 {
 		t.Errorf("run-length loop left its trace: linked=%d osr=%d side_exits=%d engine entries=%d over %d windows, want no links or OSR entries and one entry per window (%+v)",
@@ -145,14 +145,12 @@ func TestForwardSkipStateMapping(t *testing.T) {
 	}
 }
 
-// hoistSrc runs four loops over one global g. The first reads and
+// hoistSrc runs three loops over one global g. The first reads and
 // writes g, so its loads must not be hoisted; the second only reads g,
-// so they must; the third reads g and calls a function that writes it,
-// which counts as a write. The fourth reads g on its traced path and
-// writes it in an arm off that path, every third iteration: its head
-// trace hoists g, and the OSR tail through the arm returns to the head
-// trace, whose prologue must load g again. n is read by every loop and
-// written by none.
+// so they must. The third reads g on its traced path and writes it in an
+// arm off that path, every third iteration: its head trace hoists g, and
+// the OSR tail through the arm returns to the head trace, whose prologue
+// must load g again. n is read by every loop and written by none.
 const hoistSrc = `
 global n
 global g
@@ -191,23 +189,6 @@ third:
   load i
   gload n
   ige
-  jnz fourth0
-  load s
-  gload g
-  iadd
-  store s
-  load i
-  call bump 1
-  pop
-  iinc i 1
-  jmp third
-fourth0:
-  const 0
-  store i
-fourth:
-  load i
-  gload n
-  ige
   jnz done
   load i
   const 3
@@ -218,52 +199,40 @@ fourth:
   iadd
   store s
   iinc i 1
-  jmp fourth
+  jmp third
 write:
   gload g
   const 5
   iadd
   gstore g
   iinc i 1
-  jmp fourth
+  jmp third
 done:
   load s
   gload g
   iadd
   ret
 end
-func bump(x)
-  gload g
-  load x
-  iadd
-  gstore g
-  const 0
-  ret
-end
 `
 
 // TestHoistedGlobals checks which global loads each loop's trace hoists
-// into its prologue, then holds all four loops to the accounted loop
+// into its prologue, then holds all three loops to the accounted loop
 // across the trace ladder and a stride sweep.
 func TestHoistedGlobals(t *testing.T) {
 	p := mustProg(t, hoistSrc)
 	nIdx, _ := p.GlobalIndex("n")
 	gIdx, _ := p.GlobalIndex("g")
-	codes := make([]*Code, len(p.Funcs))
-	for i, f := range p.Funcs {
-		codes[i] = NewCode(i, f, -1, BaselineScalePct)
-	}
-	tp := buildTracePlan(codes[p.Entry], true, func(fn int) *Code { return codes[fn] })
+	tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
 	var heads []*trace
 	for _, tr := range tp.tr {
 		if tr != nil {
 			heads = append(heads, tr)
 		}
 	}
-	if len(heads) != 4 {
-		t.Fatalf("built %d loop traces, want 4", len(heads))
+	if len(heads) != 3 {
+		t.Fatalf("built %d loop traces, want 3", len(heads))
 	}
-	for i, want := range []struct{ n, g bool }{{true, false}, {true, true}, {true, false}, {true, true}} {
+	for i, want := range []struct{ n, g bool }{{true, false}, {true, true}, {true, true}} {
 		var hn, hg bool
 		for _, h := range heads[i].hoist {
 			hn = hn || int(h.g) == nIdx

@@ -8,8 +8,8 @@ import "sync/atomic"
 // link, and how often they deoptimize back to the switch loop. The
 // counters are host-side only — they never feed back into any virtual
 // observable — and exist so a benchmark regression is attributable: a
-// call-heavy shape that stops inlining shows up as a guard-failure or
-// degradation count, not just a slower wall clock. Surfaced by
+// loop that stops tracing shows up as a degradation count, not just a
+// slower wall clock. Surfaced by
 // `evolvevm serve` /v1/stats and `expdriver -tracestats`.
 //
 // Build-time counters are process-global atomics (plans are built rarely,
@@ -20,8 +20,8 @@ import "sync/atomic"
 
 // Degradation reasons, in the order of the DegradeReasons names.
 const (
-	degCall     = iota // CALL not inlinable (inlining off, recursive, no peek)
-	degRet             // RET on the caller path
+	degCall     = iota // CALL on the traced path
+	degRet             // RET on the traced path
 	degNewArr          // NEWARR (allocation can start a collection)
 	degHalt            // HALT
 	degTooLarge        // linearized iteration exceeds traceMaxInstrs
@@ -29,7 +29,6 @@ const (
 	degStack           // unbalanced stack: pops below entry or non-neutral back edge
 	degCold            // a needed pc has no batchable segment (cold glue code)
 	degInner           // walk revisits a segment: an inner loop's back edge
-	degCallee          // callee body not inlinable (branchy-to-exit only, nested call, too large)
 	degOther
 	degCount
 )
@@ -38,7 +37,7 @@ const (
 // with the TraceStats.Degrade slice.
 var DegradeReasons = [degCount]string{
 	"call", "ret", "newarr", "halt", "too-large", "regs",
-	"unbalanced-stack", "cold", "inner-loop", "callee", "other",
+	"unbalanced-stack", "cold", "inner-loop", "other",
 }
 
 // Run-time counters, indexes into traceCounts (see TraceStats for their
@@ -50,9 +49,6 @@ const (
 	tcSideExits
 	tcTraps
 	tcDeopts
-	tcGuardFails
-	tcInlinedCalls
-	tcInlineDeopts
 	tcCount
 )
 
@@ -110,14 +106,6 @@ type TraceStats struct {
 	SideExits int64 `json:"side_exits"`
 	Traps     int64 `json:"traps"`
 	Deopts    int64 `json:"stress_deopts"`
-
-	// GuardFails counts inline-guard failures (the callee's current code
-	// no longer matches the inlined fingerprint); InlinedCalls counts
-	// calls executed inside the register tier; InlineDeopts counts
-	// mid-call deoptimizations into a materialized callee frame.
-	GuardFails   int64 `json:"guard_fails"`
-	InlinedCalls int64 `json:"inlined_calls"`
-	InlineDeopts int64 `json:"inline_deopts"`
 }
 
 // ReadTraceStats snapshots the process-global trace-tier counters. Runs
@@ -125,16 +113,13 @@ type TraceStats struct {
 func ReadTraceStats() TraceStats {
 	r := &traceStats.run
 	st := TraceStats{
-		Built:        traceStats.built.Load(),
-		HeadEntries:  r[tcHeadEntries].Load(),
-		OSREntries:   r[tcOSREntries].Load(),
-		Linked:       r[tcLinked].Load(),
-		SideExits:    r[tcSideExits].Load(),
-		Traps:        r[tcTraps].Load(),
-		Deopts:       r[tcDeopts].Load(),
-		GuardFails:   r[tcGuardFails].Load(),
-		InlinedCalls: r[tcInlinedCalls].Load(),
-		InlineDeopts: r[tcInlineDeopts].Load(),
+		Built:       traceStats.built.Load(),
+		HeadEntries: r[tcHeadEntries].Load(),
+		OSREntries:  r[tcOSREntries].Load(),
+		Linked:      r[tcLinked].Load(),
+		SideExits:   r[tcSideExits].Load(),
+		Traps:       r[tcTraps].Load(),
+		Deopts:      r[tcDeopts].Load(),
 	}
 	for i := 0; i < degCount; i++ {
 		if n := traceStats.degraded[i].Load(); n != 0 {

@@ -108,12 +108,9 @@ func TestCacheCarriesTracePlans(t *testing.T) {
 }
 
 // TestCacheCarriesOSRAndInlineGuards extends the round trip to the OSR
-// and inlining machinery: a run that builds a trace plan with mid-loop
-// OSR entry points and guarded inlined call sites leaves them on the
-// shared Code, and a second compiler resolving the same key receives the
-// identical plan — entry maps and inline guards included. The guards
-// re-validate against each run's own code table, so carrying them across
-// runs is safe by construction.
+// machinery: a run that builds a trace plan with mid-loop OSR entry
+// points leaves it on the shared Code, and a second compiler resolving
+// the same key receives the identical plan, entry maps included.
 func TestCacheCarriesOSRAndInlineGuards(t *testing.T) {
 	src := `
 global n
@@ -136,7 +133,10 @@ loop:
   jnz done
   load s
   load i
-  call leaf 1
+  load i
+  imul
+  const 1
+  iadd
   iadd
   store s
   load i
@@ -154,14 +154,6 @@ skip:
   jmp loop
 done:
   load s
-  ret
-end
-func leaf(x)
-  load x
-  load x
-  imul
-  const 1
-  iadd
   ret
 end
 `
@@ -184,16 +176,15 @@ end
 	e := interp.NewEngine(prog)
 	e.EagerRegTier = true
 	e.Provider = func(fn int) *interp.Code { return codes[fn] }
-	e.PeekCode = func(fn int) *interp.Code { return codes[fn] }
 	if err := e.SetGlobal("n", bytecode.Int(60)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	heads, osr, inlined := codes[hotIdx].TraceInfo(true)
-	if heads == 0 || osr == 0 || inlined == 0 {
-		t.Fatalf("run built heads=%d osr=%d inlined=%d; want all nonzero", heads, osr, inlined)
+	heads, osr := codes[hotIdx].TraceInfo()
+	if heads == 0 || osr == 0 {
+		t.Fatalf("run built heads=%d osr=%d; want both nonzero", heads, osr)
 	}
 
 	// Second compiler, same shared cache: identical Code, identical plan.
@@ -203,10 +194,9 @@ end
 	if code2 != codes[hotIdx] {
 		t.Fatal("shared cache returned a different code form")
 	}
-	h2, o2, i2 := code2.TraceInfo(true)
-	if h2 != heads || o2 != osr || i2 != inlined {
-		t.Fatalf("cached form's trace plan changed: heads=%d osr=%d inlined=%d, want %d/%d/%d",
-			h2, o2, i2, heads, osr, inlined)
+	h2, o2 := code2.TraceInfo()
+	if h2 != heads || o2 != osr {
+		t.Fatalf("cached form's trace plan changed: heads=%d osr=%d, want %d/%d", h2, o2, heads, osr)
 	}
 }
 

@@ -104,12 +104,6 @@ func New(prog *bytecode.Program, cfg jit.Config, ctrl Controller) *Machine {
 		m.Controller.OnSample(m, fnIdx)
 	}
 	m.Engine.Provider = m.provide
-	// Side-effect-free view of the current code table for the trace
-	// tier's inline guards: nil until provide base-compiled the function,
-	// after which provide is a pure lookup — exactly the PeekCode
-	// contract. Survives Machine.Reset (engine Reset keeps Provider and
-	// PeekCode; m.current is cleared, so stale code is never peeked).
-	m.Engine.PeekCode = func(fnIdx int) *interp.Code { return m.current[fnIdx] }
 	m.Engine.OnInvoke = m.onInvoke
 	m.Engine.OnSample = m.onSample
 	return m
