@@ -170,7 +170,8 @@ func BenchmarkAblation(b *testing.B) {
 // --- substrate microbenchmarks ---
 
 // BenchmarkDispatchTiers compares the host dispatch tiers on the same
-// tight loop, honestly: one engine per tier, warmed before the timer so
+// loops — a tight loop, a branchy one, and compress's run-length loop —
+// honestly: one engine per tier, warmed before the timer so
 // every mode runs its steady state (plans decoded, traces converted,
 // pools populated) rather than paying one-time build costs inside the
 // measurement. The columns are off (per-instruction dispatch and
@@ -251,10 +252,65 @@ done:
 end
 `)
 
+	// The served idiom: compress's run-length loop. It loads data[i],
+	// compares it with the previous value, and skips over the new-run arm
+	// on two iterations of three; a fill loop of the same length builds
+	// data first. The register column tracks the fused pairs of the
+	// bounds test and load, the run counter and copy, and the skip.
+	rleProg := assembleBench(b, "microrle", `
+global n
+global data
+func main() locals i runs prev cur
+  gload n
+  newarr
+  gstore data
+fill:
+  load i
+  gload n
+  ige
+  jnz filled
+  gload data
+  load i
+  load i
+  const 3
+  idiv
+  astore
+  iinc i 1
+  jmp fill
+filled:
+  const -1
+  store prev
+  const 0
+  store i
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  gload data
+  load i
+  aload
+  store cur
+  load cur
+  load prev
+  ieq
+  jnz same
+  iinc runs 1
+  load cur
+  store prev
+same:
+  iinc i 1
+  jmp loop
+done:
+  load runs
+  ret
+end
+`)
+
 	for _, shape := range []struct {
 		prefix string
 		prog   *bytecode.Program
-	}{{"", prog}, {"branch/", branchProg}} {
+	}{{"", prog}, {"branch/", branchProg}, {"rle/", rleProg}} {
 		for _, tier := range tiers {
 			b.Run(shape.prefix+tier.name, func(b *testing.B) { runDispatch(b, shape.prog, tier.sub) })
 		}

@@ -13,8 +13,9 @@ import (
 // skips, hoisting) is scaffolding in regir.go; which register form each
 // value op lowers to, and the opcodes of those forms, are derived from
 // the spec here, so a spec-only opcode reaches the trace tier with no
-// converter edits. The arms that execute the opcodes are in trace_run_gen.go
-// (genTraceRun).
+// converter edits. So are the fused pair opcodes and the converter's
+// fusePair and splitPair (gen_pairs.go). The arms that execute the
+// opcodes are in trace_run_gen.go (genTraceRun).
 func genRegir(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString(regirTop)
@@ -33,7 +34,8 @@ func genRegir(table []opspec.Op) string {
 // registers, rOPi takes the second from imm, rOPk divides by the
 // precomputed reciprocal divs[imm] of a nonzero constant, and the
 // compare-and-exit forms rxOP/rxOPi (rxnOP/rxnOPi) take exit x when the
-// comparison holds (fails). Value forms come first.
+// comparison holds (fails). Value forms come first. The fused pair
+// forms P_Q follow: one opcode for instruction P then instruction Q.
 const (
 `)
 	for i, f := range forms {
@@ -42,6 +44,10 @@ const (
 		} else {
 			fmt.Fprintf(&b, "%s // %s\n", f.name, f.doc())
 		}
+	}
+	pairs := pairForms(table)
+	for _, f := range pairs {
+		fmt.Fprintf(&b, "%s // %s\n", f.name, f.doc())
 	}
 	b.WriteString("rNumOps // the number of register opcodes\n")
 	for _, f := range forms {
@@ -89,6 +95,7 @@ var regBranch = [rNumOps][2]rOp{
 		fmt.Fprintf(&b, "%s: {rxn%s%s, rx%s%s},\n", f.name, f.op.Enum, suffix, f.op.Enum, suffix)
 	}
 	b.WriteString("}\n")
+	genPairs(&b, pairs)
 	return interpFile(b.String())
 }
 

@@ -9,53 +9,108 @@ import (
 
 // genTraceRun emits internal/interp/trace_run_gen.go: Engine.runTrace,
 // the register tier's interpreter. The tier scaffolding — iteration
-// charge, forward skips, exits, links, traps, and the structural register
-// ops — is spliced in verbatim from the templates in
-// gen_trace_tmpl.go; the operator arms are generated from the spec, one
-// per opcode of regForms, so each dispatches once straight to its scalar
-// expression or kernel.
+// charge, forward skips, exits, links — is spliced in verbatim from the
+// templates in gen_trace_tmpl.go. The switch has one arm per register
+// opcode: the structural arms from the template table, one arm per
+// operator form of regForms generated from the spec, and one per fused
+// pair (gen_pairs.go), joined from its two components' arms.
 func genTraceRun(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString(traceTop)
-	for _, f := range regForms(table) {
-		emitRegArm(&b, f)
+	for _, a := range regArms(table) {
+		fmt.Fprintf(&b, "case %s:\n%s\n", a.name, expandArm(a.body, nil))
+	}
+	for _, f := range pairForms(table) {
+		fmt.Fprintf(&b, "case %s:\n%s\n", f.name, f.arm())
 	}
 	b.WriteString(traceBottom)
 	return interpFile(b.String())
 }
 
-// emitRegArm emits the case arm of one generated register opcode.
-func emitRegArm(b *strings.Builder, f regForm) {
+// namedArm is the arm body of one register opcode.
+type namedArm struct {
+	name, body string
+}
+
+// An arm body names the instruction fields it reads as placeholders:
+// {d}, {a}, {b} and {c} the registers, {imm} the immediate, {x} the exit
+// or trap index. armFields lists them.
+var armFields = []string{"d", "a", "b", "c", "imm", "x"}
+
+// slotExpr reads each slot of the dispatched instruction (rins,
+// regir.go): a register number, or an int32 for the immediate, the
+// uint16 index x, and a fused form's second immediate or index y.
+var slotExpr = map[string]string{
+	"d": "in.d", "a": "in.a", "b": "in.b", "c": "in.c", "imm": "in.imm", "x": "int32(in.x)", "y": "in.y",
+}
+
+// expandArm binds an arm body's placeholders: field f reads slot at[f],
+// or its own slot when at has none.
+func expandArm(body string, at map[string]string) string {
+	var kv []string
+	for _, f := range armFields {
+		s := f
+		if at[f] != "" {
+			s = at[f]
+		}
+		kv = append(kv, "{"+f+"}", slotExpr[s])
+	}
+	return strings.NewReplacer(kv...).Replace(body)
+}
+
+// usedFields lists the fields an arm body reads, in armFields order.
+func usedFields(body string) []string {
+	var fs []string
+	for _, f := range armFields {
+		if strings.Contains(body, "{"+f+"}") {
+			fs = append(fs, f)
+		}
+	}
+	return fs
+}
+
+// regArms lists the arm of every unfused register opcode in opcode
+// order: the structural arms, then the operator forms.
+func regArms(table []opspec.Op) []namedArm {
+	arms := append([]namedArm(nil), structArms...)
+	for _, f := range regForms(table) {
+		arms = append(arms, namedArm{f.name, regArm(f)})
+	}
+	return arms
+}
+
+// regArm returns the arm body of one generated operator form, which
+// dispatches once straight to its scalar expression or kernel.
+func regArm(f regForm) string {
 	o := f.op
-	fmt.Fprintf(b, "case %s:\n", f.name)
 	if kernelOp(o) {
-		regs := []string{"regs[in.a]", "regs[in.b]", "regs[in.c]"}[:o.Pops]
-		fmt.Fprintf(b, "regs[in.d] = sem%s(%s)\n", o.Enum, strings.Join(regs, ", "))
-		return
+		regs := []string{"regs[{a}]", "regs[{b}]", "regs[{c}]"}[:o.Pops]
+		return fmt.Sprintf("regs[{d}] = sem%s(%s)", o.Enum, strings.Join(regs, ", "))
 	}
 	gi, ok := groupInfos[o.Group]
 	if !ok {
 		fail("unknown scalar group %q", o.Group)
 	}
-	operands := fmt.Sprintf("a, b := regs[in.a]%s, regs[in.b]%s", gi.access, gi.access)
+	operands := fmt.Sprintf("a, b := regs[{a}]%s, regs[{b}]%s", gi.access, gi.access)
 	if f.kind == formRI || f.kind == formExitI {
-		operands = fmt.Sprintf("a, b := regs[in.a]%s, int64(in.imm)", gi.access)
+		operands = fmt.Sprintf("a, b := regs[{a}]%s, int64({imm})", gi.access)
 	}
 	switch f.kind {
 	case formK:
-		fmt.Fprintf(b, "regs[in.d] = %s(tr.divs[in.imm].%s(regs[in.a]%s))\n", gi.wrap, divForm(o), gi.access)
+		return fmt.Sprintf("regs[{d}] = %s(tr.divs[{imm}].%s(regs[{a}]%s))", gi.wrap, divForm(o), gi.access)
 	case formExit, formExitI:
 		cond := o.Scalar
 		if !f.sense {
 			cond = "!(" + cond + ")"
 		}
-		fmt.Fprintf(b, "if %s; %s {\nx = in.x\nbreak body\n}\n", operands, cond)
-	default:
-		b.WriteString(operands + "\n")
-		for _, t := range o.Traps {
-			fmt.Fprintf(b, "if %s {\nreturn e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP, %q)\n}\n",
-				t.Cond, t.Msg)
-		}
-		fmt.Fprintf(b, "regs[in.d] = %s(%s)\n", gi.wrap, o.Scalar)
+		return fmt.Sprintf("if %s; %s {\nx = {x}\nbreak body\n}", operands, cond)
 	}
+	var b strings.Builder
+	b.WriteString(operands + "\n")
+	for _, t := range o.Traps {
+		fmt.Fprintf(&b, "if %s {\nreturn e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, %q)\n}\n",
+			t.Cond, t.Msg)
+	}
+	fmt.Fprintf(&b, "regs[{d}] = %s(%s)", gi.wrap, o.Scalar)
+	return b.String()
 }

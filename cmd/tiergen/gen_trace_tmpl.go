@@ -1,11 +1,10 @@
 package main
 
 // The Engine.runTrace scaffolding, spliced verbatim around the generated
-// operator arms. traceTop opens runTrace and carries the activation, the
-// per-iteration charge, and the structural register ops up to the
-// operator arms; traceBottom closes the instruction switch and carries
-// forward skips, exits, links, and the back edge. Indentation is
-// normalized by go/format after splicing.
+// arms. traceTop opens runTrace and carries the activation and the
+// per-iteration charge up to the instruction switch; traceBottom closes
+// the switch and carries forward skips, exits, links, and the back edge.
+// Indentation is normalized by go/format after splicing.
 
 const traceTop = `// runTrace executes iterations of tr until the next one would not fit
 // the sample window (normal return at the head; after a single pass for
@@ -38,69 +37,16 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, locals []bytecode.Value, lb
 		*workP += tr.base
 		*cycP += tr.cost
 
+		// The program ends with rEnd, so the walk needs no length test.
+		ins := tr.ins
 		x := int32(-1) // the exit (or forward skip) taken, if any
 		for i := 0; ; {
 		body:
-			for ; i < len(tr.ins); i++ {
-				in := &tr.ins[i]
-				// The structural arms, then one arm per operator opcode,
-				// generated from the spec.
+			for ; ; i++ {
+				in := &ins[i]
+				// The structural arms, then one arm per operator opcode
+				// generated from the spec, then one per fused pair.
 				switch in.op {
-				case rLoadI:
-					regs[in.d] = bytecode.Int(int64(in.imm))
-				case rLoadC:
-					regs[in.d] = tr.consts[in.imm]
-				case rMove:
-					regs[in.d] = regs[in.a]
-				case rGLoad:
-					regs[in.d] = e.Globals[in.imm]
-				case rGStore:
-					e.Globals[in.imm] = regs[in.a]
-				case rInc:
-					regs[in.d].I += int64(in.imm)
-				case rALoad:
-					arr, aerr := e.Array(regs[in.a])
-					if aerr == nil {
-						idx := regs[in.b].AsInt()
-						if idx >= 0 && idx < int64(len(arr)) {
-							regs[in.d] = arr[idx]
-							break
-						}
-						aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
-					}
-					return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
-						fmt.Sprintf("aload: %v", aerr))
-				case rAStore:
-					arr, aerr := e.Array(regs[in.a])
-					if aerr == nil {
-						idx := regs[in.b].AsInt()
-						if idx >= 0 && idx < int64(len(arr)) {
-							arr[idx] = regs[in.d]
-							break
-						}
-						aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
-					}
-					return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
-						fmt.Sprintf("astore: %v", aerr))
-				case rALen:
-					arr, aerr := e.Array(regs[in.a])
-					if aerr != nil {
-						return e.traceTrap(tr, tc, in.x, regs, locals, lb, stack, workP, cycP,
-							fmt.Sprintf("alen: %v", aerr))
-					}
-					regs[in.d] = bytecode.Int(int64(len(arr)))
-				case rPrint:
-					e.Output = append(e.Output, regs[in.a])
-				case rBrTrue:
-					if regs[in.a].IsTrue() {
-						x = in.x
-						break body
-					}
-				case rBrFalse:
-					if !regs[in.a].IsTrue() {
-						x = in.x
-						break body
-					}
 `
 
 const traceBottom = `				}
@@ -161,3 +107,38 @@ const traceBottom = `				}
 	return stack, int(tr.head), 0, ""
 }
 `
+
+// structArms are the arm bodies of the structural register opcodes, in
+// opcode order (regir.go), written with operand placeholders (armFields).
+// Like every arm body, each runs to its end on success and leaves only by
+// returning a trap or by "break body" with x set, so two bodies joined
+// run exactly as the two instructions did (gen_pairs.go).
+var structArms = []namedArm{
+	{"rLoadI", "regs[{d}] = bytecode.Int(int64({imm}))"},
+	{"rLoadC", "regs[{d}] = tr.consts[{imm}]"},
+	{"rMove", "regs[{d}] = regs[{a}]"},
+	{"rGLoad", "regs[{d}] = e.Globals[{imm}]"},
+	{"rGStore", "e.Globals[{imm}] = regs[{a}]"},
+	{"rInc", "regs[{d}].I += int64({imm})"},
+	{"rALoad", `arr, aerr := e.Array(regs[{a}])
+idx := regs[{b}].AsInt()
+if aerr != nil || idx < 0 || idx >= int64(len(arr)) {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("aload", aerr, idx, len(arr)))
+}
+regs[{d}] = arr[idx]`},
+	{"rAStore", `arr, aerr := e.Array(regs[{a}])
+idx := regs[{b}].AsInt()
+if aerr != nil || idx < 0 || idx >= int64(len(arr)) {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("astore", aerr, idx, len(arr)))
+}
+arr[idx] = regs[{d}]`},
+	{"rALen", `arr, aerr := e.Array(regs[{a}])
+if aerr != nil {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("alen", aerr, 0, 0))
+}
+regs[{d}] = bytecode.Int(int64(len(arr)))`},
+	{"rPrint", "e.Output = append(e.Output, regs[{a}])"},
+	{"rBrTrue", "if regs[{a}].IsTrue() {\nx = {x}\nbreak body\n}"},
+	{"rBrFalse", "if !regs[{a}].IsTrue() {\nx = {x}\nbreak body\n}"},
+	{"rEnd", "break body"},
+}

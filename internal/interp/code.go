@@ -117,6 +117,30 @@ func (c *Code) TraceInfo() (heads, osrEntries int) {
 	return heads, osrEntries
 }
 
+// HeadTraceLens returns the register-instruction count of each loop-head
+// trace by head pc, a closing rEnd of its own not counted, or nil when no
+// plan is built: the dispatches of one full trace iteration, less the
+// sentinel's. Diagnostics: a jit test pins the served loops' counts with
+// it.
+func (c *Code) HeadTraceLens() map[int]int {
+	tp := c.traces.Load()
+	if tp == nil {
+		return nil
+	}
+	lens := map[int]int{}
+	for pc, t := range tp.tr {
+		if t == nil {
+			continue
+		}
+		n := len(t.ins)
+		if t.ins[n-1].op == rEnd {
+			n--
+		}
+		lens[pc] = n
+	}
+	return lens
+}
+
 // planFor returns the execution plan of the code, building it on first
 // use. The build is deterministic, so whichever of several concurrent
 // builders wins the CAS installs an identical plan; losers discard

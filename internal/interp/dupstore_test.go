@@ -80,8 +80,8 @@ end
 // TestDupStoreNoMove checks that storing a DUP'd register value
 // retargets its producer at the local instead of moving into it, and
 // that a later write to the local while the copy is still on the stack
-// first spills the copy out of it. Both loops are held to the accounted
-// loop across a stride sweep.
+// first spills the copy out of it. Moves are counted inside fused pairs
+// too. Both loops are held to the accounted loop across a stride sweep.
 func TestDupStoreNoMove(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -106,7 +106,7 @@ func TestDupStoreNoMove(t *testing.T) {
 			}
 			cur := uint8(slices.Index(p.Funcs[p.Entry].LocalNames, "cur"))
 			into, spills := 0, 0
-			for _, in := range loop.ins {
+			for _, in := range unfused(loop.ins) {
 				switch {
 				case in.op != rMove:
 				case in.d == cur:

@@ -21,7 +21,9 @@ import (
 // touch the operand stack while the trace runs. A branch whose taken
 // target lies later on the traced path, with an empty symbolic stack at
 // both ends, becomes a forward skip over the instructions in between
-// rather than a side exit.
+// rather than a side exit. A last peephole replaces the commonest
+// adjacent instruction pairs with generated fused opcodes (fusePairs) and
+// ends the program with rEnd.
 //
 // The conversion refuses anything it cannot prove equivalent and reports
 // a degradation reason (stats.go), degrading that loop to the fused
@@ -54,8 +56,8 @@ const (
 
 // rOp is a register-IR opcode. The structural opcodes below are
 // scaffolding; the operator opcodes, one per spec op and operand form,
-// are generated from the spec (regir_gen.go) starting at rGen, and so are
-// their arms in Engine.runTrace (trace_run_gen.go).
+// and the fused pair opcodes are generated (regir_gen.go) starting at
+// rGen, and so are their arms in Engine.runTrace (trace_run_gen.go).
 type rOp uint8
 
 const (
@@ -71,6 +73,7 @@ const (
 	rPrint              // Output = append(Output, regs[a])
 	rBrTrue             // exit x when regs[a].IsTrue()
 	rBrFalse            // exit x when !regs[a].IsTrue()
+	rEnd                // the end of the iteration: every program's last instruction, alone or fused
 	rGen                // the first generated operator opcode
 )
 
@@ -80,12 +83,15 @@ const (
 // immediate: the value of rLoadI, rInc and the immediate forms, or the
 // constant-pool, global or reciprocal index of rLoadC, rGLoad/rGStore and
 // the by-constant forms. x indexes the trace's exit table for branches
-// and its trap table for trapping ops.
+// and its trap table for trapping ops. y is a fused pair form's second
+// immediate, or the exit or trap index of its second instruction when x
+// holds the first's (fusePair, regir_gen.go, shows which slot holds what).
 type rins struct {
 	op         rOp
 	d, a, b, c uint8
+	x          uint16
 	imm        int32
-	x          int32
+	y          int32
 }
 
 // regFile is the register file of the trace tier. Register numbers are
@@ -93,8 +99,12 @@ type rins struct {
 // check; traces use the first traceMaxRegs.
 type regFile [256]bytecode.Value
 
-// The register numbers of a trace must fit rins's uint8 fields.
-const _ = uint8(traceMaxRegs - 1)
+// The register numbers of a trace must fit rins's uint8 fields, and its
+// exit and trap indexes, at most one per linearized item, its uint16 x.
+const (
+	_ = uint8(traceMaxRegs - 1)
+	_ = uint16(traceMaxInstrs - 1)
+)
 
 // rWritesD reports whether op writes regs[d] as a pure result — the set
 // the store peephole may retarget at a local.
@@ -262,7 +272,7 @@ type rconv struct {
 // pendingSkip is a branch at item from, with exit record x, whose taken
 // target is the later item to.
 type pendingSkip struct {
-	x        int32
+	x        uint16
 	from, to int
 }
 
@@ -306,7 +316,7 @@ func convertTrace(c *Code, head int, pcs []int) (*trace, int) {
 		base:   int64(cv.sufBase[0]),
 		nloc:   int32(cv.nloc),
 		consts: c.Consts,
-		ins:    cv.ins,
+		ins:    cv.fusePairs(),
 		exits:  cv.exits,
 		traps:  cv.traps,
 		divs:   cv.divs,
@@ -577,20 +587,65 @@ func (cv *rconv) recip(d int64) int32 {
 // addExit records a side exit at item position i resuming at target,
 // snapshotting the symbolic stack (condition already popped) for
 // rematerialization.
-func (cv *rconv) addExit(i, target int) int32 {
+func (cv *rconv) addExit(i, target int) uint16 {
 	ex := rexit{pc: int32(target), push: snapshot(cv.stk)}
 	ex.rem, ex.remBase = cv.remAt(i + 1)
 	cv.exits = append(cv.exits, ex)
-	return int32(len(cv.exits) - 1)
+	return uint16(len(cv.exits) - 1)
 }
 
 // addTrap records the rollback data of a trapping instruction at item
 // position i.
-func (cv *rconv) addTrap(i int) int32 {
+func (cv *rconv) addTrap(i int) uint16 {
 	t := rtrap{tpc: int32(cv.pcs[i]) + 1}
 	t.rem, t.remBase = cv.remAt(i + 1)
 	cv.traps = append(cv.traps, t)
-	return int32(len(cv.traps) - 1)
+	return uint16(len(cv.traps) - 1)
+}
+
+// fusePairs is the converter's last peephole. It ends the program with
+// rEnd, replaces each adjacent instruction pair a generated pair rule
+// matches (fusePair, regir_gen.go) with its fused form, greedily from
+// the front, and returns the program in an exact-size slice. A pair whose
+// second instruction is a forward skip's landing point stays unfused,
+// since the skip must resume between the two; a skip to the end of the
+// iteration lands on rEnd. The fused form carries both instructions'
+// exit and trap indexes, and exit and trap records belong to items, not
+// instructions, so every exit, trap, link and OSR tail rolls back as the
+// pair did; only the skips' landing indexes move.
+func (cv *rconv) fusePairs() []rins {
+	cv.emit(rins{op: rEnd})
+	n := len(cv.ins)
+	landing := make([]bool, n)
+	for _, ex := range cv.exits {
+		if ex.to > 0 {
+			landing[ex.to] = true
+		}
+	}
+	// at maps each old index that may be a landing point to its new one.
+	// The fused program is written over the old in place: it never gets
+	// ahead of the instructions it reads.
+	at := make([]int32, n)
+	m := 0
+	for i := 0; i < n; i++ {
+		at[i] = int32(m)
+		if i+1 < n && !landing[i+1] {
+			if f, ok := fusePair(&cv.ins[i], &cv.ins[i+1]); ok {
+				cv.ins[m] = f
+				m++
+				i++
+				continue
+			}
+		}
+		cv.ins[m] = cv.ins[i]
+		m++
+	}
+	for k := range cv.exits {
+		if ex := &cv.exits[k]; ex.to > 0 {
+			ex.to = at[ex.to]
+		}
+	}
+	return append([]rins(nil), cv.ins[:m]...)
 }
 
 // instr converts the item at position i; on failure the second return is

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"evolvevm/internal/bytecode"
@@ -347,6 +348,15 @@ func (e *Engine) traceLeave(tr *trace, tc *traceCounts, ex *rexit, regs *regFile
 	}
 	tc[tcSideExits]++
 	return stack, int(ex.pc), 0, ""
+}
+
+// arrayTrap is the trap message of an array op whose operand is not an
+// array (aerr) or whose index lies outside [0, n): the accounted loop's.
+func arrayTrap(op string, aerr error, idx int64, n int) string {
+	if aerr != nil {
+		return fmt.Sprintf("%s: %v", op, aerr)
+	}
+	return fmt.Sprintf("%s: index %d out of range [0,%d)", op, idx, n)
 }
 
 // traceTrap aborts the run at trap x: same suffix rollback and local

@@ -1,6 +1,11 @@
 package jit
 
-import "evolvevm/internal/memo"
+import (
+	"errors"
+	"sync/atomic"
+
+	"evolvevm/internal/memo"
+)
 
 // CacheKey identifies one compiled code form across runs: the content
 // fingerprint of the program the function lives in (optimization of a
@@ -30,10 +35,14 @@ type CacheKey struct {
 type Cache struct {
 	m memo.Map[CacheKey, *compiled]
 
+	// builds counts the forms built for the cache: one per key, unless a
+	// build failed.
+	builds atomic.Int64
+
 	// afterMiss, when set, runs after every lookup miss and before the
-	// missing compiler builds the form: the window in which another
-	// compiler can miss the same key. Tests step a second compiler
-	// through it.
+	// missing compiler publishes its in-flight entry: the window in which
+	// another compiler can miss the same key. Tests step a second
+	// compiler through it.
 	afterMiss func()
 }
 
@@ -47,28 +56,60 @@ func (c *Compiler) sharedKey(fnIdx, level int) CacheKey {
 	return CacheKey{ProgFP: c.prog.Fingerprint(), FnIdx: fnIdx, Level: level, Cfg: c.cfg}
 }
 
-// sharedGet consults the shared cache for the compiler's program.
-func (c *Compiler) sharedGet(fnIdx, level int) (*compiled, bool) {
+// errBuildAbandoned is the failure of a build that ended without
+// returning (a panic), as the compilers waiting for it see it.
+var errBuildAbandoned = errors.New("jit: shared compile abandoned")
+
+// form returns the form of fnIdx at level that build fills in. Without a
+// shared cache every call builds. With one, each key is built once: a
+// compiler that misses publishes an in-flight entry before building, and
+// a compiler that finds an entry still building waits for it, so every
+// compiler continues with the one form and the execution plans runs
+// build on it are never dropped with a twin. A failed build is withdrawn
+// before its waiters wake; they return its error, and a later compiler
+// builds again.
+func (c *Compiler) form(fnIdx, level int, build func(*compiled) error) (*compiled, error) {
 	if c.shared == nil {
-		return nil, false
+		v := &compiled{}
+		return v, build(v)
 	}
-	v, ok := c.shared.m.Lookup(c.sharedKey(fnIdx, level))
-	if !ok && c.shared.afterMiss != nil {
-		c.shared.afterMiss()
+	key := c.sharedKey(fnIdx, level)
+	held, ok := c.shared.m.Lookup(key)
+	if !ok {
+		if c.shared.afterMiss != nil {
+			c.shared.afterMiss()
+		}
+		v, p := &compiled{}, &pendingBuild{done: make(chan struct{})}
+		v.building.Store(p)
+		if held, ok = c.shared.m.LoadOrStore(key, v); !ok {
+			return v, c.shared.build(key, v, p, build)
+		}
 	}
-	return v, ok
+	if p := held.building.Load(); p != nil {
+		<-p.done
+		if p.err != nil {
+			return nil, p.err
+		}
+	}
+	return held, nil
 }
 
-// sharedPut publishes v unless another compiler published the key first,
-// and returns the form the key holds. Every compiler continues with that
-// one form, so the execution plans runs build on it are never replaced
-// by a twin compiled concurrently.
-func (c *Compiler) sharedPut(fnIdx, level int, v *compiled) *compiled {
-	if c.shared == nil {
-		return v
+// build runs the one build of entry v, which key holds, and wakes the
+// compilers waiting for it. A successful build clears v.building, so a
+// finished entry keeps nothing of it.
+func (cc *Cache) build(key CacheKey, v *compiled, p *pendingBuild, build func(*compiled) error) error {
+	defer func() {
+		if p.err != nil {
+			cc.m.Delete(key)
+		}
+		close(p.done)
+	}()
+	cc.builds.Add(1)
+	p.err = errBuildAbandoned // what the waiters see if build panics
+	if p.err = build(v); p.err == nil {
+		v.building.Store(nil)
 	}
-	actual, _ := c.shared.m.LoadOrStore(c.sharedKey(fnIdx, level), v)
-	return actual
+	return p.err
 }
 
 // UseShared attaches a cross-run cache to the compiler. Call before the

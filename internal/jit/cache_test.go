@@ -2,6 +2,7 @@ package jit
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"evolvevm/internal/bytecode"
@@ -201,11 +202,12 @@ end
 }
 
 // TestCodeCompiledOnce steps two compilers on one shared cache through
-// the race the cache must absorb: both miss a key before either stores.
-// The second compiler runs inside the first one's miss window, so it
-// compiles and stores first; the first must then continue with the form
-// the cache holds rather than replace it with its own twin, or the trace
-// plans runs built on the first form would be dropped with it.
+// the race the cache must absorb: both miss a key before either has
+// published it. The second compiler runs in its own goroutine and misses
+// inside the first one's miss window; whichever then publishes its
+// in-flight entry first builds, and the other waits for that build. The
+// key must be built once, and both compilers must continue with its one
+// form, or the trace plans runs built on a twin would be dropped with it.
 func TestCodeCompiledOnce(t *testing.T) {
 	prog := testProg(t)
 	for _, level := range []int{MinLevel, MaxLevel} {
@@ -216,16 +218,31 @@ func TestCodeCompiledOnce(t *testing.T) {
 		c2.UseShared(shared)
 		var code2 *interp.Code
 		var err2 error
+		done2, missed2 := make(chan struct{}), make(chan struct{})
+		var misses atomic.Int32
 		shared.afterMiss = func() {
-			shared.afterMiss = nil
-			code2, _, err2 = c2.Compile(1, level)
+			if misses.Add(1) > 1 {
+				close(missed2) // the second compiler's miss
+				return
+			}
+			// The first compiler's miss: hold its window open until the
+			// second compiler has missed too.
+			go func() {
+				defer close(done2)
+				code2, _, err2 = c2.Compile(1, level)
+			}()
+			<-missed2
 		}
 		code1, _, err := c1.Compile(1, level)
+		<-done2
 		if err != nil || err2 != nil {
 			t.Fatal(err, err2)
 		}
-		if code2 == nil {
-			t.Fatalf("level %d: the second compiler never ran in the miss window", level)
+		if n := misses.Load(); n != 2 {
+			t.Fatalf("level %d: %d misses, want both compilers to miss", level, n)
+		}
+		if n := shared.builds.Load(); n != 1 {
+			t.Errorf("level %d: the key was built %d times, want once", level, n)
 		}
 		if code1 != code2 {
 			t.Errorf("level %d: the compilers ended with two forms of one key", level)

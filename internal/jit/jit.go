@@ -9,6 +9,7 @@ package jit
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/interp"
@@ -80,6 +81,16 @@ type compiled struct {
 	code   *interp.Code
 	cycles int64
 	res    opt.Result
+	// building is set while the one build of a shared cache entry runs
+	// (Compiler.form), and cleared when it succeeds.
+	building atomic.Pointer[pendingBuild]
+}
+
+// pendingBuild is a shared cache entry's build in flight: done closes
+// when it ends, and err is its failure.
+type pendingBuild struct {
+	done chan struct{}
+	err  error
 }
 
 // NewCompiler returns a compiler for prog with the given tier table.
@@ -107,14 +118,12 @@ func (c *Compiler) Baseline(fnIdx int) (*interp.Code, int64) {
 	if hit, ok := c.cache[key]; ok {
 		return hit.code, hit.cycles
 	}
-	if hit, ok := c.sharedGet(fnIdx, MinLevel); ok {
-		c.cache[key] = hit
-		return hit.code, hit.cycles
-	}
-	f := c.prog.Funcs[fnIdx]
-	code := interp.NewCode(fnIdx, f, MinLevel, interp.BaselineScalePct)
-	cycles := int64(len(f.Code))*c.cfg.BaseCompileCyclesPerInstr + 20
-	hit := c.sharedPut(fnIdx, MinLevel, &compiled{code: code, cycles: cycles})
+	hit, _ := c.form(fnIdx, MinLevel, func(v *compiled) error {
+		f := c.prog.Funcs[fnIdx]
+		v.code = interp.NewCode(fnIdx, f, MinLevel, interp.BaselineScalePct)
+		v.cycles = int64(len(f.Code))*c.cfg.BaseCompileCyclesPerInstr + 20
+		return nil
+	})
 	c.cache[key] = hit
 	return hit.code, hit.cycles
 }
@@ -135,18 +144,19 @@ func (c *Compiler) Compile(fnIdx, level int) (*interp.Code, int64, error) {
 	if hit, ok := c.cache[key]; ok {
 		return hit.code, 0, nil
 	}
-	if hit, ok := c.sharedGet(fnIdx, level); ok {
-		c.cache[key] = hit
-		return hit.code, hit.cycles, nil
-	}
-	spec := c.cfg.Levels[level]
-	f, res, err := opt.Optimize(c.prog, fnIdx, level)
+	hit, err := c.form(fnIdx, level, func(v *compiled) error {
+		spec := c.cfg.Levels[level]
+		f, res, err := opt.Optimize(c.prog, fnIdx, level)
+		if err != nil {
+			return err
+		}
+		v.code = interp.NewCode(fnIdx, f, level, spec.ScalePct)
+		v.cycles, v.res = res.Cycles*spec.CostMult, res
+		return nil
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	code := interp.NewCode(fnIdx, f, level, spec.ScalePct)
-	cycles := res.Cycles * spec.CostMult
-	hit := c.sharedPut(fnIdx, level, &compiled{code: code, cycles: cycles, res: res})
 	c.cache[key] = hit
 	return hit.code, hit.cycles, nil
 }
