@@ -214,9 +214,9 @@ end
 `)
 
 	// Data-dependent branch shape: the same loop with an i&1 arm, so the
-	// head trace side-exits every other iteration into the OSR tail of the
-	// odd arm, which rejoins the head at the back edge. The register
-	// column tracks linked exits: both transitions stay in-register.
+	// head trace side-exits every other iteration, the odd arm runs on
+	// the fused path, and the trace is entered again at the head. The
+	// register column tracks that round trip.
 	branchProg := assembleBench(b, "microbranch", `
 global n
 func main() locals i acc

@@ -59,7 +59,7 @@ func run(args []string, w, werr io.Writer) int {
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 		blockprofile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and plan-install races to stderr on exit")
+		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, entries, exits, deopts) and plan-install races to stderr on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -232,8 +232,8 @@ func writeLookupProfile(werr io.Writer, name, path string) {
 // observable.
 func printTraceStats(werr io.Writer) {
 	st := interp.ReadTraceStats()
-	fmt.Fprintf(werr, "trace tier: built=%d head_entries=%d osr_entries=%d linked=%d side_exits=%d traps=%d stress_deopts=%d\n",
-		st.Built, st.HeadEntries, st.OSREntries, st.Linked, st.SideExits, st.Traps, st.Deopts)
+	fmt.Fprintf(werr, "trace tier: built=%d head_entries=%d side_exits=%d traps=%d stress_deopts=%d\n",
+		st.Built, st.HeadEntries, st.SideExits, st.Traps, st.Deopts)
 	if len(st.Degrade) == 0 {
 		fmt.Fprintf(werr, "trace tier: no degradations\n")
 	}

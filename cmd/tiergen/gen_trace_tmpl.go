@@ -3,18 +3,16 @@ package main
 // The Engine.runTrace scaffolding, spliced verbatim around the generated
 // arms. traceTop opens runTrace and carries the activation and the
 // per-iteration charge up to the instruction switch; traceBottom closes
-// the switch and carries forward skips, exits, links, and the back edge.
+// the switch and carries forward skips, exits, and the back edge.
 // Indentation is normalized by go/format after splicing.
 
 const traceTop = `// runTrace executes iterations of tr until the next one would not fit
-// the sample window (normal return at the head; after a single pass for
-// once-traces), a side exit fires, or a trap fires. A side exit or an
-// OSR tail's back edge whose link passes the activation gate continues
-// in the linked trace instead of returning; a forward skip continues in
-// the same iteration. The caller has already verified the first
-// iteration fits and charged nothing; every path out of this function
-// leaves the engine's ledgers, locals, operand stack, and resume pc
-// bit-identical to the per-instruction loop's.
+// the sample window (normal return at the head), a side exit fires, or a
+// trap fires; a forward skip continues in the same iteration. The caller
+// has already verified the first iteration fits and charged nothing;
+// every path out of this function leaves the engine's ledgers, locals,
+// operand stack, and resume pc bit-identical to the per-instruction
+// loop's.
 //
 // Returns the (possibly grown) operand stack, the resume pc, and — for
 // traps only — the trap's successor pc and message (msg == "" means no
@@ -24,10 +22,18 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, locals []bytecode.Value, lb
 		sc.regs = new(regFile)
 	}
 	regs := sc.regs
-	nloc := int(tr.nloc) // every trace of a plan mirrors the same locals
+	nloc := int(tr.nloc)
 	copy(regs[:nloc], locals[lb:lb+nloc])
 	tc := &sc.tc
-	e.enter(tr, regs, tc)
+	tc[tcHeadEntries]++
+	// The prologue: every global tr reads and never writes is loaded into
+	// its pinned register, which tr's instructions read in place of the
+	// global. Only tr runs until this function returns, so the registers
+	// stay current; the code that runs before the next entry may write
+	// the globals, so every entry loads them again.
+	for _, h := range tr.hoist {
+		regs[h.reg] = e.Globals[h.g]
+	}
 
 	for {
 		// One batched debit per iteration. Exits, traps and forward skips
@@ -66,38 +72,17 @@ const traceBottom = `				}
 		if x >= 0 {
 			ex := &tr.exits[x]
 			e.unwind(ex.rem, ex.remBase, workP, cycP)
-			// ForcedDeopt forces every hand-back, so it never links.
-			if ex.link != nil && !e.ForcedDeopt && e.mayRun(ex.link) {
-				tr = ex.link
-				e.enter(tr, regs, tc)
-				tc[tcLinked]++
-				continue
-			}
 			return e.traceLeave(tr, tc, ex, regs, locals, lb, stack)
 		}
 
 		// Back at the head. ForcedDeopt forces a hand-back every
-		// iteration to hammer the exit/re-entry machinery. A once-trace
-		// (OSR tail) always leaves its own program here: into its parent
-		// head trace when the gate lets the engine loop enter it, else
-		// back to the engine loop. A head trace loops only while the next
-		// full iteration still fits the sample window; the engine loop
-		// crosses the boundary on the accounted path exactly as the other
-		// tiers do.
+		// iteration to hammer the exit/re-entry machinery. Otherwise the
+		// trace loops only while the next full iteration still fits the
+		// sample window; the engine loop crosses the boundary on the
+		// accounted path exactly as the other tiers do.
 		if e.ForcedDeopt {
-			if !tr.once {
-				tc[tcDeopts]++
-			}
+			tc[tcDeopts]++
 			break
-		}
-		if tr.once {
-			if !e.mayRun(tr.parent) {
-				break
-			}
-			tr = tr.parent
-			e.enter(tr, regs, tc)
-			tc[tcLinked]++
-			continue
 		}
 		if e.Cycles+tr.cost >= e.nextSample {
 			break

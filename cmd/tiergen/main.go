@@ -16,7 +16,7 @@
 //   - internal/interp/engine_run_gen.go: Engine.Run — the accounted
 //     per-instruction switch and the fused plan's micro-op switch, with
 //     per-op arms generated from the spec and the tier scaffolding
-//     (frame handling, sampling, OSR glue) spliced in from templates;
+//     (frame handling, sampling, trace entry) spliced in from templates;
 //   - internal/interp/regir_gen.go: the register-IR lowering table of the
 //     trace tier, the opcodes of its operator forms, and the fused pair
 //     opcodes with the converter's fusePair and splitPair (gen_pairs.go);

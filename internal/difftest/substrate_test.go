@@ -34,10 +34,9 @@ type substrateMode struct {
 // back-edge arrival), fused and unfused. "full" leaves traces on their
 // production hotness gates, so it also covers mid-run promotion from the
 // fused switch to the register form, with trace plans built inline and
-// CAS-installed mid-run. The OSR / deopt rows force deoptimization back
-// to the accounted loop after a single trace iteration (every exit
-// boundary's state mapping fires) and disable OSR entirely (loop-head
-// entries only).
+// CAS-installed mid-run. The deopt row forces deoptimization back to
+// the accounted loop after a single trace iteration, so every exit
+// boundary's state mapping fires.
 var substrateModes = []substrateMode{
 	{"off", interp.Substrate{NoBatching: true}},
 	{"batch-nofuse", interp.Substrate{NoFusion: true, NoRegTier: true}},
@@ -46,7 +45,6 @@ var substrateModes = []substrateMode{
 	{"reg-nofuse", interp.Substrate{EagerRegTier: true, NoFusion: true}},
 	{"noreg", interp.Substrate{NoRegTier: true}},
 	{"reg-deopt", interp.Substrate{EagerRegTier: true, ForcedDeopt: true}},
-	{"noosr", interp.Substrate{EagerRegTier: true, NoOSR: true}},
 }
 
 // configure installs the mode on an engine — the engine-level mirror of

@@ -188,6 +188,7 @@ func baselineRunner(t *testing.T) (*Runner, *atomic.Int64) {
 // input's Default baseline once between them.
 func TestBaselineMeasuredOnce(t *testing.T) {
 	r, defaults := baselineRunner(t)
+	misses := BaselineCacheStats().Misses
 	order := r.Order(rand.New(rand.NewSource(1)), 16)
 	distinct := make(map[int]bool)
 	for _, idx := range order {
@@ -208,6 +209,11 @@ func TestBaselineMeasuredOnce(t *testing.T) {
 	}
 	if got := defaults.Load(); got != int64(len(distinct)) {
 		t.Errorf("%d Default runs for %d distinct inputs, want one each", got, len(distinct))
+	}
+	// A sequence that finds the other's measurement in flight waits for
+	// it and counts a hit: the memo's misses are its Default runs.
+	if got := BaselineCacheStats().Misses - misses; got != defaults.Load() {
+		t.Errorf("%d baseline memo misses for %d Default runs, want equal", got, defaults.Load())
 	}
 
 	t.Run("canceled", func(t *testing.T) {

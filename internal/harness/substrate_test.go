@@ -23,7 +23,6 @@ var substrateVariants = []substrateVariant{
 	{"reg", exec.Substrate{EagerRegTier: true}},
 	{"reg-nofuse", exec.Substrate{EagerRegTier: true, NoFusion: true}},
 	{"reg-deopt", exec.Substrate{EagerRegTier: true, ForcedDeopt: true}},
-	{"noosr", exec.Substrate{EagerRegTier: true, NoOSR: true}},
 	{"full", exec.Substrate{}},
 }
 
@@ -82,7 +81,7 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 // (plus the GC-selection extension) through Default, Rep, and Evolve
 // sequences under every substrateVariants row — fully off, fusion
 // disabled, register tier disabled or eager (fused and unfused), forced
-// deopt, OSR disabled, and fully on (hotness-promoted traces and the
+// deopt, and fully on (hotness-promoted traces and the
 // cross-run code cache included) — and asserts the recorded RunResults
 // are identical field for field. This is the harness-level counterpart
 // of the difftest substrate soak: it covers the real benchmark programs,

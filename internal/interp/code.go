@@ -53,7 +53,7 @@ type Code struct {
 	// superinstruction fusion, so fused and unfused runs share one trace
 	// program. Built once hot, immutable after, shared across engines and
 	// runs exactly like plans — a Code cached in jit.Cache carries its
-	// register plans and OSR entry maps to every later run.
+	// register plans to every later run.
 	traces atomic.Pointer[tracePlan]
 
 	// samples counts deterministic sampler ticks attributed to this code
@@ -95,33 +95,11 @@ func (c *Code) installTracePlan() {
 // cached Codes).
 func (c *Code) TraceReady() bool { return c.traces.Load() != nil }
 
-// TraceInfo summarizes the built trace plan: the number of loop-head
-// traces and OSR entry points, both zero when no plan is built.
-// Diagnostics; the jit.Cache round-trip test uses it to prove OSR entry
-// maps travel with cached Codes.
-func (c *Code) TraceInfo() (heads, osrEntries int) {
-	tp := c.traces.Load()
-	if tp == nil {
-		return 0, 0
-	}
-	for _, t := range tp.tr {
-		if t != nil {
-			heads++
-		}
-	}
-	for _, t := range tp.osr {
-		if t != nil {
-			osrEntries++
-		}
-	}
-	return heads, osrEntries
-}
-
 // HeadTraceLens returns the register-instruction count of each loop-head
 // trace by head pc, a closing rEnd of its own not counted, or nil when no
 // plan is built: the dispatches of one full trace iteration, less the
-// sentinel's. Diagnostics: a jit test pins the served loops' counts with
-// it.
+// sentinel's. Diagnostics: jit tests pin the served loops' counts with
+// it and check that the plans travel with cached Codes.
 func (c *Code) HeadTraceLens() map[int]int {
 	tp := c.traces.Load()
 	if tp == nil {

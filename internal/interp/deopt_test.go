@@ -10,16 +10,16 @@ import (
 	"evolvevm/internal/bytecode"
 )
 
-// This file holds the golden state-mapping tests of the OSR / deopt
-// machinery (DESIGN.md §12): every way of leaving a register trace — side
-// exit, trap, forced deopt — must hand the accounted interpreter a
+// This file holds the golden state-mapping tests of the deopt machinery
+// (DESIGN.md §12): every way of leaving a register trace — side exit,
+// trap, forced deopt — must hand the accounted interpreter a
 // machine state bit-identical to the one a pure per-instruction
 // interpretation would have reached, and a loop that calls must stay off
 // the register tier without changing anything observable. The tests
 // compare complete engine snapshots (result, trap identity, clock,
 // per-function ledgers, invocation counts, sample profile, output,
 // globals) between a reference run with the whole substrate off and runs
-// with traces and OSR forced on.
+// with traces forced on.
 //
 // These tests read and reset the package-global trace counters, so they
 // must not run in parallel with each other (they don't: no t.Parallel).
@@ -95,7 +95,6 @@ var traceConfigs = []struct {
 	configure func(*Engine)
 }{
 	{"reg", func(e *Engine) { e.EagerRegTier = true }},
-	{"reg-noosr", func(e *Engine) { e.EagerRegTier = true; e.NoOSR = true }},
 	{"reg-deopt", func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true }},
 }
 
@@ -116,8 +115,8 @@ func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Valu
 // iteration at which each exit fires (or never, when out of range), so
 // sweeping them forces a side exit — and the rematerialization of the
 // interpreter stack — at every exit offset and at every point of the
-// iteration space. The exit blocks jump back to the loop head, so under
-// EagerRegTier the empty-stack exit target is also a mid-loop OSR entry.
+// iteration space. The exit blocks jump back to the loop head, where the
+// trace is entered again.
 const branchySrc = `
 global n
 global a
@@ -203,28 +202,6 @@ func TestTraceSideExitStateMapping(t *testing.T) {
 		"n": bytecode.Int(20),
 		"a": bytecode.Int(3), "b": bytecode.Int(7), "c": bytecode.Int(11),
 	})
-}
-
-// TestOSREntryCounted proves OSR entries actually fire on the branchy
-// loop: the empty-stack exit block jumps back into the loop, so under
-// EagerRegTier the engine must enter the register tier mid-loop.
-func TestOSREntryCounted(t *testing.T) {
-	p := mustProg(t, branchySrc)
-	g := map[string]bytecode.Value{
-		"n": bytecode.Int(10),
-		"a": bytecode.Int(-1), "b": bytecode.Int(-1), "c": bytecode.Int(4),
-	}
-	ResetTraceStats()
-	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
-	snapIdentical(t, "eager-osr", ref, got)
-	st := ReadTraceStats()
-	if st.OSREntries == 0 {
-		t.Errorf("no OSR entries recorded: %+v", st)
-	}
-	if st.SideExits == 0 {
-		t.Errorf("no side exits recorded: %+v", st)
-	}
 }
 
 // divTrapSrc traps with division by zero inside the traced loop body at
@@ -479,7 +456,7 @@ func TestCallLoopsStayOnFusedPath(t *testing.T) {
 					snapIdentical(t, fmt.Sprintf("%s stride=%d", cfg.name, stride), ref, got)
 				}
 			}
-			st := linkCounts(t, p, tc.g, with(0, func(e *Engine) { e.EagerRegTier = true }))
+			st := runCounts(t, p, tc.g, with(0, func(e *Engine) { e.EagerRegTier = true }))
 			if st.Built != 0 || st.HeadEntries != 0 || st.Degrade["call"] == 0 {
 				t.Errorf("call loop: built=%d head_entries=%d degrade[call]=%d, want no trace and a call degradation (%+v)",
 					st.Built, st.HeadEntries, st.Degrade["call"], st)
@@ -521,8 +498,8 @@ end
 `
 
 // TestStressDeoptCounts proves ForcedDeopt actually exercises the
-// deopt boundary: every non-OSR trace execution hands control back after
-// one iteration.
+// deopt boundary: every trace execution hands control back after one
+// iteration.
 func TestStressDeoptCounts(t *testing.T) {
 	p := mustProg(t, leafLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(200)}

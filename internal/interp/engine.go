@@ -71,29 +71,28 @@ type Substrate struct {
 	NoRegTier   bool // no register-converted hot-loop traces (trace.go, regir.go)
 
 	// EagerRegTier builds and enters register traces for every executed
-	// Code immediately, regardless of level or hotness, and opens every
-	// OSR entry point without its parent trace's back-edge gate. The
-	// equivalence suites use it to hold the register tier to bit identity
-	// from the first instruction.
+	// Code immediately, regardless of level or hotness. The equivalence
+	// suites use it to hold the register tier to bit identity from the
+	// first instruction.
 	EagerRegTier bool
 
-	// NoOSR disables mid-iteration (on-stack replacement) trace entries:
-	// traces activate at loop heads only. ForcedDeopt makes every trace
-	// run hand back to the accounted loop after a single iteration,
-	// hammering the exit/re-entry state mapping.
-	NoOSR       bool
+	// ForcedDeopt makes every trace run hand back to the accounted loop
+	// after a single iteration, hammering the exit/re-entry state
+	// mapping.
 	ForcedDeopt bool
 
-	// NoClosures, SyncCompile and NoCallInline have no effect: the
-	// closure-threaded tier, the background compile pool and trace-level
-	// CALL inlining they switched off no longer exist, trace plans always
-	// build inline at the promotion point, and a loop with a CALL on its
-	// traced path always runs on the fused path. They stay only because
-	// perfbench/check.go still sets them; delete all three once that file
-	// stops.
+	// NoClosures, SyncCompile, NoCallInline and NoOSR have no effect: the
+	// closure-threaded tier, the background compile pool, trace-level
+	// CALL inlining and mid-iteration (OSR) trace entries they switched
+	// off no longer exist. Trace plans always build inline at the
+	// promotion point, a loop with a CALL on its traced path always runs
+	// on the fused path, and traces are entered at loop heads only. They
+	// stay only because perfbench/check.go still sets them; delete all
+	// four once that file stops.
 	NoClosures   bool
 	SyncCompile  bool
 	NoCallInline bool
+	NoOSR        bool
 }
 
 // Engine executes a program under a virtual-cycle clock.
@@ -106,8 +105,8 @@ type Substrate struct {
 // OnInvoke fires after the code for a new activation has been fetched,
 // with the function's cumulative invocation count (1 on first call). It
 // may charge cycles, swap code and write globals: it never runs inside a
-// register trace, and every trace activation reloads the globals it
-// reads ahead of their loads.
+// register trace, and every entry into a trace from the engine loop
+// reloads the globals the trace reads ahead of their loads.
 // OnSample fires once per SampleStride cycles of executed code, attributed
 // to the function executing when the stride boundary is crossed — the
 // deterministic analogue of Jikes RVM's timer-based sampler.

@@ -95,16 +95,10 @@ func (e *Engine) Run() (bytecode.Value, error) {
 			// head whose whole next iteration fits the sample window runs
 			// as a register program — locals live in a register file, the
 			// operand stack is untouched, and one batched debit covers the
-			// iteration. Mid-iteration pcs with an OSR entry point enter
-			// the same way and run the iteration's remainder (on-stack
-			// replacement; any interpreter stack values stay untouched
-			// beneath the trace, which is entry-stack-neutral by
-			// construction). mayRun is the same gate runTrace asks before
-			// following a linked exit into the next trace in-register.
-			// Side exits and traps roll back the unexecuted suffix and
-			// land on exactly the accounted loop's state.
+			// iteration. Side exits and traps roll back the unexecuted
+			// suffix and land on exactly the accounted loop's state.
 			if tp != nil {
-				if run := tp.at(pc); run != nil && e.mayRun(run) {
+				if run := tp.tr[pc]; run != nil && e.mayRun(run) {
 					var npc int
 					var tpc int32
 					var msg string

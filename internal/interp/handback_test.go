@@ -9,18 +9,19 @@ import (
 	"evolvevm/internal/bytecode"
 )
 
-// This file holds the golden tests of linked exits (DESIGN.md §12): a
-// side exit that continues in the next trace in-register, and an OSR
-// tail that rejoins its head trace, must leave every virtual observable
-// exactly where the engine-loop round trip leaves it — wherever the
-// sample-window boundary falls along the linked path. Like osr_test.go,
-// these tests read and reset the package-global trace counters and must
-// not run in parallel with each other.
+// This file holds the golden tests of the hand-back path (DESIGN.md §12):
+// a side exit writes the register file back and returns to the engine
+// loop, which runs the cold arm on the fused path and re-enters the trace
+// at the loop's next head arrival. That round trip must leave every
+// virtual observable exactly where the per-instruction loop leaves it,
+// wherever the sample-window boundary falls along the path. Like
+// deopt_test.go, these tests read and reset the package-global trace
+// counters and must not run in parallel with each other.
 
 // altSrc is a loop whose branch arm alternates every iteration: the head
-// trace side-exits into the odd arm on every odd i, where an OSR tail
-// takes over and rejoins the head at the back edge. The odd arm divides
-// by i-d, so an odd d traps inside the OSR tail at iteration d.
+// trace side-exits into the odd arm on every odd i, the odd arm runs on
+// the fused path, and its back edge re-enters the head trace. The odd arm
+// divides by i-d, so an odd d traps there at iteration d.
 const altSrc = `
 global n
 global d
@@ -66,7 +67,7 @@ func altGlobals(n, d int64) map[string]bytecode.Value {
 }
 
 // pairCost is the virtual cost of one even+odd iteration pair of altSrc:
-// the period of the linked path head → odd tail → head.
+// the period of the path head trace → side exit → odd arm → head trace.
 func pairCost(t *testing.T, p *bytecode.Program) int64 {
 	t.Helper()
 	noBatch := func(e *Engine) { e.NoBatching = true }
@@ -74,7 +75,7 @@ func pairCost(t *testing.T, p *bytecode.Program) int64 {
 }
 
 // checkStrideSweep compares the trace ladder against the reference at
-// every sample stride from 1 to one past the linked path's period. Stride
+// every sample stride from 1 to one past the path's period. Stride
 // pair+1 alone moves the window boundary by one cycle per pair, so over
 // n ≥ 2·(pair+1) iterations it falls at every offset of the path.
 func checkStrideSweep(t *testing.T, p *bytecode.Program, g map[string]bytecode.Value, pair int64) {
@@ -94,48 +95,36 @@ func checkStrideSweep(t *testing.T, p *bytecode.Program, g map[string]bytecode.V
 	}
 }
 
-// linkCounts runs p once under configure at the default stride and
+// runCounts runs p once under configure at the default stride and
 // returns the run's trace counters.
-func linkCounts(t *testing.T, p *bytecode.Program, g map[string]bytecode.Value, configure func(*Engine)) TraceStats {
+func runCounts(t *testing.T, p *bytecode.Program, g map[string]bytecode.Value, configure func(*Engine)) TraceStats {
 	t.Helper()
 	ResetTraceStats()
 	snapRun(t, p, g, configure)
 	return ReadTraceStats()
 }
 
-// TestLinkedExitStateMapping sweeps the sample window across the linked
-// path of the alternating loop, then checks that the path really stays
-// in-register: within one window the only hand-back is the loop's own
-// exit, while ForcedDeopt and NoOSR never link.
-func TestLinkedExitStateMapping(t *testing.T) {
+// TestHandBackStateMapping sweeps the sample window across the
+// alternating loop's path, then counts the round trips within one
+// window: the first entry plus one re-entry after every odd iteration,
+// and one hand-back per odd iteration plus the loop's own exit.
+func TestHandBackStateMapping(t *testing.T) {
 	p := mustProg(t, altSrc)
 	pair := pairCost(t, p)
 	checkStrideSweep(t, p, altGlobals(2*pair+2, -1), pair)
 
-	g := altGlobals(24, -1) // the whole loop fits one default window
-	st := linkCounts(t, p, g, func(e *Engine) { e.EagerRegTier = true })
-	if st.Linked == 0 || st.SideExits > 1 {
-		t.Errorf("alternating loop: linked=%d side_exits=%d, want linked > 0 and at most the loop's one exit (%+v)",
-			st.Linked, st.SideExits, st)
-	}
-	if st.HeadEntries+st.OSREntries-st.Linked != 1 {
-		t.Errorf("alternating loop entered the register tier %d times from the engine loop, want 1 (%+v)",
-			st.HeadEntries+st.OSREntries-st.Linked, st)
-	}
-	for name, configure := range map[string]func(*Engine){
-		"stress-deopt": func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true },
-		"noosr":        func(e *Engine) { e.EagerRegTier = true; e.NoOSR = true },
-	} {
-		if st := linkCounts(t, p, g, configure); st.Linked != 0 {
-			t.Errorf("%s: linked=%d, want 0 (%+v)", name, st.Linked, st)
-		}
+	st := runCounts(t, p, altGlobals(24, -1), func(e *Engine) { e.EagerRegTier = true })
+	if st.HeadEntries != 13 || st.SideExits != 13 || st.Traps != 0 {
+		t.Errorf("alternating loop of 24: head_entries=%d side_exits=%d traps=%d, want 13, 13, 0 (%+v)",
+			st.HeadEntries, st.SideExits, st.Traps, st)
 	}
 }
 
-// TestLinkedExitTrapInOSRTail traps inside the OSR tail reached through a
-// link, at every odd iteration and across the stride sweep: the trap's
-// pc, message, and clock must match the interpreter's exactly.
-func TestLinkedExitTrapInOSRTail(t *testing.T) {
+// TestHandBackTrapInOddArm traps in the odd arm, which runs on the fused
+// path after a hand-back, at every odd iteration and across the stride
+// sweep: the trap's pc, message, and clock must match the interpreter's
+// exactly.
+func TestHandBackTrapInOddArm(t *testing.T) {
 	p := mustProg(t, altSrc)
 	pair := pairCost(t, p)
 	n := 2*pair + 2
@@ -145,10 +134,12 @@ func TestLinkedExitTrapInOSRTail(t *testing.T) {
 		})
 	}
 
-	st := linkCounts(t, p, altGlobals(24, 9), func(e *Engine) { e.EagerRegTier = true })
-	if st.Linked == 0 || st.SideExits != 0 || st.Traps != 1 {
-		t.Errorf("trap in linked OSR tail: linked=%d side_exits=%d traps=%d, want linked > 0, no side exit, one trap (%+v)",
-			st.Linked, st.SideExits, st.Traps, st)
+	// Entries at i = 0, 2, 4, 6, 8 and exits at i = 1, 3, 5, 7, 9; the
+	// trap at 9 fires off trace.
+	st := runCounts(t, p, altGlobals(24, 9), func(e *Engine) { e.EagerRegTier = true })
+	if st.HeadEntries != 5 || st.SideExits != 5 || st.Traps != 0 {
+		t.Errorf("trap in the odd arm: head_entries=%d side_exits=%d traps=%d, want 5, 5, 0 (%+v)",
+			st.HeadEntries, st.SideExits, st.Traps, st)
 	}
 }
 
@@ -258,8 +249,6 @@ func TestTraceStatsConservation(t *testing.T) {
 			})
 			want := TraceStats{
 				HeadEntries: goroutines * serial.HeadEntries,
-				OSREntries:  goroutines * serial.OSREntries,
-				Linked:      goroutines * serial.Linked,
 				SideExits:   goroutines * serial.SideExits,
 				Traps:       goroutines * serial.Traps,
 				Deopts:      goroutines * serial.Deopts,

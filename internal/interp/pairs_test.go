@@ -12,7 +12,7 @@ import (
 // leave every virtual observable exactly where the unfused pair leaves
 // it — at each exit of a fused compare, at each trap inside a fused
 // form, and at forward skips that land on or next to a fused pair. Like
-// osr_test.go, these tests read and reset the package-global trace
+// deopt_test.go, these tests read and reset the package-global trace
 // counters and must not run in parallel.
 
 // fillData is the prologue of the array loops below: data holds the
@@ -302,16 +302,13 @@ func unfused(ins []rins) []rins {
 	return out
 }
 
-// planTraces returns every trace of the entry function's plan: heads
-// first, then OSR tails.
+// planTraces returns every trace of the entry function's plan.
 func planTraces(p *bytecode.Program) []*trace {
 	tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
 	var ts []*trace
-	for _, all := range [2][]*trace{tp.tr, tp.osr} {
-		for _, tr := range all {
-			if tr != nil {
-				ts = append(ts, tr)
-			}
+	for _, tr := range tp.tr {
+		if tr != nil {
+			ts = append(ts, tr)
 		}
 	}
 	return ts

@@ -212,9 +212,6 @@ type rexit struct {
 	rem, remBase int32
 	push         []rpush
 	to           int32 // forward skips: the instruction to resume at
-	// link is the trace the engine loop would run at pc, set by
-	// tracePlan.link for exits with nothing to rematerialize.
-	link *trace
 }
 
 // rtrap is the rollback record of one trapping instruction: suffix
@@ -277,7 +274,7 @@ type pendingSkip struct {
 }
 
 // convertTrace compiles one linearized loop iteration (pcs, from
-// linearizeFrom) into a trace. Returns nil and a degradation reason when
+// linearize) into a trace. Returns nil and a degradation reason when
 // any instruction defeats the conversion.
 func convertTrace(c *Code, head int, pcs []int) (*trace, int) {
 	if c.NLocals >= traceMaxRegs {
@@ -611,8 +608,8 @@ func (cv *rconv) addTrap(i int) uint16 {
 // since the skip must resume between the two; a skip to the end of the
 // iteration lands on rEnd. The fused form carries both instructions'
 // exit and trap indexes, and exit and trap records belong to items, not
-// instructions, so every exit, trap, link and OSR tail rolls back as the
-// pair did; only the skips' landing indexes move.
+// instructions, so every exit and trap rolls back as the pair did; only
+// the skips' landing indexes move.
 func (cv *rconv) fusePairs() []rins {
 	cv.emit(rins{op: rEnd})
 	n := len(cv.ins)
@@ -877,7 +874,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		// Everything else is a value op whose lowering rule is derived
 		// from the spec (regLower, regir_gen.go). NEWARR, HALT and
 		// anything unknown classify lowNone and degrade rather than
-		// miscompile; CALL and RET never reach here (linearizeFrom).
+		// miscompile; CALL and RET never reach here (linearize).
 		return cv.lower(i, in)
 	}
 	return true, degCount

@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the golden tests of forward skips and hoisted global
-// loads (DESIGN.md §10). Like link_test.go, they read and reset the
+// loads (DESIGN.md §10). Like handback_test.go, they read and reset the
 // package-global trace counters and must not run in parallel.
 
 // rleSrc is shaped like compress's run-length loop (rleblock): it reads
@@ -103,8 +103,8 @@ func rleGlobals(n, ta, tb int64) map[string]bytecode.Value {
 // iteration that runs the arm and at one that skips it), and with a trap
 // after the join — and checks every virtual observable against the
 // accounted loop. It then checks that both loops trace and that the
-// run-length loop really skips: no linked exit and no OSR entry, and one
-// engine-loop entry per sample window.
+// run-length loop really skips: at most the two loops' own exits, and
+// one entry per sample window.
 func TestForwardSkipStateMapping(t *testing.T) {
 	p := mustProg(t, rleSrc)
 	noBatch := func(e *Engine) { e.NoBatching = true }
@@ -128,7 +128,7 @@ func TestForwardSkipStateMapping(t *testing.T) {
 	}
 
 	const iters = 3000
-	st := linkCounts(t, p, rleGlobals(iters, -1, -1), func(e *Engine) { e.EagerRegTier = true })
+	st := runCounts(t, p, rleGlobals(iters, -1, -1), func(e *Engine) { e.EagerRegTier = true })
 	ref := snapRun(t, p, rleGlobals(iters, -1, -1), noBatch)
 	var windows int64
 	for _, s := range ref.samples {
@@ -138,19 +138,19 @@ func TestForwardSkipStateMapping(t *testing.T) {
 		t.Errorf("run-length loop not traced: built=%d head_entries=%d, want both loops built and entered (%+v)",
 			st.Built, st.HeadEntries, st)
 	}
-	entries := st.HeadEntries + st.OSREntries - st.Linked
-	if st.Linked != 0 || st.OSREntries != 0 || st.SideExits > 2 || entries > windows+2 {
-		t.Errorf("run-length loop left its trace: linked=%d osr=%d side_exits=%d engine entries=%d over %d windows, want no links or OSR entries and one entry per window (%+v)",
-			st.Linked, st.OSREntries, st.SideExits, entries, windows, st)
+	if st.SideExits > 2 || st.HeadEntries > windows+2 {
+		t.Errorf("run-length loop left its trace: side_exits=%d head_entries=%d over %d windows, want at most the loops' two exits and one entry per window (%+v)",
+			st.SideExits, st.HeadEntries, windows, st)
 	}
 }
 
 // hoistSrc runs three loops over one global g. The first reads and
 // writes g, so its loads must not be hoisted; the second only reads g,
 // so they must. The third reads g on its traced path and writes it in an
-// arm off that path, every third iteration: its head trace hoists g, and
-// the OSR tail through the arm returns to the head trace, whose prologue
-// must load g again. n is read by every loop and written by none.
+// arm off that path, every third iteration: its head trace hoists g, the
+// write arm hands back to the engine loop, and the next head entry's
+// prologue must load g again. n is read by every loop and written by
+// none.
 const hoistSrc = `
 global n
 global g

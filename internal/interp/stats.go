@@ -4,13 +4,12 @@ import "sync/atomic"
 
 // This file exports the trace tier's build- and run-time counters: why
 // loops degrade off the register tier (per reason), how often traces are
-// entered at their head vs through an OSR entry point or an in-register
-// link, and how often they deoptimize back to the switch loop. The
-// counters are host-side only — they never feed back into any virtual
-// observable — and exist so a benchmark regression is attributable: a
-// loop that stops tracing shows up as a degradation count, not just a
-// slower wall clock. Surfaced by
-// `evolvevm serve` /v1/stats and `expdriver -tracestats`.
+// entered at their head, and how often they hand back to the switch
+// loop. The counters are host-side only — they never feed back into any
+// virtual observable — and exist so a benchmark regression is
+// attributable: a loop that stops tracing shows up as a degradation
+// count, not just a slower wall clock. Surfaced by `evolvevm serve`
+// /v1/stats and `expdriver -tracestats`.
 //
 // Build-time counters are process-global atomics (plans are built rarely,
 // by whichever engine promotes the code). Run-time counters are plain
@@ -44,8 +43,6 @@ var DegradeReasons = [degCount]string{
 // meaning).
 const (
 	tcHeadEntries = iota
-	tcOSREntries
-	tcLinked
 	tcSideExits
 	tcTraps
 	tcDeopts
@@ -54,15 +51,6 @@ const (
 
 // traceCounts is one run's trace-tier activity, counted without atomics.
 type traceCounts [tcCount]int64
-
-// activate counts one activation of t, by its kind.
-func (c *traceCounts) activate(t *trace) {
-	if t.once {
-		c[tcOSREntries]++
-	} else {
-		c[tcHeadEntries]++
-	}
-}
 
 // flush adds the run's counts to the process totals and zeroes them.
 func (c *traceCounts) flush() {
@@ -87,17 +75,12 @@ type TraceStats struct {
 	Built   int64            `json:"built"`
 	Degrade map[string]int64 `json:"degrade,omitempty"`
 
-	// HeadEntries counts trace activations at a loop head; OSREntries
-	// counts mid-iteration activations through an OSR entry point. Both
-	// count every activation, from the engine loop or through a link.
-	// Linked counts the activations that came straight from another
-	// trace without leaving the register tier — a side exit into the
-	// trace at its resume pc, or an OSR tail back into its head trace —
-	// so HeadEntries + OSREntries − Linked activations came from the
-	// engine loop.
+	// HeadEntries counts trace activations, each an entry from the
+	// engine loop at a loop head. OSREntries is always zero: traces have
+	// no mid-iteration entries. It stays only because perfbench/replay.go
+	// still reads it; delete it once that file stops.
 	HeadEntries int64 `json:"head_entries"`
 	OSREntries  int64 `json:"osr_entries"`
-	Linked      int64 `json:"linked"`
 
 	// SideExits counts deoptimizations through a side exit back to the
 	// engine loop (symbolic stack rematerialized, suffix charge rolled
@@ -115,8 +98,6 @@ func ReadTraceStats() TraceStats {
 	st := TraceStats{
 		Built:       traceStats.built.Load(),
 		HeadEntries: r[tcHeadEntries].Load(),
-		OSREntries:  r[tcOSREntries].Load(),
-		Linked:      r[tcLinked].Load(),
 		SideExits:   r[tcSideExits].Load(),
 		Traps:       r[tcTraps].Load(),
 		Deopts:      r[tcDeopts].Load(),

@@ -14,7 +14,9 @@ import (
 )
 
 // Stats counts a memo's lookups and its entries. Hits and Misses are
-// exact once the memo's users quiesce.
+// exact once the memo's users quiesce. A miss means the caller computed
+// the value: when every miss is followed by LoadOrStore, Misses equals
+// the number of values stored.
 type Stats struct {
 	Hits    int64
 	Misses  int64
@@ -52,12 +54,16 @@ func (c *Map[K, V]) Store(key K, v V) {
 }
 
 // LoadOrStore returns the value already stored under key, or stores and
-// returns v; loaded reports which. It counts neither a hit nor a miss,
-// because the caller's Lookup already counted the miss.
+// returns v; loaded reports which. Call it only after a Lookup of key
+// missed: that Lookup counted a miss, which a load turns into a hit,
+// because another caller stored the value in between and this caller
+// computes nothing.
 func (c *Map[K, V]) LoadOrStore(key K, v V) (actual V, loaded bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.m[key]; ok {
+		c.misses.Add(-1)
+		c.hits.Add(1)
 		return old, true
 	}
 	c.storeLocked(key, v)

@@ -46,28 +46,38 @@ func TestUnbounded(t *testing.T) {
 	}
 }
 
-// TestLoadOrStore: the first caller's value wins, later callers observe
-// it, and the counters are untouched.
+// TestLoadOrStore: two callers miss one key; the first caller's value
+// wins, the later caller observes it, and its miss becomes a hit, so
+// misses count stored values.
 func TestLoadOrStore(t *testing.T) {
 	var c Map[string, int]
+	for range 2 {
+		if _, ok := c.Lookup("k"); ok {
+			t.Fatal("lookup on empty memo hit")
+		}
+	}
 	v, loaded := c.LoadOrStore("k", 1)
 	if loaded || v != 1 {
 		t.Fatalf("first LoadOrStore got %d,%v", v, loaded)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("a storing LoadOrStore moved the counters: %+v, want 0 hits 2 misses", st)
 	}
 	v, loaded = c.LoadOrStore("k", 2)
 	if !loaded || v != 1 {
 		t.Fatalf("second LoadOrStore got %d,%v want 1,true", v, loaded)
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("LoadOrStore touched hit/miss counters: %+v", st)
+	if st := c.Stats(); st != (Stats{Hits: 1, Misses: 1, Entries: 1}) {
+		t.Fatalf("stats %+v, want the loading caller's miss moved to a hit: 1 hit 1 miss 1 entry", st)
 	}
 }
 
 // TestConcurrentHammer drives every operation from 4×GOMAXPROCS
 // goroutines and checks that each key keeps the first value stored, that
-// the memo ends holding exactly the keys used, and that hits plus misses
-// equal lookups — the package-level slice of the serving contention
-// battery (see internal/serve for the end-to-end one).
+// the memo ends holding exactly the keys used, that hits plus misses
+// equal lookups, and that misses equal the values stored — the
+// package-level slice of the serving contention battery (see
+// internal/serve for the end-to-end one).
 func TestConcurrentHammer(t *testing.T) {
 	const keys = 256
 	var c Map[int, *int]
@@ -103,5 +113,8 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if st.Hits+st.Misses != int64(workers*perWorker) {
 		t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, workers*perWorker)
+	}
+	if st.Misses != keys {
+		t.Fatalf("%d misses for %d stored keys", st.Misses, keys)
 	}
 }

@@ -638,8 +638,9 @@ func (s *Server) Close() {
 
 // checksum folds a response's virtual observables into one value. Wall
 // time deliberately excluded. The hashed bytes are
-// "tenant|bench|input|status|trap|kind|i|fbits|cycles|predicted", with
-// the integers in decimal (Value.Kind as its number) and predicted as
+// "tenant|bench|input|status|trap|kind|i|fbits|cycles|predicted|compile|sbits",
+// with the integers in decimal (Value.Kind as its number, fbits and
+// sbits the IEEE bits of Value.F and Speedup) and predicted as
 // true/false; they are built with strconv, not fmt, because this runs on
 // every request.
 func checksum(resp *Response) uint64 {
@@ -658,6 +659,10 @@ func checksum(resp *Response) uint64 {
 	b = strconv.AppendInt(b, resp.Cycles, 10)
 	b = append(b, '|')
 	b = strconv.AppendBool(b, resp.Predicted)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, resp.CompileCycles, 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(resp.Speedup), 10)
 	h := fnv.New64a()
 	h.Write(b)
 	return h.Sum64()
@@ -751,8 +756,7 @@ type Stats struct {
 	WallP50 int64 `json:"wall_p50_ns"`
 	WallP99 int64 `json:"wall_p99_ns"`
 	// Trace reports the register-trace tier's activity — builds,
-	// per-reason degradations, head/OSR entries, linked (in-register)
-	// transitions, side exits, traps, deopts.
+	// per-reason degradations, entries, side exits, traps, deopts.
 	// Process-global (the counters aggregate every engine in the process,
 	// not only this server's, and a run adds its counts when it returns);
 	// host-side diagnostics only, never a virtual observable.

@@ -588,23 +588,26 @@ func TestColdTenantBenefitsFromSharedTier(t *testing.T) {
 	}
 }
 
-// TestChecksumBytes pins the bytes checksum hashes to the format string
-// the server hashed through fmt before it switched to strconv: recorded
-// traces carry these checksums, so the bytes may never change.
+// TestChecksumBytes pins the bytes checksum hashes to a format string:
+// recorded traces carry these checksums, so changing the bytes means
+// regenerating every committed trace. The compile charge and the
+// speedup's bits are folded in after predicted, so a wrong Default
+// baseline (every served speedup wrong) diverges a replay.
 func TestChecksumBytes(t *testing.T) {
 	for _, resp := range []*Response{
 		{Tenant: "t0", Bench: "compress", InputID: "compress-003", Status: traffic.StatusOK,
-			Value: bytecode.Int(-42), Cycles: 123456789, Predicted: true},
+			Value: bytecode.Int(-42), Cycles: 123456789, CompileCycles: 4567, Speedup: 1.25, Predicted: true},
 		{Tenant: "t1", Bench: "search", Status: traffic.StatusTrap, Trap: "division by zero"},
-		{Status: traffic.StatusOK, Value: bytecode.Float(math.NaN()), Cycles: -1},
-		{Value: bytecode.Value{Kind: 255, I: math.MinInt64, F: math.Inf(-1)}, Cycles: math.MaxInt64},
+		{Status: traffic.StatusOK, Value: bytecode.Float(math.NaN()), Cycles: -1, Speedup: math.NaN()},
+		{Value: bytecode.Value{Kind: 255, I: math.MinInt64, F: math.Inf(-1)}, Cycles: math.MaxInt64,
+			CompileCycles: math.MinInt64, Speedup: math.Inf(1)},
 		{Tenant: strings.Repeat("tenant", 40), Trap: strings.Repeat("x", 300)}, // outgrows the stack buffer
 	} {
 		h := fnv.New64a()
-		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%d|%d|%d|%t",
+		fmt.Fprintf(h, "%s|%s|%s|%s|%s|%d|%d|%d|%d|%t|%d|%d",
 			resp.Tenant, resp.Bench, resp.InputID, resp.Status, resp.Trap,
 			resp.Value.Kind, resp.Value.I, math.Float64bits(resp.Value.F),
-			resp.Cycles, resp.Predicted)
+			resp.Cycles, resp.Predicted, resp.CompileCycles, math.Float64bits(resp.Speedup))
 		if got, want := checksum(resp), h.Sum64(); got != want {
 			t.Errorf("checksum(%+v) = %#x, want %#x", resp, got, want)
 		}
