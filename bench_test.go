@@ -174,9 +174,10 @@ func BenchmarkAblation(b *testing.B) {
 // honestly: one engine per tier, warmed before the timer so
 // every mode runs its steady state (plans decoded, traces converted,
 // pools populated) rather than paying one-time build costs inside the
-// measurement. The columns are off (per-instruction dispatch and
-// charging), switch (block-batched, unfused), fused (batched with
-// superinstructions), and register (register-converted traces). The
+// measurement. The columns are the three tiers: off (per-instruction
+// switch dispatch and charging), fused (block-batched with
+// superinstructions, register tier off), and register (the default
+// substrate: register-converted traces, the fused plan elsewhere). The
 // virtual results are bit-identical across all of them (see the
 // substrate suites); the spread is pure host dispatch cost.
 func BenchmarkDispatchTiers(b *testing.B) {
@@ -185,9 +186,8 @@ func BenchmarkDispatchTiers(b *testing.B) {
 		sub  interp.Substrate
 	}{
 		{"off", interp.Substrate{NoBatching: true}},
-		{"switch", interp.Substrate{NoFusion: true, NoRegTier: true}},
 		{"fused", interp.Substrate{NoRegTier: true}},
-		{"register", interp.Substrate{EagerRegTier: true}},
+		{"register", interp.Substrate{}},
 	}
 	prog := assembleBench(b, "microloop", `
 global n
@@ -626,7 +626,7 @@ func chainRequest(r *harness.Runner, i int) error {
 // BenchmarkColdStartServe measures first-request latency for tenants
 // the server has never seen: each iteration submits from a fresh tenant,
 // with the cross-run code cache off so every run compiles its own tier
-// plans inline at the promotion point.
+// plans inline at frame entry.
 func BenchmarkColdStartServe(b *testing.B) {
 	s, err := serve.New(serve.Config{
 		Workers:     runtime.GOMAXPROCS(0),

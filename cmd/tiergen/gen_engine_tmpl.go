@@ -77,7 +77,7 @@ func (e *Engine) Run() (bytecode.Value, error) {
 			if !e.NoRegTier {
 				tp = e.traceTier(code)
 			}
-			pl = code.planFor(!e.NoFusion)
+			pl = code.planFor()
 		}
 		rerr := func(format string, args ...interface{}) error {
 			return &RuntimeError{Prog: e.Prog.Name, Fn: code.Name, PC: fr.pc,
@@ -134,20 +134,11 @@ const runMid = `
 						case fLLBin:
 							stack = append(stack, bytecode.Int(intBin(bytecode.Op(f.c),
 								locals[lb+int(f.a)].I, locals[lb+int(f.b)].I)))
-						case fLLCmp:
-							stack = append(stack, bytecode.Bool(intCmp(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, locals[lb+int(f.b)].I)))
 						case fLIBin:
 							stack = append(stack, bytecode.Int(intBin(bytecode.Op(f.c),
 								locals[lb+int(f.a)].I, int64(f.b))))
-						case fLICmp:
-							stack = append(stack, bytecode.Bool(intCmp(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, int64(f.b))))
 						case fLGBin:
 							stack = append(stack, bytecode.Int(intBin(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, e.Globals[f.b].I)))
-						case fLGCmp:
-							stack = append(stack, bytecode.Bool(intCmp(bytecode.Op(f.c),
 								locals[lb+int(f.a)].I, e.Globals[f.b].I)))
 						case fMove:
 							locals[lb+int(f.b)] = locals[lb+int(f.a)]
@@ -160,50 +151,24 @@ const runMid = `
 						case fIncJmp:
 							locals[lb+int(f.a)].I += int64(f.b)
 							fr.pc = int(f.c)
-						case fCmpJz, fCmpJnz:
+						case fCmpJnz:
 							n := len(stack)
 							r := intCmp(bytecode.Op(f.c), stack[n-2].I, stack[n-1].I)
 							stack = stack[:n-2]
-							if r == (f.op == fCmpJnz) {
+							if r {
 								fr.pc = int(f.b)
 							}
-						case fCCmpJz, fCCmpJnz:
-							n := len(stack)
-							r := intCmp(bytecode.Op(f.c), stack[n-1].I, code.Consts[f.a].I)
-							stack = stack[:n-1]
-							if r == (f.op == fCCmpJnz) {
-								fr.pc = int(f.b)
-							}
-						case fICmpJz, fICmpJnz:
+						case fICmpJnz:
 							n := len(stack)
 							r := intCmp(bytecode.Op(f.c), stack[n-1].I, int64(f.a))
 							stack = stack[:n-1]
-							if r == (f.op == fICmpJnz) {
-								fr.pc = int(f.b)
-							}
-						case fLJz:
-							if !locals[lb+int(f.a)].IsTrue() {
+							if r {
 								fr.pc = int(f.b)
 							}
 						case fLJnz:
 							if locals[lb+int(f.a)].IsTrue() {
 								fr.pc = int(f.b)
 							}
-						case fALoad:
-							arr, aerr := e.Array(locals[lb+int(f.a)])
-							if aerr == nil {
-								idx := locals[lb+int(f.b)].AsInt()
-								if idx >= 0 && idx < int64(len(arr)) {
-									stack = append(stack, arr[idx])
-									break
-								}
-								aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
-							}
-							e.Cycles -= int64(f.rem)
-							*workP -= int64(f.remBase)
-							*cycP -= int64(f.rem)
-							fr.pc = int(f.tpc)
-							return result, rerr("aload: %v", aerr)
 						case fGALoad:
 							arr, aerr := e.Array(e.Globals[f.a])
 							if aerr == nil {
@@ -228,22 +193,16 @@ const runMid = `
 						case fLGBinS:
 							locals[lb+int(f.d)] = bytecode.Int(intBin(bytecode.Op(f.c),
 								locals[lb+int(f.a)].I, e.Globals[f.b].I))
-						case fLLCmpJz, fLLCmpJnz:
-							r := intCmp(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, locals[lb+int(f.b)].I)
-							if r == (f.op == fLLCmpJnz) {
+						case fLLCmpJnz:
+							if intCmp(bytecode.Op(f.c), locals[lb+int(f.a)].I, locals[lb+int(f.b)].I) {
 								fr.pc = int(f.d)
 							}
-						case fLGCmpJz, fLGCmpJnz:
-							r := intCmp(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, e.Globals[f.b].I)
-							if r == (f.op == fLGCmpJnz) {
+						case fLGCmpJnz:
+							if intCmp(bytecode.Op(f.c), locals[lb+int(f.a)].I, e.Globals[f.b].I) {
 								fr.pc = int(f.d)
 							}
-						case fLICmpJz, fLICmpJnz:
-							r := intCmp(bytecode.Op(f.c),
-								locals[lb+int(f.a)].I, int64(f.b))
-							if r == (f.op == fLICmpJnz) {
+						case fLICmpJnz:
+							if intCmp(bytecode.Op(f.c), locals[lb+int(f.a)].I, int64(f.b)) {
 								fr.pc = int(f.d)
 							}
 						}
@@ -259,18 +218,9 @@ const runMid = `
 			if e.Cycles >= e.nextSample {
 				for e.Cycles >= e.nextSample {
 					e.nextSample += e.SampleStride
-					code.noteSample()
 					if e.OnSample != nil {
 						e.OnSample(code.FnIdx)
 					}
-				}
-				// A sampler tick is the promotion point of the register
-				// tier: re-ask for the trace plan so code that just got
-				// hot (or was recompiled hot in OnSample) starts tracing
-				// without leaving the frame. The build runs inline here;
-				// host-side only — the virtual stream is untouched.
-				if tp == nil && !e.NoBatching && !e.NoRegTier {
-					tp = e.traceTier(code)
 				}
 				if e.Cycles > e.MaxCycles {
 					return result, rerr("cycle limit %d exceeded", e.MaxCycles)

@@ -28,15 +28,15 @@ func programByName(t *testing.T, name string) *programs.Benchmark {
 
 // serveTiers pins the serving front end onto each of the three host
 // execution tiers: the original per-instruction switch, the fused
-// batching switch, and the register-converted trace tier (entered eagerly
-// so short serving runs reach it).
+// batching switch, and the register-converted trace tier, which is the
+// production default.
 var serveTiers = []struct {
 	name string
 	sub  exec.Substrate
 }{
 	{"switch", exec.Substrate{NoBatching: true}},
 	{"fused", exec.Substrate{NoRegTier: true}},
-	{"reg", exec.Substrate{EagerRegTier: true}},
+	{"reg", exec.Substrate{}},
 }
 
 // soakTrace is the shared serving workload: three tenants over two
@@ -88,12 +88,12 @@ func serveTrace(t *testing.T, cfg serve.Config, tr *traffic.Trace) []traffic.Out
 }
 
 // TestServeSoakAcrossHostTiers serves one trace under the Evolve
-// scenario on all three host tiers plus the production default and
-// asserts every virtual outcome — status, trap, cycles, and the full
-// response checksum (which folds the result value and the prediction
-// bit) — is identical. The host execution tier must be unobservable
-// through the entire serving stack: admission, chain scheduling, epoch
-// barriers, shared-tier seeding, and the learner itself.
+// scenario on all three host tiers and asserts every virtual outcome —
+// status, trap, cycles, and the full response checksum (which folds the
+// result value and the prediction bit) — is identical. The host
+// execution tier must be unobservable through the entire serving stack:
+// admission, chain scheduling, epoch barriers, shared-tier seeding, and
+// the learner itself.
 func TestServeSoakAcrossHostTiers(t *testing.T) {
 	requests := 48
 	if !testing.Short() {
@@ -101,23 +101,24 @@ func TestServeSoakAcrossHostTiers(t *testing.T) {
 	}
 	tr, benches := soakTrace(t, requests)
 
-	ref := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, exec.Substrate{}), tr)
+	base := serveTiers[0]
+	ref := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, base.sub), tr)
 	if len(ref) != requests {
 		t.Fatalf("reference served %d outcomes, want %d", len(ref), requests)
 	}
-	for _, tier := range serveTiers {
+	for _, tier := range serveTiers[1:] {
 		got := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, tier.sub), tr)
 		if len(got) != len(ref) {
 			t.Fatalf("tier %s: %d outcomes, want %d", tier.name, len(got), len(ref))
 		}
 		for i := range ref {
 			if ref[i] != got[i] {
-				t.Fatalf("tier %s: seq %d diverged from full substrate:\nref: %+v\ngot: %+v",
-					tier.name, ref[i].Seq, ref[i], got[i])
+				t.Fatalf("tier %s: seq %d diverged from tier %s:\nref: %+v\ngot: %+v",
+					tier.name, ref[i].Seq, base.name, ref[i], got[i])
 			}
 		}
 	}
-	t.Logf("serve soak: %d outcomes bit-identical across %d host tiers", len(ref), len(serveTiers)+1)
+	t.Logf("serve soak: %d outcomes bit-identical across %d host tiers", len(ref), len(serveTiers))
 }
 
 // TestServeSoakMatchesDirectOracle serves a trace under the Null
@@ -163,10 +164,7 @@ func TestServeSoakMatchesDirectOracle(t *testing.T) {
 		oracle[key] = res
 	}
 
-	for _, tier := range append([]struct {
-		name string
-		sub  exec.Substrate
-	}{{"full", exec.Substrate{}}}, serveTiers...) {
+	for _, tier := range serveTiers {
 		out := serveTrace(t, serveSoakConfig(benches, harness.ScenarioNull, tier.sub), tr)
 		for i, o := range out {
 			req := tr.Requests[i]

@@ -12,10 +12,11 @@ import (
 	"evolvevm/internal/vm"
 )
 
-// This file proves the host performance layer — superinstruction fusion,
-// block-batched cycle accounting, and the cross-run code cache — is
-// unobservable in virtual terms: every ledger, sample profile, trap, and
-// heap cell is bit-identical with the substrate on, partially on, and off.
+// This file proves the host performance layer — block-batched cycle
+// accounting with superinstruction fusion, register-converted loop
+// traces, and the cross-run code cache — is unobservable in virtual
+// terms: every ledger, sample profile, trap, and heap cell is
+// bit-identical with the substrate on, partially on, and off.
 //
 // Unlike the cross-tier oracle, these comparisons do NOT skip
 // resource-trapped runs: a cycle-limit trap must fire at the identical
@@ -29,22 +30,16 @@ type substrateMode struct {
 }
 
 // substrateModes enumerates the metamorphic ladder: the original
-// per-instruction loop, batching without fusion, the full fused switch,
-// and the register-converted trace tier (eager, entered from the first
-// back-edge arrival), fused and unfused. "full" leaves traces on their
-// production hotness gates, so it also covers mid-run promotion from the
-// fused switch to the register form, with trace plans built inline and
-// CAS-installed mid-run. The deopt row forces deoptimization back to
-// the accounted loop after a single trace iteration, so every exit
-// boundary's state mapping fires.
+// per-instruction loop (the reference), the production setting (the
+// fused plan plus register traces, every Code traced from its first
+// frame entry), the fused plan alone, and the production setting with
+// every trace run forced back to the accounted loop after a single
+// iteration, so every exit boundary's state mapping fires.
 var substrateModes = []substrateMode{
 	{"off", interp.Substrate{NoBatching: true}},
-	{"batch-nofuse", interp.Substrate{NoFusion: true, NoRegTier: true}},
 	{"full", interp.Substrate{}},
-	{"reg", interp.Substrate{EagerRegTier: true}},
-	{"reg-nofuse", interp.Substrate{EagerRegTier: true, NoFusion: true}},
 	{"noreg", interp.Substrate{NoRegTier: true}},
-	{"reg-deopt", interp.Substrate{EagerRegTier: true, ForcedDeopt: true}},
+	{"deopt", interp.Substrate{ForcedDeopt: true}},
 }
 
 // configure installs the mode on an engine — the engine-level mirror of
@@ -71,8 +66,8 @@ func execBitIdentical(t *testing.T, ctx string, ref, got *Exec) {
 	}
 }
 
-// TestSubstrateBitIdentical runs generated programs at every tier with
-// the substrate off (reference), batched-unfused, and fully on, asserting
+// TestSubstrateBitIdentical runs generated programs at every tier under
+// every substrateModes row against the substrate-off reference, asserting
 // bit-identical Execs — including runs that trap, resource limits
 // included.
 func TestSubstrateBitIdentical(t *testing.T) {

@@ -88,22 +88,22 @@ func TestAllocsInterpStepLoop(t *testing.T) {
 	checkAllocs(t, "step loop", 0, run)
 }
 
-// TestAllocsFusedPlanExecution locks in the fused block-batched path:
-// the default substrate, where a fresh NewEngine runs level −1 code that
-// never earns a trace plan.
+// TestAllocsFusedPlanExecution locks in the fused block-batched path,
+// with the register tier off.
 func TestAllocsFusedPlanExecution(t *testing.T) {
 	e := interp.NewEngine(allocLoopProg(t))
-	run := engineRun(t, e, func(*interp.Engine) {})
+	run := engineRun(t, e, func(e *interp.Engine) { e.NoRegTier = true })
 	checkAllocs(t, "fused plan", 0, run)
 }
 
-// TestAllocsRegTier locks in the register-converted trace tier: after
-// the one-time trace conversion (paid in the warm-up run via the shared
-// Code) and the scratch register file's first growth (pooled with the
-// run scratch), steady-state loop iterations are allocation-free.
+// TestAllocsRegTier locks in the register-converted trace tier under the
+// default substrate: after the one-time trace conversion (paid in the
+// warm-up run via the shared Code) and the scratch register file's first
+// growth (pooled with the run scratch), steady-state loop iterations are
+// allocation-free.
 func TestAllocsRegTier(t *testing.T) {
 	e := interp.NewEngine(allocLoopProg(t))
-	run := engineRun(t, e, func(e *interp.Engine) { e.EagerRegTier = true })
+	run := engineRun(t, e, func(*interp.Engine) {})
 	checkAllocs(t, "register tier", 0, run)
 }
 

@@ -158,13 +158,13 @@ func TestSetupErrorWrapped(t *testing.T) {
 }
 
 // TestSubstrateTogglesBitIdentical: the same spec yields the same virtual
-// outcome with the host substrate fully on, unfused, and fully off, with
-// and without the shared code cache.
+// outcome with the host substrate fully on, without the register tier,
+// and fully off, with and without the shared code cache.
 func TestSubstrateTogglesBitIdentical(t *testing.T) {
 	cache := jit.NewCache()
 	variants := []Substrate{
-		{NoCodeCache: true, NoFusion: true, NoBatching: true},
-		{NoFusion: true},
+		{NoCodeCache: true, NoBatching: true},
+		{NoRegTier: true},
 		{},
 	}
 	var ref *RunOutcome

@@ -17,12 +17,9 @@ type substrateVariant struct {
 
 // substrateVariants is the harness ladder.
 var substrateVariants = []substrateVariant{
-	{"off", exec.Substrate{NoCodeCache: true, NoFusion: true, NoBatching: true, NoRegTier: true}},
-	{"nofuse", exec.Substrate{NoFusion: true}},
+	{"off", exec.Substrate{NoCodeCache: true, NoBatching: true, NoRegTier: true}},
 	{"noreg", exec.Substrate{NoRegTier: true}},
-	{"reg", exec.Substrate{EagerRegTier: true}},
-	{"reg-nofuse", exec.Substrate{EagerRegTier: true, NoFusion: true}},
-	{"reg-deopt", exec.Substrate{EagerRegTier: true, ForcedDeopt: true}},
+	{"deopt", exec.Substrate{ForcedDeopt: true}},
 	{"full", exec.Substrate{}},
 }
 
@@ -79,13 +76,13 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 
 // TestSubstrateBenchmarksBitIdentical runs every benchmark of the suite
 // (plus the GC-selection extension) through Default, Rep, and Evolve
-// sequences under every substrateVariants row — fully off, fusion
-// disabled, register tier disabled or eager (fused and unfused), forced
-// deopt, and fully on (hotness-promoted traces and the
-// cross-run code cache included) — and asserts the recorded RunResults
-// are identical field for field. This is the harness-level counterpart
-// of the difftest substrate soak: it covers the real benchmark programs,
-// cross-run learning state, and the speedup bookkeeping.
+// sequences under every substrateVariants row — fully off, register tier
+// disabled, forced deopt, and fully on (register traces from every
+// Code's first frame and the cross-run code cache included) — and
+// asserts the recorded RunResults are identical field for field. This is
+// the harness-level counterpart of the difftest substrate soak: it covers
+// the real benchmark programs, cross-run learning state, and the speedup
+// bookkeeping.
 func TestSubstrateBenchmarksBitIdentical(t *testing.T) {
 	benches := programs.All()
 	benches = append(benches, programs.Extensions()...)

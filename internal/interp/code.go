@@ -40,50 +40,24 @@ type Code struct {
 	// of how much computation a method performed).
 	Base []int64
 
-	// plans caches the host-performance execution plans (see fuse.go):
-	// slot 0 without superinstruction fusion, slot 1 with it. Plans are
-	// built lazily on first execution and are immutable afterwards, so a
-	// Code may be shared by concurrently running engines (the harness
+	// plan caches the host-performance execution plan (see fuse.go),
+	// built at the Code's first frame entry and immutable afterwards, so
+	// a Code may be shared by concurrently running engines (the harness
 	// code cache does exactly that).
-	plans [2]atomic.Pointer[plan]
+	plan atomic.Pointer[plan]
 
-	// traces caches the register-converted hot-loop traces (trace.go,
-	// regir.go). Trace conversion reads the raw instruction stream over
-	// the plan's segment geometry, which is identical with and without
-	// superinstruction fusion, so fused and unfused runs share one trace
-	// program. Built once hot, immutable after, shared across engines and
-	// runs exactly like plans — a Code cached in jit.Cache carries its
-	// register plans to every later run.
+	// traces caches the register-converted loop traces (trace.go,
+	// regir.go), built at the first frame entry right after the plan
+	// whose segment geometry they linearize. Immutable after, shared
+	// across engines and runs exactly like the plan — a Code cached in
+	// jit.Cache carries its register plans to every later run.
 	traces atomic.Pointer[tracePlan]
-
-	// samples counts deterministic sampler ticks attributed to this code
-	// across every engine and run sharing it — the hotness signal that
-	// triggers the register tier. Host-side only: the count never feeds
-	// back into any virtual observable.
-	samples atomic.Int64
 }
-
-// TraceHotSamples is the sampler-tick threshold after which an optimized
-// Code's (level ≥ 0) loops are register-converted (trace.go). One tick
-// equals a full sample stride of executed cycles attributed to the
-// function, so two ticks mark genuinely hot code while staying early
-// enough that the register form covers most of the remaining execution;
-// a trace additionally proves itself by back-edge arrivals before it
-// runs (traceHotEntries).
-const TraceHotSamples = 2
-
-// noteSample records one sampler tick for hotness tracking.
-func (c *Code) noteSample() { c.samples.Add(1) }
-
-// Samples returns the cumulative sampler ticks attributed to this code
-// (diagnostics).
-func (c *Code) Samples() int64 { return c.samples.Load() }
 
 // installTracePlan builds the register-converted trace plan and installs
 // it CAS-once. The build is deterministic, so whichever of several
 // concurrent builders wins installs an identical plan; losers discard
-// their build (counted in PlanInstallStats). Promotion policy — hotness
-// and eagerness — lives in Engine.traceTier; this is only the build step.
+// their build (counted in PlanInstallStats).
 func (c *Code) installTracePlan() {
 	if !c.traces.CompareAndSwap(nil, buildTracePlan(c)) {
 		compileStats.lostTraces.Add(1)
@@ -123,18 +97,14 @@ func (c *Code) HeadTraceLens() map[int]int {
 // use. The build is deterministic, so whichever of several concurrent
 // builders wins the CAS installs an identical plan; losers discard
 // theirs (counted in PlanInstallStats) rather than overwriting.
-func (c *Code) planFor(fuse bool) *plan {
-	slot := 0
-	if fuse {
-		slot = 1
-	}
-	if p := c.plans[slot].Load(); p != nil {
+func (c *Code) planFor() *plan {
+	if p := c.plan.Load(); p != nil {
 		return p
 	}
-	p := buildPlan(c, fuse)
-	if !c.plans[slot].CompareAndSwap(nil, p) {
+	p := buildPlan(c)
+	if !c.plan.CompareAndSwap(nil, p) {
 		compileStats.lostPlans.Add(1)
-		return c.plans[slot].Load()
+		return c.plan.Load()
 	}
 	return p
 }

@@ -2,32 +2,27 @@ package interp
 
 import "sync/atomic"
 
-// This file is the register tier's promotion point: the helpers the
-// generated run loop calls at frame entry and sampler ticks to find (and,
-// once the code is hot, build) a Code's trace plan, plus the counters for
+// This file is the register tier's promotion point: the helper the
+// generated run loop calls at every frame entry to find (and, on the
+// Code's first frame, build) its trace plan, plus the counters for
 // install races between concurrent engines sharing one Code.
 //
-// Plans build inline, on the promoting engine's goroutine, and install
-// CAS-once (Code.installTracePlan). Which host tier executes an iteration
-// is never a virtual observable — results, traps, cycles, samples, and
-// ledgers are proven bit-identical across all three tiers by the difftest
-// soaks — so which of several racing engines lands a plan changes only
-// host speed (see DESIGN.md §15).
+// The tier has one promotion rule: every Code, whatever its level, gets
+// its trace plan at its first frame entry, and a trace runs at every
+// head arrival whose iteration fits the sample window (Engine.mayRun).
+// A running frame never changes its Code, so frame entry is the only
+// point that needs to ask. Plans build inline, on the entering engine's
+// goroutine, and install CAS-once (Code.installTracePlan). Which host
+// tier executes an iteration is never a virtual observable — results,
+// traps, cycles, samples, and ledgers are proven bit-identical across
+// all three tiers by the difftest soaks — so which of several racing
+// engines lands a plan changes only host speed (see DESIGN.md §15).
 
-// traceHot reports whether the code has earned register conversion.
-func (e *Engine) traceHot(code *Code) bool {
-	return e.EagerRegTier || (code.Level >= 0 && code.samples.Load() >= TraceHotSamples)
-}
-
-// traceTier returns the register trace plan code should run under, or
-// nil. A hot code without a plan builds one inline at the promotion
-// point.
+// traceTier returns the register trace plan of code, building and
+// installing it on first use.
 func (e *Engine) traceTier(code *Code) *tracePlan {
 	if p := code.traces.Load(); p != nil {
 		return p
-	}
-	if !e.traceHot(code) {
-		return nil
 	}
 	code.installTracePlan()
 	return code.traces.Load()

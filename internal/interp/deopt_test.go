@@ -19,7 +19,7 @@ import (
 // compare complete engine snapshots (result, trap identity, clock,
 // per-function ledgers, invocation counts, sample profile, output,
 // globals) between a reference run with the whole substrate off and runs
-// with traces forced on.
+// on the register tier, plain and under forced deopt.
 //
 // These tests read and reset the package-global trace counters, so they
 // must not run in parallel with each other (they don't: no t.Parallel).
@@ -94,8 +94,8 @@ var traceConfigs = []struct {
 	name      string
 	configure func(*Engine)
 }{
-	{"reg", func(e *Engine) { e.EagerRegTier = true }},
-	{"reg-deopt", func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true }},
+	{"reg", func(*Engine) {}},
+	{"reg-deopt", func(e *Engine) { e.ForcedDeopt = true }},
 }
 
 func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Value) {
@@ -456,7 +456,7 @@ func TestCallLoopsStayOnFusedPath(t *testing.T) {
 					snapIdentical(t, fmt.Sprintf("%s stride=%d", cfg.name, stride), ref, got)
 				}
 			}
-			st := runCounts(t, p, tc.g, with(0, func(e *Engine) { e.EagerRegTier = true }))
+			st := runCounts(t, p, tc.g, with(0, func(*Engine) {}))
 			if st.Built != 0 || st.HeadEntries != 0 || st.Degrade["call"] == 0 {
 				t.Errorf("call loop: built=%d head_entries=%d degrade[call]=%d, want no trace and a call degradation (%+v)",
 					st.Built, st.HeadEntries, st.Degrade["call"], st)
@@ -505,7 +505,7 @@ func TestStressDeoptCounts(t *testing.T) {
 	g := map[string]bytecode.Value{"n": bytecode.Int(200)}
 	ref := snapRun(t, p, g, func(e *Engine) { e.NoBatching = true })
 	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.ForcedDeopt = true })
+	got := snapRun(t, p, g, func(e *Engine) { e.ForcedDeopt = true })
 	snapIdentical(t, "stress-deopt", ref, got)
 	st := ReadTraceStats()
 	if st.Built == 0 || st.HeadEntries == 0 {

@@ -66,29 +66,24 @@ const (
 // code cache.
 type Substrate struct {
 	NoCodeCache bool // exec: skip the shared cross-run code cache
-	NoFusion    bool // batch blocks but without superinstruction fusion
 	NoBatching  bool // original per-instruction dispatch only
-	NoRegTier   bool // no register-converted hot-loop traces (trace.go, regir.go)
-
-	// EagerRegTier builds and enters register traces for every executed
-	// Code immediately, regardless of level or hotness. The equivalence
-	// suites use it to hold the register tier to bit identity from the
-	// first instruction.
-	EagerRegTier bool
+	NoRegTier   bool // no register-converted loop traces (trace.go, regir.go)
 
 	// ForcedDeopt makes every trace run hand back to the accounted loop
 	// after a single iteration, hammering the exit/re-entry state
 	// mapping.
 	ForcedDeopt bool
 
-	// NoClosures, SyncCompile, NoCallInline and NoOSR have no effect: the
-	// closure-threaded tier, the background compile pool, trace-level
-	// CALL inlining and mid-iteration (OSR) trace entries they switched
-	// off no longer exist. Trace plans always build inline at the
-	// promotion point, a loop with a CALL on its traced path always runs
-	// on the fused path, and traces are entered at loop heads only. They
-	// stay only because perfbench/check.go still sets them; delete all
-	// four once that file stops.
+	// NoFusion, NoClosures, SyncCompile, NoCallInline and NoOSR have no
+	// effect: the unfused batch plan, the closure-threaded tier, the
+	// background compile pool, trace-level CALL inlining and
+	// mid-iteration (OSR) trace entries they switched off no longer
+	// exist. Every batched segment runs its fused micro-program, trace
+	// plans always build inline at frame entry, a loop with a CALL on its
+	// traced path always runs on the fused path, and traces are entered
+	// at loop heads only. They stay only because perfbench/check.go still
+	// sets them; delete all five once that file stops.
+	NoFusion     bool
 	NoClosures   bool
 	SyncCompile  bool
 	NoCallInline bool
@@ -128,9 +123,9 @@ type Engine struct {
 	// Typically wired to a context.Context's Err method (vm.Machine.SetContext).
 	Interrupt func() error
 
-	// Substrate selects the host execution tiers and their promotion
-	// policy (see Substrate). Host-side only: virtual results are
-	// bit-identical under every setting.
+	// Substrate selects the host execution tiers (see Substrate).
+	// Host-side only: virtual results are bit-identical under every
+	// setting.
 	Substrate
 
 	Globals     []bytecode.Value

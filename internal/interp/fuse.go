@@ -30,27 +30,22 @@ import (
 // suffix and reports the trap at the exact pc the per-instruction loop
 // would have — the original loop charges an instruction before its trap
 // check, which is precisely what the upfront-charge-minus-suffix
-// reproduces. The fused-vs-unfused determinism suites in
-// internal/difftest and internal/harness hold every mode to bit identity
-// over the generator corpus (trapping runs included) and the benchmark
-// suite.
+// reproduces. The substrate determinism suites in internal/difftest and
+// internal/harness hold the plan to bit identity with the per-instruction
+// loop over the generator corpus (trapping runs included) and the
+// benchmark suite.
 
 // Fused superinstruction opcodes. They extend bytecode.Op past NumOps and
 // exist only inside plan micro-programs — never in bytecode streams, so
-// the assembler, verifier, and optimizer are unaware of them.
+// the assembler, verifier, and optimizer are unaware of them. Each is an
+// idiom that occurs in the plans of the benchmark programs.
 const (
 	// fLLBin: push Int(locals[A].I op locals[B].I); C is the int binop.
 	fLLBin bytecode.Op = bytecode.Op(bytecode.NumOps) + iota
-	// fLLCmp: push Bool(locals[A].I cmp locals[B].I); C is the int cmp.
-	fLLCmp
 	// fLIBin: push Int(locals[A].I op B); C is the int binop.
 	fLIBin
-	// fLICmp: push Bool(locals[A].I cmp B); C is the int cmp.
-	fLICmp
 	// fLGBin: push Int(locals[A].I op Globals[B].I); C is the int binop.
 	fLGBin
-	// fLGCmp: push Bool(locals[A].I cmp Globals[B].I); C is the int cmp.
-	fLGCmp
 	// fMove: locals[B] = locals[A] (LOAD+STORE).
 	fMove
 	// fGMove: locals[B] = Globals[A] (GLOAD+STORE).
@@ -61,28 +56,16 @@ const (
 	fCStore
 	// fIncJmp: locals[A].I += B; pc = C (IINC+JMP loop back-edge).
 	fIncJmp
-	// fCmpJz / fCmpJnz: pop b, pop a, branch to B on (a cmp b) false /
-	// true; C is the int cmp.
-	fCmpJz
+	// fCmpJnz: pop b, pop a, branch to B on (a cmp b); C is the int cmp.
 	fCmpJnz
-	// fCCmpJz / fCCmpJnz: pop a, branch to B on (a.I cmp Consts[A].I)
-	// false / true; C is the int cmp (CONST+cmp+branch).
-	fCCmpJz
-	fCCmpJnz
-	// fICmpJz / fICmpJnz: pop a, branch to B on (a.I cmp A) false / true;
-	// C is the int cmp (IPUSH+cmp+branch).
-	fICmpJz
+	// fICmpJnz: pop a, branch to B on (a.I cmp A); C is the int cmp
+	// (IPUSH+cmp+branch).
 	fICmpJnz
-	// fLJz / fLJnz: branch to B on !locals[A].IsTrue() / IsTrue()
-	// (LOAD+branch).
-	fLJz
+	// fLJnz: branch to B on locals[A].IsTrue() (LOAD+branch).
 	fLJnz
-	// fALoad: push Array(locals[A])[locals[B]] (LOAD+LOAD+ALOAD — the
-	// array-indexing idiom). Traps like ALOAD on a dead reference or an
-	// out-of-range index.
-	fALoad
 	// fGALoad: push Array(Globals[A])[locals[B]] (GLOAD+LOAD+ALOAD — the
 	// global-array indexing idiom; benchmark inputs live in globals).
+	// Traps like ALOAD on a dead reference or an out-of-range index.
 	fGALoad
 	// fLLBinS: locals[D] = locals[A].I op locals[B].I
 	// (LOAD+LOAD+binop+STORE — a full register-style ALU op with no stack
@@ -93,18 +76,13 @@ const (
 	// fLGBinS: locals[D] = locals[A].I op Globals[B].I
 	// (LOAD+GLOAD+binop+STORE).
 	fLGBinS
-	// fLLCmpJz / fLLCmpJnz: branch to D on (locals[A].I cmp locals[B].I)
-	// false / true; C is the int cmp (LOAD+LOAD+cmp+branch — the loop
-	// header idiom).
-	fLLCmpJz
+	// fLLCmpJnz: branch to D on (locals[A].I cmp locals[B].I); C is the
+	// int cmp (LOAD+LOAD+cmp+branch — the loop header idiom).
 	fLLCmpJnz
-	// fLGCmpJz / fLGCmpJnz: branch to D on (locals[A].I cmp Globals[B].I)
-	// false / true; C is the int cmp.
-	fLGCmpJz
+	// fLGCmpJnz: branch to D on (locals[A].I cmp Globals[B].I); C is the
+	// int cmp.
 	fLGCmpJnz
-	// fLICmpJz / fLICmpJnz: branch to D on (locals[A].I cmp B) false /
-	// true; C is the int cmp.
-	fLICmpJz
+	// fLICmpJnz: branch to D on (locals[A].I cmp B); C is the int cmp.
 	fLICmpJnz
 )
 
@@ -181,11 +159,8 @@ func branchOp(op bytecode.Op) bool {
 	return int(op) < len(opSegClass) && opSegClass[op] == segBranch
 }
 
-// buildPlan analyses the code and constructs its execution plan. With
-// fuse false, every micro-program is the 1:1 unaccounted copy of the
-// original ops (block batching without superinstructions — the
-// metamorphic middle rung).
-func buildPlan(c *Code, fuse bool) *plan {
+// buildPlan analyses the code and constructs its execution plan.
+func buildPlan(c *Code) *plan {
 	instrs := c.Instrs
 	n := len(instrs)
 	p := &plan{seg: make([]*segRun, n)}
@@ -234,7 +209,7 @@ func buildPlan(c *Code, fuse bool) *plan {
 			pc = end
 			continue
 		}
-		s.ops = compileSeg(c, pc, end, fuse)
+		s.ops = compileSeg(c, pc, end)
 		p.seg[pc] = s
 		pc = end
 	}
@@ -242,9 +217,9 @@ func buildPlan(c *Code, fuse bool) *plan {
 }
 
 // compileSeg translates the segment [start, end) into its micro-program,
-// fusing known patterns when fuse is set, and stamps every micro-op with
-// its trap-rollback data (suffix charges and successor pc).
-func compileSeg(c *Code, start, end int, fuse bool) []fop {
+// fusing known patterns, and stamps every micro-op with its
+// trap-rollback data (suffix charges and successor pc).
+func compileSeg(c *Code, start, end int) []fop {
 	in := c.Instrs[start:end]
 	// suf[k] is the summed charge of segment instructions from relative
 	// index k on; suf[len(in)] is 0.
@@ -256,10 +231,7 @@ func compileSeg(c *Code, start, end int, fuse bool) []fop {
 	}
 	out := make([]fop, 0, len(in))
 	for i := 0; i < len(in); {
-		f, n := fop{}, 0
-		if fuse {
-			f, n = matchFused(in[i:])
-		}
+		f, n := matchFused(in[i:])
 		if n == 0 {
 			f, n = fop{op: in[i].Op, a: in[i].A, b: in[i].B}, 1
 		}
@@ -286,16 +258,10 @@ func matchFused(in []bytecode.Instr) (fop, int) {
 				return fop{op: fLIBinS, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
 			case b.Op == bytecode.GLOAD && intBinOp(c.Op) && d.Op == bytecode.STORE:
 				return fop{op: fLGBinS, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
-			case b.Op == bytecode.LOAD && intCmpOp(c.Op) && d.Op == bytecode.JZ:
-				return fop{op: fLLCmpJz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
 			case b.Op == bytecode.LOAD && intCmpOp(c.Op) && d.Op == bytecode.JNZ:
 				return fop{op: fLLCmpJnz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
-			case b.Op == bytecode.GLOAD && intCmpOp(c.Op) && d.Op == bytecode.JZ:
-				return fop{op: fLGCmpJz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
 			case b.Op == bytecode.GLOAD && intCmpOp(c.Op) && d.Op == bytecode.JNZ:
 				return fop{op: fLGCmpJnz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
-			case b.Op == bytecode.IPUSH && intCmpOp(c.Op) && d.Op == bytecode.JZ:
-				return fop{op: fLICmpJz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
 			case b.Op == bytecode.IPUSH && intCmpOp(c.Op) && d.Op == bytecode.JNZ:
 				return fop{op: fLICmpJnz, a: a.A, b: b.A, c: int32(c.Op), d: d.A}, 4
 			}
@@ -306,26 +272,12 @@ func matchFused(in []bytecode.Instr) (fop, int) {
 		switch {
 		case a.Op == bytecode.LOAD && b.Op == bytecode.LOAD && intBinOp(c.Op):
 			return fop{op: fLLBin, a: a.A, b: b.A, c: int32(c.Op)}, 3
-		case a.Op == bytecode.LOAD && b.Op == bytecode.LOAD && intCmpOp(c.Op):
-			return fop{op: fLLCmp, a: a.A, b: b.A, c: int32(c.Op)}, 3
 		case a.Op == bytecode.LOAD && b.Op == bytecode.IPUSH && intBinOp(c.Op):
 			return fop{op: fLIBin, a: a.A, b: b.A, c: int32(c.Op)}, 3
-		case a.Op == bytecode.LOAD && b.Op == bytecode.IPUSH && intCmpOp(c.Op):
-			return fop{op: fLICmp, a: a.A, b: b.A, c: int32(c.Op)}, 3
 		case a.Op == bytecode.LOAD && b.Op == bytecode.GLOAD && intBinOp(c.Op):
 			return fop{op: fLGBin, a: a.A, b: b.A, c: int32(c.Op)}, 3
-		case a.Op == bytecode.LOAD && b.Op == bytecode.GLOAD && intCmpOp(c.Op):
-			return fop{op: fLGCmp, a: a.A, b: b.A, c: int32(c.Op)}, 3
-		case a.Op == bytecode.LOAD && b.Op == bytecode.LOAD && c.Op == bytecode.ALOAD:
-			return fop{op: fALoad, a: a.A, b: b.A}, 3
 		case a.Op == bytecode.GLOAD && b.Op == bytecode.LOAD && c.Op == bytecode.ALOAD:
 			return fop{op: fGALoad, a: a.A, b: b.A}, 3
-		case a.Op == bytecode.CONST && intCmpOp(b.Op) && c.Op == bytecode.JZ:
-			return fop{op: fCCmpJz, a: a.A, b: c.A, c: int32(b.Op)}, 3
-		case a.Op == bytecode.CONST && intCmpOp(b.Op) && c.Op == bytecode.JNZ:
-			return fop{op: fCCmpJnz, a: a.A, b: c.A, c: int32(b.Op)}, 3
-		case a.Op == bytecode.IPUSH && intCmpOp(b.Op) && c.Op == bytecode.JZ:
-			return fop{op: fICmpJz, a: a.A, b: c.A, c: int32(b.Op)}, 3
 		case a.Op == bytecode.IPUSH && intCmpOp(b.Op) && c.Op == bytecode.JNZ:
 			return fop{op: fICmpJnz, a: a.A, b: c.A, c: int32(b.Op)}, 3
 		}
@@ -343,12 +295,8 @@ func matchFused(in []bytecode.Instr) (fop, int) {
 			return fop{op: fCStore, a: b.A, b: a.A}, 2
 		case a.Op == bytecode.IINC && b.Op == bytecode.JMP:
 			return fop{op: fIncJmp, a: a.A, b: a.B, c: b.A}, 2
-		case intCmpOp(a.Op) && b.Op == bytecode.JZ:
-			return fop{op: fCmpJz, b: b.A, c: int32(a.Op)}, 2
 		case intCmpOp(a.Op) && b.Op == bytecode.JNZ:
 			return fop{op: fCmpJnz, b: b.A, c: int32(a.Op)}, 2
-		case a.Op == bytecode.LOAD && b.Op == bytecode.JZ:
-			return fop{op: fLJz, a: a.A, b: b.A}, 2
 		case a.Op == bytecode.LOAD && b.Op == bytecode.JNZ:
 			return fop{op: fLJnz, a: a.A, b: b.A}, 2
 		}

@@ -113,7 +113,7 @@ func TestHandBackStateMapping(t *testing.T) {
 	pair := pairCost(t, p)
 	checkStrideSweep(t, p, altGlobals(2*pair+2, -1), pair)
 
-	st := runCounts(t, p, altGlobals(24, -1), func(e *Engine) { e.EagerRegTier = true })
+	st := runCounts(t, p, altGlobals(24, -1), nil)
 	if st.HeadEntries != 13 || st.SideExits != 13 || st.Traps != 0 {
 		t.Errorf("alternating loop of 24: head_entries=%d side_exits=%d traps=%d, want 13, 13, 0 (%+v)",
 			st.HeadEntries, st.SideExits, st.Traps, st)
@@ -136,7 +136,7 @@ func TestHandBackTrapInOddArm(t *testing.T) {
 
 	// Entries at i = 0, 2, 4, 6, 8 and exits at i = 1, 3, 5, 7, 9; the
 	// trap at 9 fires off trace.
-	st := runCounts(t, p, altGlobals(24, 9), func(e *Engine) { e.EagerRegTier = true })
+	st := runCounts(t, p, altGlobals(24, 9), nil)
 	if st.HeadEntries != 5 || st.SideExits != 5 || st.Traps != 0 {
 		t.Errorf("trap in the odd arm: head_entries=%d side_exits=%d traps=%d, want 5, 5, 0 (%+v)",
 			st.HeadEntries, st.SideExits, st.Traps, st)
@@ -185,10 +185,36 @@ out:
 end
 `
 
+// TestTracesFromFirstFrame pins the register tier's promotion rule: a
+// fresh level −1 Code from NewEngine's baseline provider builds its trace
+// plan at its first frame entry, and under the zero Substrate the first
+// run enters the loop's trace although the loop iterates only 3 times.
+func TestTracesFromFirstFrame(t *testing.T) {
+	p := mustProg(t, leafLoopSrc)
+	e := NewEngine(p)
+	if err := e.SetGlobal("n", bytecode.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	code := e.Provider(p.Entry)
+	if code.Level != -1 || code.TraceReady() {
+		t.Fatalf("fresh baseline code: level %d, trace plan built %v", code.Level, code.TraceReady())
+	}
+	ResetTraceStats()
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if st := ReadTraceStats(); st.HeadEntries == 0 {
+		t.Errorf("the first run never entered the loop's trace: %+v", st)
+	}
+	if !code.TraceReady() {
+		t.Error("the first run left no trace plan on the level −1 code")
+	}
+}
+
 // TestTraceStatsConservation runs one program from G goroutines at once
-// on shared Codes, whose trace plans and hotness gates every engine
-// shares: the per-run counts each engine adds when it returns must sum to
-// exactly G times one serial run's.
+// on shared Codes, whose trace plans every engine shares: the per-run
+// counts each engine adds when it returns must sum to exactly G times one
+// serial run's.
 func TestTraceStatsConservation(t *testing.T) {
 	const goroutines = 8
 	for _, tc := range []struct {
@@ -203,7 +229,7 @@ func TestTraceStatsConservation(t *testing.T) {
 			p := mustProg(t, tc.src)
 			codes := make([]*Code, len(p.Funcs))
 			for i, f := range p.Funcs {
-				codes[i] = NewCode(i, f, 1, 100) // level ≥ 0: the hotness gates apply
+				codes[i] = NewCode(i, f, 1, 100)
 			}
 			run := func() error {
 				e := NewEngine(p)
@@ -221,10 +247,10 @@ func TestTraceStatsConservation(t *testing.T) {
 				f()
 				return ReadTraceStats()
 			}
-			// Warm until the plan is built and every trace gate is hot, so
-			// each further run takes the same path.
+			// The first run builds the plans; each further run takes the
+			// same path.
 			var serial TraceStats
-			for i := 0; i < 4; i++ {
+			for i := 0; i < 2; i++ {
 				serial = delta(func() {
 					if err := run(); err != nil {
 						t.Fatal(err)

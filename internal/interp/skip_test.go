@@ -128,7 +128,7 @@ func TestForwardSkipStateMapping(t *testing.T) {
 	}
 
 	const iters = 3000
-	st := runCounts(t, p, rleGlobals(iters, -1, -1), func(e *Engine) { e.EagerRegTier = true })
+	st := runCounts(t, p, rleGlobals(iters, -1, -1), nil)
 	ref := snapRun(t, p, rleGlobals(iters, -1, -1), noBatch)
 	var windows int64
 	for _, s := range ref.samples {

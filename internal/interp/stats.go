@@ -12,7 +12,7 @@ import "sync/atomic"
 // /v1/stats and `expdriver -tracestats`.
 //
 // Build-time counters are process-global atomics (plans are built rarely,
-// by whichever engine promotes the code). Run-time counters are plain
+// by whichever engine first enters the code). Run-time counters are plain
 // per-run counts in the run's scratch (traceCounts), added to the process
 // totals once when Engine.Run returns: the register tier's hot loop never
 // touches a cache line another worker shares.

@@ -2,16 +2,15 @@ package interp
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/opt"
 )
 
-// This file implements the trace tier, the fourth host tier: hot loop
-// bodies run as register programs (regir.go) instead of stack programs.
-// A trace anchors at a loop head from opt.Loops and linearizes the hot
-// path through the fusion plan's segment geometry — following
+// This file implements the trace tier, the third host tier: loop bodies
+// run as register programs (regir.go) instead of stack programs. A trace
+// anchors at a loop head from opt.Loops and linearizes one iteration's
+// path through the fused plan's segment geometry — following
 // fall-throughs and unconditional jumps, recording a side exit at every
 // conditional branch — until the path closes back at the head. One
 // iteration becomes one register program; the engine runs it in a flat
@@ -42,20 +41,12 @@ import (
 // never get a trace and keep running on the fused path — per-loop
 // degradation, never a virtual difference.
 //
-// Trace activation is two-staged and deterministic on the host side:
-// the Code must be hot by sampler count (TraceHotSamples), and then each
-// individual loop must prove itself by back-edge arrivals
-// (traceHotEntries) before its register program runs.
-// Substrate.EagerRegTier short-circuits both gates for the equivalence
-// suites. Neither gate feeds back into any virtual observable.
+// Every Code, whatever its level, builds its trace plan at its first
+// frame entry (compile.go), and a trace runs at every head arrival whose
+// iteration fits the sample window: no hotness gate sits between a
+// loop and its register program.
 
-// traceHotEntries is the per-trace back-edge arrival count after which a
-// built trace starts executing. Arrivals are counted only when the
-// iteration would fit the sample window, so the counter tracks genuine
-// execution opportunities.
-const traceHotEntries = 4
-
-// trace is the compiled register program of one hot loop: straight-line
+// trace is the compiled register program of one loop: straight-line
 // register instructions, the batched charge, side exits back to
 // bytecode, and trap rollbacks.
 type trace struct {
@@ -72,17 +63,6 @@ type trace struct {
 	traps  []rtrap
 	divs   []rdiv   // reciprocals of the by-constant divisions
 	hoist  []rhoist // the prologue: globals the trace reads and never writes
-
-	// entries counts hot-loop arrivals across every engine sharing the
-	// Code until it reaches traceHotEntries, then stays put: the gate is
-	// read-only once the trace is hot (host-side only).
-	entries atomic.Int64
-}
-
-// arrive records one back-edge arrival while the trace is still cold and
-// reports whether it is hot.
-func (t *trace) arrive() bool {
-	return t.entries.Load() >= traceHotEntries || t.entries.Add(1) >= traceHotEntries
 }
 
 // tracePlan indexes traces by pc: tr[pc] is the trace of the loop whose
@@ -92,14 +72,11 @@ type tracePlan struct {
 }
 
 // buildTracePlan discovers and converts every traceable loop of the
-// code. Geometry comes from the fused plan slot: segmentation is
-// identical with and without superinstruction fusion (only the
-// micro-programs differ), so fused and unfused runs share one trace
-// program.
+// code, linearizing each over the segment geometry of the code's plan.
 func buildTracePlan(c *Code) *tracePlan {
 	n := len(c.Instrs)
 	tp := &tracePlan{tr: make([]*trace, n)}
-	p := c.planFor(true)
+	p := c.planFor()
 	// A head with several back edges (cold arms rejoining the loop) is
 	// reported once per back edge; it is tried once.
 	tried := make(map[int]bool)
@@ -199,11 +176,10 @@ func rpushVal(stack []bytecode.Value, tr *trace, regs *regFile, p rpush) []bytec
 }
 
 // mayRun is the register tier's activation gate, asked by the engine
-// loop at a loop head before entering its trace. The whole next
-// iteration must fit the current sample window, and the trace must be
-// hot by its own back-edge arrivals (this call is one).
+// loop at a loop head before entering its trace: the whole next
+// iteration must fit the current sample window.
 func (e *Engine) mayRun(t *trace) bool {
-	return e.Cycles+t.cost < e.nextSample && (e.EagerRegTier || t.arrive())
+	return e.Cycles+t.cost < e.nextSample
 }
 
 // unwind subtracts the charges of an iteration's unexecuted suffix: rem

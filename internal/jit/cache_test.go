@@ -49,74 +49,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestCacheCarriesTracePlans proves that host-side execution plans built
-// on a cached Code travel with it: a run that register-converts the hot
-// loop leaves the trace plan on the interp.Code stored in the shared
-// cache, so every later run resolving the same key starts with the
-// register tier already built — the cross-run analogue of the fused
-// plans the cache has always carried.
-func TestCacheCarriesTracePlans(t *testing.T) {
-	prog := testProg(t)
-	shared := NewCache()
-	c1 := NewCompiler(prog, Config{})
-	c1.UseShared(shared)
-	hotIdx, ok := prog.FuncIndex("hot")
-	if !ok {
-		t.Fatal("no hot function")
-	}
-	code, _, err := c1.Compile(hotIdx, MaxLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code.TraceReady() {
-		t.Fatal("fresh compile already had a trace plan")
-	}
-
-	// Execute the form with the register tier forced on; the run converts
-	// the loop and stores the plan on the shared Code.
-	e := interp.NewEngine(prog)
-	e.EagerRegTier = true
-	base := e.Provider
-	e.Provider = func(fn int) *interp.Code {
-		if fn == hotIdx {
-			return code
-		}
-		return base(fn)
-	}
-	if err := e.SetGlobal("n", bytecode.Int(100)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !code.TraceReady() {
-		t.Fatal("run with EagerRegTier built no trace plan")
-	}
-
-	// A second compiler resolving from the shared cache receives the same
-	// form, register plans included.
-	c2 := NewCompiler(prog, Config{})
-	c2.UseShared(shared)
-	code2, _, err := c2.Compile(hotIdx, MaxLevel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code2 != code {
-		t.Fatal("shared cache returned a different code form")
-	}
-	if !code2.TraceReady() {
-		t.Fatal("cached form lost its trace plan")
-	}
-}
-
-// TestCacheCarriesOSRAndInlineGuards extends the round trip to a
-// baseline form with a branchy loop: a run that builds its trace plan
-// leaves it on the shared Code, and a second compiler resolving the same
-// key receives the identical plan, head traces included. (The name is
-// older than the plan's present shape: plans once also carried OSR entry
-// maps and inline guards.)
-func TestCacheCarriesOSRAndInlineGuards(t *testing.T) {
-	src := `
+// branchyHotSrc is testSrc with a data-dependent arm in hot's loop, so
+// its head trace side-exits on one iteration of three.
+const branchyHotSrc = `
 global n
 func main() locals acc
   const 0
@@ -161,45 +96,90 @@ done:
   ret
 end
 `
-	prog, err := bytecode.Assemble("cachetest", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared := NewCache()
-	c1 := NewCompiler(prog, Config{})
-	c1.UseShared(shared)
-	hotIdx, ok := prog.FuncIndex("hot")
-	if !ok {
-		t.Fatal("no hot function")
-	}
-	codes := make([]*interp.Code, len(prog.Funcs))
-	for i := range prog.Funcs {
-		codes[i], _ = c1.Baseline(i)
-	}
 
-	e := interp.NewEngine(prog)
-	e.EagerRegTier = true
-	e.Provider = func(fn int) *interp.Code { return codes[fn] }
-	if err := e.SetGlobal("n", bytecode.Int(60)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	heads := codes[hotIdx].HeadTraceLens()
-	if len(heads) == 0 {
-		t.Fatalf("run built head traces %v; want the loop's", heads)
-	}
+// TestCacheCarriesTracePlans proves that the register plans a run builds
+// on a cached Code travel with it: the run leaves the trace plan on the
+// interp.Code stored in the shared cache, so every later run resolving
+// the same key starts with the register tier already built. It checks an
+// optimized form and the baseline form of a branchy loop, each run once
+// under the zero Substrate, and compares the cached form's head traces
+// with those of an independent build: a compiler without the shared
+// cache that compiles and runs the same key.
+func TestCacheCarriesTracePlans(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		src   string
+		level int
+		n     int64
+	}{
+		{"optimized", testSrc, MaxLevel, 100},
+		{"baseline", branchyHotSrc, MinLevel, 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := bytecode.Assemble("cachetest", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hotIdx, ok := prog.FuncIndex("hot")
+			if !ok {
+				t.Fatal("no hot function")
+			}
+			// runHot compiles hot with c, runs the program once with that
+			// form, and returns it.
+			runHot := func(c *Compiler) *interp.Code {
+				code, _, err := c.Compile(hotIdx, tc.level)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if code.TraceReady() {
+					t.Fatal("fresh compile already had a trace plan")
+				}
+				e := interp.NewEngine(prog)
+				base := e.Provider
+				e.Provider = func(fn int) *interp.Code {
+					if fn == hotIdx {
+						return code
+					}
+					return base(fn)
+				}
+				if err := e.SetGlobal("n", bytecode.Int(tc.n)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if !code.TraceReady() {
+					t.Fatal("run built no trace plan")
+				}
+				return code
+			}
 
-	// Second compiler, same shared cache: identical Code, identical plan.
-	c2 := NewCompiler(prog, Config{})
-	c2.UseShared(shared)
-	code2, _ := c2.Baseline(hotIdx)
-	if code2 != codes[hotIdx] {
-		t.Fatal("shared cache returned a different code form")
-	}
-	if h2 := code2.HeadTraceLens(); !maps.Equal(h2, heads) {
-		t.Fatalf("cached form's trace plan changed: head traces %v, want %v", h2, heads)
+			shared := NewCache()
+			c1 := NewCompiler(prog, Config{})
+			c1.UseShared(shared)
+			code := runHot(c1)
+
+			// A second compiler resolving from the shared cache receives
+			// the same form, register plans included.
+			c2 := NewCompiler(prog, Config{})
+			c2.UseShared(shared)
+			cached, _, err := c2.Compile(hotIdx, tc.level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached != code {
+				t.Fatal("shared cache returned a different code form")
+			}
+
+			fresh := runHot(NewCompiler(prog, Config{}))
+			heads, want := cached.HeadTraceLens(), fresh.HeadTraceLens()
+			if len(want) == 0 {
+				t.Fatal("independent build traced no loop head")
+			}
+			if !maps.Equal(heads, want) {
+				t.Fatalf("cached form's head traces %v, want the independent build's %v", heads, want)
+			}
+		})
 	}
 }
 

@@ -34,7 +34,6 @@ func TestServedTraceLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := interp.NewEngine(prog)
-		e.EagerRegTier = true
 		e.Provider = func(fn int) *interp.Code { return codes[fn] }
 		in := b.GenInputs(rand.New(rand.NewSource(42)), 1)[0]
 		if err := in.Setup(e); err != nil {
