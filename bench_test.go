@@ -328,7 +328,8 @@ func assembleBench(b *testing.B, name, src string) *bytecode.Program {
 }
 
 // runDispatch times prog under one substrate setting: a single engine,
-// warmed untimed, then reset and rerun with n = 10000 per iteration.
+// warmed untimed (b.Loop starts the timer at its first call), then reset
+// and rerun with n = 10000 per iteration.
 func runDispatch(b *testing.B, prog *bytecode.Program, sub interp.Substrate) {
 	e := interp.NewEngine(prog)
 	run := func() {
@@ -343,8 +344,7 @@ func runDispatch(b *testing.B, prog *bytecode.Program, sub interp.Substrate) {
 	}
 	run() // warm: plans, traces, pooled scratch
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		run()
 	}
 }
@@ -359,7 +359,7 @@ func BenchmarkOptimizePipeline(b *testing.B) {
 	}
 	idx, _ := prog.FuncIndex("intersectall")
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, _, err := opt.Optimize(prog, idx, 2); err != nil {
 			b.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func BenchmarkXICLTranslate(b *testing.B) {
 	}
 	in := bench.GenInputs(rand.New(rand.NewSource(1)), 1)[0]
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		tr := xicl.NewTranslator(spec, reg, in.Files)
 		if _, err := tr.BuildFVector(in.Args); err != nil {
 			b.Fatal(err)
@@ -411,7 +411,7 @@ func BenchmarkTreeBuild(b *testing.B) {
 		})
 	}
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := cart.Build(examples, cart.Params{}); err != nil {
 			b.Fatal(err)
 		}

@@ -66,7 +66,10 @@ func TestDeadlineAbortIsTypedAndResumable(t *testing.T) {
 	args := []string{"-exp", "fig8", "-quick", "-seed", "8", "-bench", "mtrt"}
 
 	var aborted, abortedErr bytes.Buffer
-	code := run(append(args, "-checkpoint", ckpt, "-timeout", "30ms"), &aborted, &abortedErr)
+	// The deadline must expire mid-run: a whole quick Figure 8 of mtrt
+	// takes about 20 ms on a 2-vCPU container, so 30 ms could let it
+	// finish first.
+	code := run(append(args, "-checkpoint", ckpt, "-timeout", "5ms"), &aborted, &abortedErr)
 	if code != 1 {
 		t.Fatalf("interrupted run exit %d (stderr %q), want 1", code, abortedErr.String())
 	}

@@ -26,13 +26,17 @@ func (e *Engine) Run() (bytecode.Value, error) {
 	e.rootLocals, e.rootStack = nil, nil
 	defer func() {
 		// Hand the (possibly grown) arenas back. The frame stack holds
-		// *Code pointers; clear it so the pool pins no compiled code, and
+		// *Code pointers and the pin file the run's arrays; clear both so
+		// the pool keeps neither compiled code nor a heap alive, and
 		// unpublish the GC roots so the engine no longer aliases pooled
 		// memory.
 		sc.locals, sc.stack = locals[:0], stack[:0]
 		sc.frames = frames[:cap(frames)]
 		clear(sc.frames)
 		sc.frames = sc.frames[:0]
+		if sc.pins != nil {
+			clear(sc.pins[:])
+		}
 		sc.tc.flush()
 		e.rootLocals, e.rootStack = nil, nil
 		scratchPool.Put(sc)

@@ -18,11 +18,14 @@ import (
 // arm body leaves only by a trap's return or by an exit's "break body",
 // so the joined arm runs exactly as the pair did — a first component that
 // exits or traps leaves the second unexecuted — and every exit and trap
-// keeps its own rollback record.
+// keeps its own rollback record. A fused form's body names its slots, so
+// a later rule may take it as a component like any other opcode: the
+// peephole fuses to a fixed point, and a pair of fused pairs becomes one.
 
 // pairRule fuses the adjacent instructions first, second into one
 // opcode when, for every entry of same, second's register field (the key)
-// reads the register in first's field (the value).
+// reads the register in first's field (the value). A component is a
+// register opcode or the fused form of an earlier rule.
 type pairRule struct {
 	first, second string
 	same          map[string]string
@@ -31,8 +34,11 @@ type pairRule struct {
 // pairRules are the fused pairs, tried in order: the adjacent pairs that
 // dominate the served loops' register instruction stream (loop counter
 // increment and bound test, bounds-tested array load, remainder or
-// quotient accumulation, run-length compare), and the increment that
-// ends most loops with the rEnd sentinel after it.
+// quotient accumulation, run-length compare), the increment that ends
+// most loops with the rEnd sentinel after it, the pairs of euler's and
+// moldyn's loop bodies that each remove at least 5% of their warm
+// dispatches, and then the pairs of fused pairs that search's and
+// compress's unrolled loop bodies repeat.
 var pairRules = []pairRule{
 	{first: "rInc", second: "rxIGE"},
 	{first: "rInc", second: "rxIGEi"},
@@ -44,32 +50,66 @@ var pairRules = []pairRule{
 	{first: "rMove", second: "rInc"},
 	{first: "rInc", second: "rMove"},
 	{first: "rInc", second: "rEnd"},
+	// euler's flux loop: a load at a summed index, the bound n-1, the
+	// stored value added into the sum, and the sum's division.
+	{first: "rIADD", second: "rALoad", same: map[string]string{"b": "d"}},  // loads at the sum
+	{first: "rISUBi", second: "rxIGE", same: map[string]string{"b": "d"}},  // compares with the difference
+	{first: "rAStore", second: "rIADD", same: map[string]string{"b": "d"}}, // adds the stored value
+	{first: "rIADD", second: "rIDIVk", same: map[string]string{"a": "d"}},  // divides the sum
+	// moldyn's force loop: the loaded coordinate's distance, its zero
+	// test, and the force's division of a rematerialized constant.
+	{first: "rALoad", second: "rISUB", same: map[string]string{"a": "d"}},  // subtracts from the loaded value
+	{first: "rISUB", second: "rBrTrue", same: map[string]string{"a": "d"}}, // tests the difference
+	{first: "rIADDi", second: "rLoadI"},                                    // then loads the dividend
+	{first: "rIDIV", second: "rIADD", same: map[string]string{"b": "d"}},   // adds the quotient
+	// search's digit loop: the remainder and then the quotient of one
+	// dividend by constants, the quotient sum replacing the dividend.
+	{first: "rIMODk_rIADD", second: "rIDIVk_rIADD", same: map[string]string{"d": "d", "a": "a", "b": "a"}},
+	// compress's summing loop: the loaded value plus the index, added
+	// into the sum before the index's increment.
+	{first: "rIADD", second: "rIADD_rInc", same: map[string]string{"b": "d", "c": "b"}},
+	// compress's run-length loop: a new run counts and keeps the value
+	// its compare loaded.
+	{first: "rALoad_rxIEQ", second: "rInc_rMove", same: map[string]string{"a": "c", "b": "d"}},
 }
 
 // A fused form places its components' fields in the slots of one
-// register instruction (slotExpr): the four registers regSlots, the
+// register instruction (slotExpr): the five registers regSlots, the
 // immediate imm, the exit or trap index x, and y, for the second
 // component's immediate or index. slotType is the Go type of each slot
 // that is not a register.
 var (
-	regSlots = []string{"d", "a", "b", "c"}
+	regSlots = []string{"d", "a", "b", "c", "e"}
 	slotType = map[string]string{"imm": "int32", "y": "int32", "x": "uint16"}
 )
 
 // pairForm is one generated fused opcode: its rule, the component arm
-// bodies, and the slot that carries each component field.
+// bodies, the slot that carries each component field, and its own arm
+// body over those slots.
 type pairForm struct {
 	pairRule
 	name         string
 	pBody, qBody string
 	p, q         map[string]string // component field → fused slot
+	body         string
+}
+
+// slotCands lists the slots a field of the second component may take,
+// in order of preference: its own, then any free register slot for a
+// register, and for an index or immediate an int32 slot (an immediate
+// never fits the uint16 x).
+func slotCands(fld string) []string {
+	if isRegSlot(fld) {
+		return append([]string{fld}, regSlots...)
+	}
+	return []string{fld, "y", "imm"}
 }
 
 // pairForms derives every fused opcode from pairRules, in rule order.
 // Each component field keeps its own slot when the first component has
-// not taken it; otherwise a register moves to the first free register
-// slot and an immediate or index to y. A field of second that same ties
-// to a field of first shares that field's slot.
+// not taken it; otherwise it moves to the first free slot slotCands
+// offers. A field of second that same ties to a field of first shares
+// that field's slot.
 func pairForms(table []opspec.Op) []pairForm {
 	bodies := map[string]string{}
 	for _, a := range regArms(table) {
@@ -79,7 +119,7 @@ func pairForms(table []opspec.Op) []pairForm {
 	for _, r := range pairRules {
 		f := pairForm{pairRule: r, name: r.first + "_" + r.second, pBody: bodies[r.first], qBody: bodies[r.second]}
 		if f.pBody == "" || f.qBody == "" {
-			fail("pair rule %s: no register opcode %s or %s", f.name, r.first, r.second)
+			fail("pair rule %s: no register opcode or earlier fused form %s or %s", f.name, r.first, r.second)
 		}
 		taken := map[string]bool{}
 		f.p = map[string]string{}
@@ -96,13 +136,7 @@ func pairForms(table []opspec.Op) []pairForm {
 				f.q[fld] = f.p[pf]
 				continue
 			}
-			cands := []string{fld}
-			if isRegSlot(fld) {
-				cands = append(cands, regSlots...)
-			} else {
-				cands = append(cands, "y")
-			}
-			for _, s := range cands {
+			for _, s := range slotCands(fld) {
 				if !taken[s] {
 					f.q[fld], taken[s] = s, true
 					break
@@ -117,6 +151,11 @@ func pairForms(table []opspec.Op) []pairForm {
 				fail("pair rule %s: %s reads no field %s", f.name, r.second, fld)
 			}
 		}
+		f.body = f.join()
+		if bodies[f.name] != "" {
+			fail("pair rule %s: the name is taken", f.name)
+		}
+		bodies[f.name] = f.body
 		forms = append(forms, f)
 	}
 	return forms
@@ -142,15 +181,15 @@ func (f pairForm) doc() string {
 	return s
 }
 
-// arm joins the two component bodies with their fields bound to the
+// join joins the two component bodies with their fields bound to the
 // fused slots. The first runs in its own block when it declares
 // variables, so the second's declarations cannot collide with them.
-func (f pairForm) arm() string {
-	p := expandArm(f.pBody, f.p)
+func (f pairForm) join() string {
+	p := bindArm(f.pBody, f.p)
 	if strings.Contains(p, ":=") && !strings.HasPrefix(p, "if ") {
 		p = "{\n" + p + "\n}"
 	}
-	return p + "\n" + expandArm(f.qBody, f.q)
+	return p + "\n" + bindArm(f.qBody, f.q)
 }
 
 // convert reads field (or slot) from of instruction v, converted to the

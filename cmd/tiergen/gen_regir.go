@@ -95,8 +95,35 @@ var regBranch = [rNumOps][2]rOp{
 		fmt.Fprintf(&b, "%s: {rxn%s%s, rx%s%s},\n", f.name, f.op.Enum, suffix, f.op.Enum, suffix)
 	}
 	b.WriteString("}\n")
+	genOpNames(&b, table, pairs)
 	genPairs(&b, pairs)
 	return interpFile(b.String())
+}
+
+// genOpNames emits rOp.String: the name of every register opcode, the
+// structural, operator and fused forms alike, so a trace test or dump
+// names the opcode rather than its number.
+func genOpNames(b *strings.Builder, table []opspec.Op, pairs []pairForm) {
+	b.WriteString(`
+// rOpNames names every register opcode.
+var rOpNames = [rNumOps]string{
+`)
+	for _, a := range regArms(table) {
+		fmt.Fprintf(b, "%s: %q,\n", a.name, a.name)
+	}
+	for _, f := range pairs {
+		fmt.Fprintf(b, "%s: %q,\n", f.name, f.name)
+	}
+	b.WriteString(`}
+
+// String returns the opcode's name, or its number past the last opcode.
+func (o rOp) String() string {
+	if o < rNumOps {
+		return rOpNames[o]
+	}
+	return fmt.Sprintf("rOp(%d)", uint8(o))
+}
+`)
 }
 
 // regLowerKindOf classifies one op for the register tier, or "" for ops

@@ -18,10 +18,10 @@ func genTraceRun(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString(traceTop)
 	for _, a := range regArms(table) {
-		fmt.Fprintf(&b, "case %s:\n%s\n", a.name, expandArm(a.body, nil))
+		fmt.Fprintf(&b, "case %s:\n%s\n", a.name, expandArm(a.body))
 	}
 	for _, f := range pairForms(table) {
-		fmt.Fprintf(&b, "case %s:\n%s\n", f.name, f.arm())
+		fmt.Fprintf(&b, "case %s:\n%s\n", f.name, expandArm(f.body))
 	}
 	b.WriteString(traceBottom)
 	return interpFile(b.String())
@@ -33,27 +33,38 @@ type namedArm struct {
 }
 
 // An arm body names the instruction fields it reads as placeholders:
-// {d}, {a}, {b} and {c} the registers, {imm} the immediate, {x} the exit
-// or trap index. armFields lists them.
-var armFields = []string{"d", "a", "b", "c", "imm", "x"}
+// {d}, {a}, {b}, {c} and {e} the registers, {imm} the immediate, {x} the
+// exit or trap index, and {y} a fused form's second immediate or index.
+// An operator or structural arm reads no {e} or {y}; a fused form's body
+// names its slots, so it reads like any other arm when a pair rule takes
+// it as a component. armFields lists them.
+var armFields = []string{"d", "a", "b", "c", "e", "imm", "x", "y"}
 
 // slotExpr reads each slot of the dispatched instruction (rins,
 // regir.go): a register number, or an int32 for the immediate, the
 // uint16 index x, and a fused form's second immediate or index y.
 var slotExpr = map[string]string{
-	"d": "in.d", "a": "in.a", "b": "in.b", "c": "in.c", "imm": "in.imm", "x": "int32(in.x)", "y": "in.y",
+	"d": "in.d", "a": "in.a", "b": "in.b", "c": "in.c", "e": "in.e", "imm": "in.imm", "x": "int32(in.x)", "y": "in.y",
 }
 
-// expandArm binds an arm body's placeholders: field f reads slot at[f],
-// or its own slot when at has none.
-func expandArm(body string, at map[string]string) string {
+// bindArm renames an arm body's placeholders: field f becomes slot at[f],
+// or stays itself when at has none.
+func bindArm(body string, at map[string]string) string {
 	var kv []string
 	for _, f := range armFields {
-		s := f
 		if at[f] != "" {
-			s = at[f]
+			kv = append(kv, "{"+f+"}", "{"+at[f]+"}")
 		}
-		kv = append(kv, "{"+f+"}", slotExpr[s])
+	}
+	return strings.NewReplacer(kv...).Replace(body)
+}
+
+// expandArm turns an arm body's placeholders into reads of the
+// dispatched instruction's slots.
+func expandArm(body string) string {
+	var kv []string
+	for _, f := range armFields {
+		kv = append(kv, "{"+f+"}", slotExpr[f])
 	}
 	return strings.NewReplacer(kv...).Replace(body)
 }

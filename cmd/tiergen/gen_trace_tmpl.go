@@ -19,20 +19,27 @@ const traceTop = `// runTrace executes iterations of tr until the next one would
 // trap).
 func (e *Engine) runTrace(tr *trace, sc *runScratch, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
 	if sc.regs == nil {
-		sc.regs = new(regFile)
+		sc.regs, sc.pins = new(regFile), new(pinFile)
 	}
-	regs := sc.regs
+	regs, pins := sc.regs, sc.pins
 	nloc := int(tr.nloc)
 	copy(regs[:nloc], locals[lb:lb+nloc])
 	tc := &sc.tc
 	tc[tcHeadEntries]++
 	// The prologue: every global tr reads and never writes is loaded into
-	// its pinned register, which tr's instructions read in place of the
-	// global. Only tr runs until this function returns, so the registers
-	// stay current; the code that runs before the next entry may write
-	// the globals, so every entry loads them again.
+	// its register, which tr's instructions read in place of the global.
+	// Then every array register is pinned: its array's backing slice is
+	// resolved once, and tr's array ops index the pin instead of the
+	// heap. Only tr runs until this function returns, and it writes
+	// neither these registers nor the heap's layout, so the registers and
+	// pins stay current; the code that runs before the next entry may
+	// write the globals, the locals and the heap, so every entry loads
+	// and resolves them again.
 	for _, h := range tr.hoist {
 		regs[h.reg] = e.Globals[h.g]
+	}
+	for _, r := range tr.pins {
+		pins[r] = e.pin(regs[r])
 	}
 
 	for {
@@ -105,21 +112,21 @@ var structArms = []namedArm{
 	{"rGLoad", "regs[{d}] = e.Globals[{imm}]"},
 	{"rGStore", "e.Globals[{imm}] = regs[{a}]"},
 	{"rInc", "regs[{d}].I += int64({imm})"},
-	{"rALoad", `arr, aerr := e.Array(regs[{a}])
+	{"rALoad", `arr := pins[{a}]
 idx := regs[{b}].AsInt()
-if aerr != nil || idx < 0 || idx >= int64(len(arr)) {
-	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("aload", aerr, idx, len(arr)))
+if idx < 0 || idx >= int64(len(arr)) {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, e.arrayTrap("aload", regs[{a}], idx))
 }
 regs[{d}] = arr[idx]`},
-	{"rAStore", `arr, aerr := e.Array(regs[{a}])
+	{"rAStore", `arr := pins[{a}]
 idx := regs[{b}].AsInt()
-if aerr != nil || idx < 0 || idx >= int64(len(arr)) {
-	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("astore", aerr, idx, len(arr)))
+if idx < 0 || idx >= int64(len(arr)) {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, e.arrayTrap("astore", regs[{a}], idx))
 }
 arr[idx] = regs[{d}]`},
-	{"rALen", `arr, aerr := e.Array(regs[{a}])
-if aerr != nil {
-	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, arrayTrap("alen", aerr, 0, 0))
+	{"rALen", `arr := pins[{a}]
+if arr == nil {
+	return e.traceTrap(tr, tc, {x}, regs, locals, lb, stack, workP, cycP, e.arrayTrap("alen", regs[{a}], 0))
 }
 regs[{d}] = bytecode.Int(int64(len(arr)))`},
 	{"rPrint", "e.Output = append(e.Output, regs[{a}])"},

@@ -93,6 +93,26 @@ func (c *Code) HeadTraceLens() map[int]int {
 	return lens
 }
 
+// UnpinnedArrayOps counts the array operations of the code's loop-head
+// traces whose array the trace's prologue does not pin once per
+// activation, or 0 when no plan is built. Every trace the converter
+// builds pins each array operand, or the loop degrades (reason "array"),
+// so this is 0 unless a converter change breaks that rule. Diagnostics,
+// like HeadTraceLens.
+func (c *Code) UnpinnedArrayOps() int {
+	tp := c.traces.Load()
+	if tp == nil {
+		return 0
+	}
+	n := 0
+	for _, t := range tp.tr {
+		if t != nil {
+			n += t.unpinned()
+		}
+	}
+	return n
+}
+
 // planFor returns the execution plan of the code, building it on first
 // use. The build is deterministic, so whichever of several concurrent
 // builders wins the CAS installs an identical plan; losers discard

@@ -106,7 +106,7 @@ func TestDupStoreNoMove(t *testing.T) {
 			}
 			cur := uint8(slices.Index(p.Funcs[p.Entry].LocalNames, "cur"))
 			into, spills := 0, 0
-			for _, in := range unfused(loop.ins) {
+			for _, in := range unfuse(loop.ins) {
 				switch {
 				case in.op != rMove:
 				case in.d == cur:

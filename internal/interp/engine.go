@@ -290,16 +290,25 @@ func (e *Engine) takeSpare(n int64) []bytecode.Value {
 	return cells
 }
 
-// Array returns the backing slice of an array reference. It inlines
-// into every tier's array ops: the error is a plain value whose message
-// is formatted only when read.
+// Array returns the backing slice of an array reference. The accounted
+// loop and the fused plan call it at every array op; the register tier
+// resolves each array register once per trace activation instead (pin)
+// and calls it only on a trap, for the message. The error is a plain
+// value whose message is formatted only when read.
 func (e *Engine) Array(v bytecode.Value) ([]bytecode.Value, error) {
-	if v.Kind == bytecode.KArr && uint64(v.I) < uint64(len(e.heap)) {
-		if arr := e.heap[v.I]; arr != nil {
-			return arr, nil
-		}
+	if arr := e.pin(v); arr != nil {
+		return arr, nil
 	}
 	return nil, notArrayError{v}
+}
+
+// pin returns the backing slice of array reference v, or nil when v is
+// not a live array; a live array's slice is never nil, even when empty.
+func (e *Engine) pin(v bytecode.Value) []bytecode.Value {
+	if v.Kind == bytecode.KArr && uint64(v.I) < uint64(len(e.heap)) {
+		return e.heap[v.I]
+	}
+	return nil
 }
 
 // notArrayError is Array's error for a value that is not a live array
@@ -421,16 +430,18 @@ type frame struct {
 }
 
 // runScratch is the pooled per-run working memory of the evaluator: the
-// locals arena, operand stack, frame stack, and the trace-tier register
-// file. Engines are created (or reset) per run by the thousands during
-// experiments; recycling the arenas makes the steady state
+// locals arena, operand stack, frame stack, and the trace tier's register
+// and pin files. Engines are created (or reset) per run by the thousands
+// during experiments; recycling the arenas makes the steady state
 // allocation-free. Values carry no pointers, so retaining their backing
-// arrays in the pool pins nothing.
+// arrays in the pool pins nothing; the pin file does point into the
+// run's heap, so Run clears it before handing the scratch back.
 type runScratch struct {
 	locals []bytecode.Value
 	stack  []bytecode.Value
 	frames []frame
 	regs   *regFile
+	pins   *pinFile
 
 	// tc counts the run's trace-tier activity, flushed to the process
 	// totals when Run returns (stats.go).

@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"evolvevm/internal/bytecode"
 )
@@ -279,6 +281,122 @@ done:
 end
 `
 
+// pairFluxSrc is euler's flux loop: a bound one below n, loads at i and
+// at i+k, their sum divided by a constant, the quotient stored and added
+// into a masked sum. k = 3 traps past the array's end at i = 9 in the
+// load at the summed index.
+const pairFluxSrc = `
+global n
+global k
+global data
+global out
+func main() locals i acc v
+` + fillData + `
+  const 12
+  newarr
+  gstore out
+loop:
+  load i
+  gload n
+  const 1
+  isub
+  ige
+  jnz done
+  gload data
+  load i
+  aload
+  gload data
+  load i
+  gload k
+  iadd
+  aload
+  iadd
+  const 4
+  idiv
+  store v
+  gload out
+  load i
+  load v
+  astore
+  load acc
+  load v
+  iadd
+  const 1048575
+  iand
+  store acc
+  iinc i 1
+  jmp loop
+done:
+  load acc
+  ret
+end
+`
+
+// pairForceSrc is moldyn's force loop: the loaded coordinate's distance
+// d from xi, a zero test that skips the arm replacing a zero distance
+// with 1, and a constant divided by d*d*c+1, added into acc. c = -1
+// divides by zero wherever d is ±1: with xi = 2, first at i = 3.
+const pairForceSrc = `
+global n
+global xi
+global c
+global data
+func main() locals i acc d f
+` + fillData + `
+loop:
+  load i
+  gload n
+  ige
+  jnz done
+  gload data
+  load i
+  aload
+  gload xi
+  isub
+  store d
+  load d
+  jnz nonzero
+  const 1
+  store d
+nonzero:
+  const 1048576
+  load d
+  load d
+  imul
+  gload c
+  imul
+  const 1
+  iadd
+  idiv
+  store f
+  load acc
+  load f
+  iadd
+  store acc
+  iinc i 1
+  jmp loop
+done:
+  load acc
+  ret
+end
+`
+
+// swapped returns src with block a replaced by b in both halves of a
+// loop unrolled twice: the variants below reorder a fused form's instructions so that the
+// pair of pairs it would join no longer matches, and the first-level
+// forms stay in the trace.
+func swapped(src, a, b string) string { return strings.Replace(src, a, b, 2) }
+
+// The blocks the variants reorder.
+const (
+	rleCompare    = "  load cur\n  load prev\n  ieq\n"
+	rleCompareRev = "  load prev\n  load cur\n  ieq\n"
+	sumAdds       = "  aload\n  load i\n  iadd\n  iadd\n"
+	sumAddsRev    = "  aload\n  iadd\n  load i\n  iadd\n"
+	evalRem       = "  load s\n  const 7\n  imod\n  load acc\n  iadd\n  store acc\n"
+	evalQuo       = "  load s\n  const 3\n  idiv\n  load i\n  iadd\n  store s\n"
+)
+
 // intGlobals builds a globals map from name/value pairs.
 func intGlobals(kv ...any) map[string]bytecode.Value {
 	g := map[string]bytecode.Value{}
@@ -286,20 +404,6 @@ func intGlobals(kv ...any) map[string]bytecode.Value {
 		g[kv[k].(string)] = bytecode.Int(int64(kv[k+1].(int)))
 	}
 	return g
-}
-
-// unfused expands every fused pair of a register program back into the
-// two instructions it replaced.
-func unfused(ins []rins) []rins {
-	var out []rins
-	for _, in := range ins {
-		if p, q, ok := splitPair(in); ok {
-			out = append(out, p, q)
-		} else {
-			out = append(out, in)
-		}
-	}
-	return out
 }
 
 // planTraces returns every trace of the entry function's plan.
@@ -314,12 +418,14 @@ func planTraces(p *bytecode.Program) []*trace {
 	return ts
 }
 
-// TestFusedPairs runs one loop per pair rule. Each loop's traces must
-// contain the rule's fused form, and each run — at the exits of the
-// fused compares, at the traps inside fused array loads, and across the
-// skips of the run-length loop — must match the accounted loop through
-// the trace ladder and a stride sweep over one period of the loop's
-// path.
+// TestFusedPairs runs loops that together fire every pair rule: the
+// served loops' shapes fuse their pairs of pairs, and a variant of each
+// with the instructions reordered keeps the first-level forms the pair of
+// pairs would absorb. Each loop's traces must contain the listed fused
+// forms, and each run — at the exits of the fused compares, at the traps
+// inside fused array loads, and across the skips of the run-length loop
+// — must match the accounted loop through the trace ladder and a stride
+// sweep over one period of the loop's path.
 func TestFusedPairs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -333,7 +439,18 @@ func TestFusedPairs(t *testing.T) {
 		{
 			name:   "rle",
 			src:    strings.ReplaceAll(pairRleSrc, "ARM", "iinc runs 1"),
-			fused:  []rOp{rALoad_rxIEQ, rInc_rMove, rInc_rxIGE, rInc_rEnd},
+			fused:  []rOp{rALoad_rxIEQ_rInc_rMove, rInc_rxIGE, rInc_rEnd},
+			period: [2]map[string]bytecode.Value{intGlobals("n", 16, "w", 7), intGlobals("n", 8, "w", 7)},
+			runs: map[string]map[string]bytecode.Value{
+				"exit-first-half":   intGlobals("n", 60, "w", 7),
+				"exit-fused-second": intGlobals("n", 61, "w", 7),
+				"trap-in-aload":     intGlobals("n", 60, "w", 15),
+			},
+		},
+		{
+			name:   "rle-compare-reversed",
+			src:    swapped(strings.ReplaceAll(pairRleSrc, "ARM", "iinc runs 1"), rleCompare, rleCompareRev),
+			fused:  []rOp{rInc_rMove, rInc_rxIGE, rInc_rEnd},
 			period: [2]map[string]bytecode.Value{intGlobals("n", 16, "w", 7), intGlobals("n", 8, "w", 7)},
 			runs: map[string]map[string]bytecode.Value{
 				"exit-first-half":   intGlobals("n", 60, "w", 7),
@@ -344,6 +461,17 @@ func TestFusedPairs(t *testing.T) {
 		{
 			name:   "sum",
 			src:    pairSumSrc,
+			fused:  []rOp{rxIGE_rALoad, rIADD_rIADD_rInc},
+			period: [2]map[string]bytecode.Value{intGlobals("n", 4, "stop", -1), intGlobals("n", 2, "stop", -1)},
+			runs: map[string]map[string]bytecode.Value{
+				"exit-first-half":  intGlobals("n", 12, "stop", -1),
+				"exit-second-half": intGlobals("n", 11, "stop", -1),
+				"trap-in-aload":    intGlobals("n", 20, "stop", -1),
+			},
+		},
+		{
+			name:   "sum-adds-reversed",
+			src:    swapped(pairSumSrc, sumAdds, sumAddsRev),
 			fused:  []rOp{rxIGE_rALoad, rIADD_rInc},
 			period: [2]map[string]bytecode.Value{intGlobals("n", 4, "stop", -1), intGlobals("n", 2, "stop", -1)},
 			runs: map[string]map[string]bytecode.Value{
@@ -355,7 +483,17 @@ func TestFusedPairs(t *testing.T) {
 		{
 			name:   "eval",
 			src:    pairEvalSrc,
-			fused:  []rOp{rIMODk_rIADD, rIDIVk_rIADD, rInc_rxIGEi, rInc_rEnd},
+			fused:  []rOp{rIMODk_rIADD_rIDIVk_rIADD, rInc_rxIGEi, rInc_rEnd},
+			period: [2]map[string]bytecode.Value{intGlobals("start", 0), intGlobals("start", 2)},
+			runs: map[string]map[string]bytecode.Value{
+				"exit-first-half":   intGlobals("start", 0),
+				"exit-fused-second": intGlobals("start", 1),
+			},
+		},
+		{
+			name:   "eval-quotient-first",
+			src:    swapped(pairEvalSrc, evalRem+evalQuo, evalQuo+evalRem),
+			fused:  []rOp{rIDIVk_rIADD, rIMODk_rIADD, rInc_rxIGEi, rInc_rEnd},
 			period: [2]map[string]bytecode.Value{intGlobals("start", 0), intGlobals("start", 2)},
 			runs: map[string]map[string]bytecode.Value{
 				"exit-first-half":   intGlobals("start", 0),
@@ -373,18 +511,42 @@ func TestFusedPairs(t *testing.T) {
 				"trap-in-aload": intGlobals("n", 40, "w", 15, "key", 99),
 			},
 		},
+		{
+			name:   "flux",
+			src:    pairFluxSrc,
+			fused:  []rOp{rISUBi_rxIGE, rIADD_rALoad, rIADD_rIDIVk, rAStore_rIADD, rInc_rEnd},
+			period: [2]map[string]bytecode.Value{intGlobals("n", 3, "k", 0), intGlobals("n", 2, "k", 0)},
+			runs: map[string]map[string]bytecode.Value{
+				"run-out":       intGlobals("n", 12, "k", 0),
+				"trap-in-aload": intGlobals("n", 12, "k", 3),
+			},
+		},
+		{
+			name:   "force",
+			src:    pairForceSrc,
+			fused:  []rOp{rxIGE_rALoad, rISUB_rBrTrue, rIADDi_rLoadI, rIDIV_rIADD, rInc_rEnd},
+			period: [2]map[string]bytecode.Value{intGlobals("n", 3, "xi", 1, "c", 1), intGlobals("n", 2, "xi", 1, "c", 1)},
+			runs: map[string]map[string]bytecode.Value{
+				"run-out":      intGlobals("n", 12, "xi", 0, "c", 1),
+				"trap-in-idiv": intGlobals("n", 12, "xi", 2, "c", -1),
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustProg(t, tc.src)
 			have := map[rOp]bool{}
+			var progs [][]rOp
 			for _, tr := range planTraces(p) {
+				var ops []rOp
 				for _, in := range tr.ins {
 					have[in.op] = true
+					ops = append(ops, in.op)
 				}
+				progs = append(progs, ops)
 			}
 			for _, op := range tc.fused {
 				if !have[op] {
-					t.Errorf("no trace contains fused form %d", op)
+					t.Errorf("no trace contains fused form %v; traces %v", op, progs)
 				}
 			}
 
@@ -469,7 +631,7 @@ func TestFusedPairSkips(t *testing.T) {
 func TestPairSplitInvertsFuse(t *testing.T) {
 	forms := 0
 	for op := rOp(0); op < rNumOps; op++ {
-		f := rins{op: op, d: 1, a: 2, b: 3, c: 4, x: 5, imm: 6, y: 7}
+		f := rins{op: op, d: 1, a: 2, b: 3, c: 4, e: 8, x: 5, imm: 6, y: 7}
 		p, q, ok := splitPair(f)
 		if !ok {
 			continue
@@ -487,5 +649,34 @@ func TestPairSplitInvertsFuse(t *testing.T) {
 	}
 	if forms == 0 {
 		t.Fatal("no fused forms generated")
+	}
+}
+
+// TestRegisterOpcodeNames checks the generated names: every register
+// opcode has one, and no two share it.
+func TestRegisterOpcodeNames(t *testing.T) {
+	seen := map[string]rOp{}
+	for op := rOp(0); op < rNumOps; op++ {
+		name := op.String()
+		if name == "" {
+			t.Errorf("register opcode %d has no name", uint8(op))
+			continue
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("register opcodes %d and %d are both named %s", uint8(prev), uint8(op), name)
+		}
+		seen[name] = op
+	}
+	if got := rNumOps.String(); got != fmt.Sprintf("rOp(%d)", uint8(rNumOps)) {
+		t.Errorf("the opcode past the last is named %q", got)
+	}
+}
+
+// TestRinsIs16Bytes: the fifth register slot of the pairs of fused pairs
+// lives in what was padding, so a register instruction stays 16 bytes and
+// a trace program four instructions per cache line.
+func TestRinsIs16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(rins{}); n != 16 {
+		t.Errorf("rins is %d bytes, want 16", n)
 	}
 }

@@ -14,23 +14,26 @@ import (
 // stack: LOADs become register references (copy propagation), pushed
 // immediates and constants stay symbolic until a consumer needs them in a
 // register (constant rematerialization), GLOADs of globals the trace
-// never writes read a pinned register the trace's prologue fills
-// (hoisting), and pure stack shuffles (DUP, SWAP, POP) compile to
-// nothing. What remains is a short register program over a file that
-// mirrors the frame's locals in its low slots — loop-carried values never
-// touch the operand stack while the trace runs. A branch whose taken
-// target lies later on the traced path, with an empty symbolic stack at
-// both ends, becomes a forward skip over the instructions in between
-// rather than a side exit. A last peephole replaces the commonest
-// adjacent instruction pairs with generated fused opcodes (fusePairs) and
-// ends the program with rEnd.
+// never writes read a register the trace's prologue fills (hoisting),
+// every array operand is a register the iteration never writes, whose
+// array the prologue resolves once (pinning), and pure stack shuffles
+// (DUP, SWAP, POP) compile to nothing. What remains is a short register
+// program over a file that mirrors the frame's locals in its low slots —
+// loop-carried values never touch the operand stack while the trace
+// runs. A branch whose taken target lies later on the traced path, with
+// an empty symbolic stack at both ends, becomes a forward skip over the
+// instructions in between rather than a side exit. A last peephole
+// replaces the commonest adjacent instruction pairs, and then pairs of
+// those, with generated fused opcodes (fusePairs) and ends the program
+// with rEnd.
 //
 // The conversion refuses anything it cannot prove equivalent and reports
 // a degradation reason (stats.go), degrading that loop to the fused
 // path: ops outside the segment-safe set (CALL among them: a loop that
 // calls runs on the fused path), operand-stack pops below the loop-entry
 // depth or a non-empty symbolic stack at the back edge ("escaping stack
-// depth"), and register or cost overflows.
+// depth"), an array operand the iteration may rebind, and register or
+// cost overflows.
 //
 // Bit identity is inherited from the same two mechanisms as the fused
 // tier (fuse.go §comment, DESIGN.md §10): a whole iteration is charged
@@ -67,9 +70,9 @@ const (
 	rGLoad              // regs[d] = Globals[a], for a global the trace writes
 	rGStore             // Globals[a] = regs[b]
 	rInc                // regs[d].I += a (kind-preserving, like IINC)
-	rALoad              // regs[d] = Array(regs[a])[regs[b].AsInt()]; trap x
-	rAStore             // Array(regs[a])[regs[b].AsInt()] = regs[d]; trap x
-	rALen               // regs[d] = Int(len(Array(regs[a]))); trap x
+	rALoad              // regs[d] = pins[a][regs[b].AsInt()]; trap x
+	rAStore             // pins[a][regs[b].AsInt()] = regs[d]; trap x
+	rALen               // regs[d] = Int(len(pins[a])); trap x
 	rPrint              // Output = append(Output, regs[a])
 	rBrTrue             // exit x when regs[a].IsTrue()
 	rBrFalse            // exit x when !regs[a].IsTrue()
@@ -79,25 +82,36 @@ const (
 
 // rins is one register instruction. d, a, b and c are registers: d the
 // destination (rAStore: the value stored; rInc: the incremented local),
-// a, b and c the operands (c only a 3-operand kernel's third). imm is the
+// a, b and c the operands (c only a 3-operand kernel's third; an array
+// op's a is the array register, whose pin it indexes). imm is the
 // immediate: the value of rLoadI, rInc and the immediate forms, or the
 // constant-pool, global or reciprocal index of rLoadC, rGLoad/rGStore and
 // the by-constant forms. x indexes the trace's exit table for branches
-// and its trap table for trapping ops. y is a fused pair form's second
-// immediate, or the exit or trap index of its second instruction when x
-// holds the first's (fusePair, regir_gen.go, shows which slot holds what).
+// and its trap table for trapping ops. A fused form packs its
+// components' fields into the same slots, with e a fifth register and y
+// a second immediate or index (fusePair, regir_gen.go, shows which slot
+// holds what). e fills what would be padding: an instruction stays 16
+// bytes.
 type rins struct {
-	op         rOp
-	d, a, b, c uint8
-	x          uint16
-	imm        int32
-	y          int32
+	op            rOp
+	d, a, b, c, e uint8
+	x             uint16
+	imm           int32
+	y             int32
 }
 
 // regFile is the register file of the trace tier. Register numbers are
 // uint8 and the file has 256 slots, so no register access needs a bounds
 // check; traces use the first traceMaxRegs.
 type regFile [256]bytecode.Value
+
+// pinFile holds the pins of the trace tier: pins[r] is the backing slice
+// of the array register r held when the running trace was entered, or nil
+// when r held no live array. Indexed by register like regFile, so no pin
+// access needs a bounds check. A trace pins only registers it never
+// writes, and it allocates nothing, so no collection can move or free a
+// pinned array while it runs.
+type pinFile [256][]bytecode.Value
 
 // The register numbers of a trace must fit rins's uint8 fields, and its
 // exit and trap indexes, at most one per linearized item, its uint16 x.
@@ -184,8 +198,8 @@ func (k *rdiv) quo(n int64) int64 {
 // rem returns n % k.d, with the dividend's sign.
 func (k *rdiv) rem(n int64) int64 { return n - k.quo(n)*k.d }
 
-// rhoist is one hoisted global: the pinned register the trace's prologue
-// fills with Globals[g] at every activation.
+// rhoist is one hoisted global: the register the trace's prologue fills
+// with Globals[g] at every activation.
 type rhoist struct {
 	reg, g int32
 }
@@ -251,19 +265,26 @@ type rconv struct {
 	divs  []rdiv
 
 	// written holds the globals some item stores; a GLOAD of any other
-	// global reads the pinned register the prologue fills (hoist).
+	// global reads the register the prologue fills (hoist).
 	written map[int32]bool
 	hoist   []rhoist
+
+	// stored holds the locals some item stores or increments. An array
+	// operand must be a register the iteration never writes — a hoisted
+	// global or a local outside stored — and pins lists those registers,
+	// whose arrays the prologue resolves (pinFile).
+	stored []bool
+	pins   []uint8
 
 	// skips are the branches that may become forward skips, confirmed
 	// when conversion reaches their target item (landSkips).
 	skips []pendingSkip
 
-	stk    []sym
-	nloc   int
-	nregs  int     // registers in use: locals, temps, hoisted globals
-	ref    []int16 // per-register refcount; slots < nloc are locals (untracked)
-	pinned []bool  // hoisted globals: never allocated, never refcounted
+	stk      []sym
+	nloc     int
+	nregs    int     // registers in use: locals, temps, hoisted globals
+	ref      []int16 // per-register refcount; slots < nloc are locals (untracked)
+	hoistReg []bool  // hoisted globals: never allocated, never refcounted
 }
 
 // pendingSkip is a branch at item from, with exit record x, whose taken
@@ -281,21 +302,25 @@ func convertTrace(c *Code, head int, pcs []int) (*trace, int) {
 		return nil, degRegs
 	}
 	cv := &rconv{
-		c:      c,
-		head:   head,
-		pcs:    pcs,
-		nloc:   c.NLocals,
-		nregs:  c.NLocals,
-		ref:    make([]int16, c.NLocals),
-		pinned: make([]bool, c.NLocals),
+		c:        c,
+		head:     head,
+		pcs:      pcs,
+		nloc:     c.NLocals,
+		nregs:    c.NLocals,
+		ref:      make([]int16, c.NLocals),
+		hoistReg: make([]bool, c.NLocals),
+		stored:   make([]bool, c.NLocals),
 	}
 	if reason := cv.sumSuffixes(); reason != degCount {
 		return nil, reason
 	}
 	cv.written = make(map[int32]bool)
 	for _, pc := range pcs {
-		if in := c.Instrs[pc]; in.Op == bytecode.GSTORE {
+		switch in := c.Instrs[pc]; in.Op {
+		case bytecode.GSTORE:
 			cv.written[in.A] = true
+		case bytecode.STORE, bytecode.IINC:
+			cv.stored[in.A] = true
 		}
 	}
 	for i := range pcs {
@@ -318,6 +343,7 @@ func convertTrace(c *Code, head int, pcs []int) (*trace, int) {
 		traps:  cv.traps,
 		divs:   cv.divs,
 		hoist:  cv.hoist,
+		pins:   cv.pins,
 	}, degCount
 }
 
@@ -369,19 +395,19 @@ func (cv *rconv) alloc() int32 {
 		return -1
 	}
 	cv.ref = append(cv.ref, 1)
-	cv.pinned = append(cv.pinned, false)
+	cv.hoistReg = append(cv.hoistReg, false)
 	cv.nregs++
 	return int32(cv.nregs - 1)
 }
 
 func (cv *rconv) retain(r int32) {
-	if int(r) >= cv.nloc && !cv.pinned[r] {
+	if int(r) >= cv.nloc && !cv.hoistReg[r] {
 		cv.ref[r]++
 	}
 }
 
 func (cv *rconv) release(r int32) {
-	if int(r) >= cv.nloc && !cv.pinned[r] {
+	if int(r) >= cv.nloc && !cv.hoistReg[r] {
 		cv.ref[r]--
 	}
 }
@@ -464,7 +490,7 @@ func (cv *rconv) store(k int32, v sym) {
 	default:
 		if int(v.v) >= cv.nloc {
 			cv.release(v.v)
-			if !cv.pinned[v.v] && len(cv.ins) > 0 && cv.ref[v.v] == cv.stackRefs(v.v) {
+			if !cv.hoistReg[v.v] && len(cv.ins) > 0 && cv.ref[v.v] == cv.stackRefs(v.v) {
 				if last := &cv.ins[len(cv.ins)-1]; int32(last.d) == v.v && rWritesD(last.op) {
 					last.d = uint8(k)
 					for j := range cv.stk {
@@ -550,9 +576,8 @@ func (cv *rconv) landSkips(k int) {
 	}
 }
 
-// hoisted returns the pinned register the trace's prologue fills with
-// global g, claiming one at g's first load, or -1 when the register file
-// is full.
+// hoisted returns the register the trace's prologue fills with global g,
+// claiming one at g's first load, or -1 when the register file is full.
 func (cv *rconv) hoisted(g int32) int32 {
 	for _, h := range cv.hoist {
 		if h.g == g {
@@ -565,9 +590,27 @@ func (cv *rconv) hoisted(g int32) int32 {
 	r := int32(cv.nregs)
 	cv.nregs++
 	cv.ref = append(cv.ref, 1)
-	cv.pinned = append(cv.pinned, true)
+	cv.hoistReg = append(cv.hoistReg, true)
 	cv.hoist = append(cv.hoist, rhoist{reg: r, g: g})
 	return r
+}
+
+// pin claims register r, an array op's operand, as a pin the prologue
+// resolves, and reports whether r qualifies: a hoisted global, or a local
+// no item stores or increments. A temporary, or a local the iteration
+// writes, may hold another array at its next access, so the loop
+// degrades (reason array).
+func (cv *rconv) pin(r int32) bool {
+	if int(r) < cv.nloc && cv.stored[r] || int(r) >= cv.nloc && !cv.hoistReg[r] {
+		return false
+	}
+	for _, p := range cv.pins {
+		if int32(p) == r {
+			return true
+		}
+	}
+	cv.pins = append(cv.pins, uint8(r))
+	return true
 }
 
 // recip returns the index of d's reciprocal in the trace's table.
@@ -603,7 +646,9 @@ func (cv *rconv) addTrap(i int) uint16 {
 // fusePairs is the converter's last peephole. It ends the program with
 // rEnd, replaces each adjacent instruction pair a generated pair rule
 // matches (fusePair, regir_gen.go) with its fused form, greedily from
-// the front, and returns the program in an exact-size slice. A pair whose
+// the front, and repeats over the fused program until a pass fuses
+// nothing, so a rule whose components are fused forms fuses pairs of
+// pairs; it returns the program in an exact-size slice. A pair whose
 // second instruction is a forward skip's landing point stays unfused,
 // since the skip must resume between the two; a skip to the end of the
 // iteration lands on rEnd. The fused form carries both instructions'
@@ -612,6 +657,14 @@ func (cv *rconv) addTrap(i int) uint16 {
 // the skips' landing indexes move.
 func (cv *rconv) fusePairs() []rins {
 	cv.emit(rins{op: rEnd})
+	for cv.fusePass() {
+	}
+	return append([]rins(nil), cv.ins...)
+}
+
+// fusePass is one greedy pass of fusePairs over cv.ins; it reports
+// whether it fused any pair.
+func (cv *rconv) fusePass() bool {
 	n := len(cv.ins)
 	landing := make([]bool, n)
 	for _, ex := range cv.exits {
@@ -642,7 +695,48 @@ func (cv *rconv) fusePairs() []rins {
 			ex.to = at[ex.to]
 		}
 	}
-	return append([]rins(nil), cv.ins[:m]...)
+	cv.ins = cv.ins[:m]
+	return m < n
+}
+
+// unfuse expands every fused form of a register program, pairs of fused
+// pairs included, back into the instructions it replaced.
+func unfuse(ins []rins) []rins {
+	var out []rins
+	for _, in := range ins {
+		if p, q, ok := splitPair(in); ok {
+			out = append(out, unfuse([]rins{p, q})...)
+		} else {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// unpinned counts t's array ops whose array register the prologue does
+// not pin or some instruction of t writes: none in a trace convertTrace
+// builds, since every array op pins its operand or degrades the loop.
+func (t *trace) unpinned() int {
+	pinned := map[uint8]bool{}
+	for _, r := range t.pins {
+		pinned[r] = true
+	}
+	ins := unfuse(t.ins)
+	for _, in := range ins {
+		if rWritesD(in.op) || in.op == rInc {
+			delete(pinned, in.d)
+		}
+	}
+	n := 0
+	for _, in := range ins {
+		switch in.op {
+		case rALoad, rAStore, rALen:
+			if !pinned[in.a] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // instr converts the item at position i; on failure the second return is
@@ -740,6 +834,9 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if rr < 0 || ri < 0 {
 			return false, degRegs
 		}
+		if !cv.pin(rr) {
+			return false, degArray
+		}
 		cv.release(rr)
 		cv.release(ri)
 		d := cv.alloc()
@@ -768,6 +865,9 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if rr < 0 || ri < 0 || rv < 0 {
 			return false, degRegs
 		}
+		if !cv.pin(rr) {
+			return false, degArray
+		}
 		cv.emit(rins{op: rAStore, d: uint8(rv), a: uint8(rr), b: uint8(ri), x: cv.addTrap(i)})
 		cv.release(rr)
 		cv.release(ri)
@@ -781,6 +881,9 @@ func (cv *rconv) instr(i int) (bool, int) {
 		rr := cv.use(ref)
 		if rr < 0 {
 			return false, degRegs
+		}
+		if !cv.pin(rr) {
+			return false, degArray
 		}
 		cv.release(rr)
 		d := cv.alloc()
@@ -851,7 +954,7 @@ func (cv *rconv) instr(i int) (bool, int) {
 		if wantTrue {
 			want = 1
 		}
-		if int(v.v) >= cv.nloc && !cv.pinned[v.v] {
+		if int(v.v) >= cv.nloc && !cv.hoistReg[v.v] {
 			cv.release(v.v)
 			if cv.ref[v.v] == 0 && len(cv.ins) > 0 {
 				// Compare-and-branch fusion: fold a dead, just-emitted

@@ -28,6 +28,7 @@ const (
 	degStack           // unbalanced stack: pops below entry or non-neutral back edge
 	degCold            // a needed pc has no batchable segment (cold glue code)
 	degInner           // walk revisits a segment: an inner loop's back edge
+	degArray           // an array operand the iteration may rebind
 	degOther
 	degCount
 )
@@ -36,7 +37,7 @@ const (
 // with the TraceStats.Degrade slice.
 var DegradeReasons = [degCount]string{
 	"call", "ret", "newarr", "halt", "too-large", "regs",
-	"unbalanced-stack", "cold", "inner-loop", "other",
+	"unbalanced-stack", "cold", "inner-loop", "array", "other",
 }
 
 // Run-time counters, indexes into traceCounts (see TraceStats for their

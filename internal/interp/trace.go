@@ -63,6 +63,7 @@ type trace struct {
 	traps  []rtrap
 	divs   []rdiv   // reciprocals of the by-constant divisions
 	hoist  []rhoist // the prologue: globals the trace reads and never writes
+	pins   []uint8  // the prologue, after hoist: the array registers to pin
 }
 
 // tracePlan indexes traces by pc: tr[pc] is the trace of the loop whose
@@ -204,13 +205,16 @@ func (e *Engine) traceLeave(tr *trace, tc *traceCounts, ex *rexit, regs *regFile
 	return stack, int(ex.pc), 0, ""
 }
 
-// arrayTrap is the trap message of an array op whose operand is not an
-// array (aerr) or whose index lies outside [0, n): the accounted loop's.
-func arrayTrap(op string, aerr error, idx int64, n int) string {
+// arrayTrap is the trap message of array op op on the array reference v
+// at index idx, once its pin has failed the access: the accounted loop's,
+// for a v that is not an array or an idx outside it. Only the trap path
+// resolves v again.
+func (e *Engine) arrayTrap(op string, v bytecode.Value, idx int64) string {
+	arr, aerr := e.Array(v)
 	if aerr != nil {
 		return fmt.Sprintf("%s: %v", op, aerr)
 	}
-	return fmt.Sprintf("%s: index %d out of range [0,%d)", op, idx, n)
+	return fmt.Sprintf("%s: index %d out of range [0,%d)", op, idx, len(arr))
 }
 
 // traceTrap aborts the run at trap x: same suffix rollback and local
