@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build generate test race vet bench benchcmp clean
+.PHONY: build generate test race vet benchcmp clean
 
 build:
 	$(GO) build ./...
@@ -20,23 +20,13 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the experiment and microbenchmark suite (quick mode, five
-# repetitions) and appends a snapshot for the current commit to the
-# BENCH_substrate.json trajectory. The raw `go test` text is kept in
-# bench.out for eyeballing.
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 -benchmem . | tee bench.out
-	$(GO) run ./cmd/benchreport -o BENCH_substrate.json bench.out
-
-# benchcmp re-measures the suite and diffs it against the committed
-# baseline trajectory: exit 1 on a >10% mean regression (warn), exit 2 on
-# >25% (hard fail). CI runs this warn-tolerant on shared runners.
+# benchcmp measures the working tree against its parent commit on this
+# machine: 10 alternating rounds of the go-bench suite and every
+# BENCHMARK.json workload in both trees, judged by benchreport compare on
+# the paired per-round ratios (exit 1 warn, 2 fail, 3 a round could not
+# run). CI's perf job runs the same script. Outputs go to benchcmp.out/.
 benchcmp:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 5 -benchmem . | tee bench.out
-	$(GO) run ./cmd/benchreport -flat -o bench.new.json bench.out
-	$(GO) run ./cmd/benchreport compare BENCH_substrate.json bench.new.json
+	bash scripts/benchcmp.sh HEAD^1
 
-# clean removes scratch benchmark outputs only: BENCH_substrate.json is
-# the committed trajectory and the baseline benchcmp compares against.
 clean:
-	rm -f bench.out bench.new.json
+	rm -rf benchcmp.out

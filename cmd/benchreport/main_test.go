@@ -2,368 +2,322 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-const benchText = `goos: linux
+// spread is one side's round-to-round host noise: ten rounds within ±5%.
+var spread = []float64{1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 1.03, 0.98}
+
+// noisy returns ten rounds of center moved by spread.
+func noisy(center float64) []float64 {
+	v := make([]float64, len(spread))
+	for k, s := range spread {
+		v[k] = center * s
+	}
+	return v
+}
+
+// scaled returns vals times one factor each round, or times f[k] in
+// round k.
+func scaled(vals []float64, f ...float64) []float64 {
+	v := make([]float64, len(vals))
+	for k, x := range vals {
+		v[k] = x * f[min(k, len(f)-1)]
+	}
+	return v
+}
+
+// benchRows renders a go-bench row, one line per round.
+func benchRows(name string, ns []float64) string {
+	var b strings.Builder
+	for _, v := range ns {
+		fmt.Fprintf(&b, "%s-2  \t      10\t %12.1f ns/op\t     512 B/op\t       7 allocs/op\n", name, v)
+	}
+	return b.String()
+}
+
+// perfRows renders one perfbench metric of a correct, failure-free
+// workload run per round.
+func perfRows(workload, metric string, vals []float64) string {
+	var b strings.Builder
+	for _, v := range vals {
+		fmt.Fprintf(&b, "%s {\"correct\":true,\"attempted\":1000,\"failed\":0,\"metrics\":{%q:{\"value\":%g,\"unit\":\"x\"}}}\n", workload, metric, v)
+	}
+	return b.String()
+}
+
+// compareSides writes the two sides' output and runs compare on them
+// from the repository root, whose BENCHMARK.json bounds the perfbench
+// metrics.
+func compareSides(t *testing.T, base, change string, args ...string) (int, string, string) {
+	t.Helper()
+	dir := t.TempDir()
+	b, c := filepath.Join(dir, "base.out"), filepath.Join(dir, "change.out")
+	for p, text := range map[string]string{b: base, c: change} {
+		if err := os.WriteFile(p, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir("../..")
+	var stdout, stderr bytes.Buffer
+	got := runCompare(append(args, b, c), &stdout, &stderr)
+	return got, stdout.String(), stderr.String()
+}
+
+func TestParseAggregates(t *testing.T) {
+	s, err := parse(strings.NewReader(`goos: linux
 goarch: amd64
 cpu: Test CPU
 BenchmarkFast-8        3       100 ns/op
-BenchmarkFast-8        3       120 ns/op
 BenchmarkAlloc-8       2      2000 ns/op     512 B/op      7 allocs/op
+BenchmarkFast-8        3       120 ns/op
 PASS
-`
-
-func TestParseAggregates(t *testing.T) {
-	rep, err := parse(strings.NewReader(benchText))
+ok  	evolvevm	1.234s
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Goos != "linux" || rep.CPU != "Test CPU" {
-		t.Errorf("machine header not parsed: %+v", rep)
+	want := map[string][]float64{"BenchmarkFast-8": {100, 120}, "BenchmarkAlloc-8": {2000}}
+	if len(s.rows) != len(want) {
+		t.Fatalf("rows %v, want %v", s.rows, want)
 	}
-	if len(rep.Benchmarks) != 2 {
-		t.Fatalf("want 2 benchmarks, got %d", len(rep.Benchmarks))
-	}
-	// Sorted by name: Alloc first.
-	a, f := rep.Benchmarks[0], rep.Benchmarks[1]
-	if a.Name != "BenchmarkAlloc" || a.BytesPerOp != 512 || a.AllocsPerOp != 7 {
-		t.Errorf("alloc entry wrong: %+v", a)
-	}
-	if f.Name != "BenchmarkFast" || f.Runs != 2 || f.MinNsPerOp != 100 ||
-		f.MaxNsPerOp != 120 || f.MeanNsPerOp != 110 {
-		t.Errorf("fast entry wrong: %+v", f)
+	for name, v := range want {
+		if !slices.Equal(s.rows[name], v) {
+			t.Errorf("row %s = %v, want %v in round order", name, s.rows[name], v)
+		}
 	}
 }
 
-func writeBenchFile(t *testing.T, dir, text string) string {
-	t.Helper()
-	p := filepath.Join(dir, "bench.out")
-	if err := os.WriteFile(p, []byte(text), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func TestTrajectoryAppendAndReplace(t *testing.T) {
-	dir := t.TempDir()
-	in := writeBenchFile(t, dir, benchText)
-	out := filepath.Join(dir, "traj.json")
-
-	var stdout, stderr bytes.Buffer
-	if code := runGenerate([]string{"-o", out, "-commit", "aaa", in}, &stdout, &stderr); code != 0 {
-		t.Fatalf("first append exited %d: %s", code, stderr.String())
-	}
-	if code := runGenerate([]string{"-o", out, "-commit", "bbb", in}, &stdout, &stderr); code != 0 {
-		t.Fatalf("second append exited %d: %s", code, stderr.String())
-	}
-	// Same commit again: replaces, does not grow.
-	if code := runGenerate([]string{"-o", out, "-commit", "bbb", in}, &stdout, &stderr); code != 0 {
-		t.Fatalf("replace exited %d: %s", code, stderr.String())
-	}
-
-	traj, err := loadTrajectory(out)
+// TestParseCustomMetrics: a perfbench line adds each of its metrics to
+// the row "workload metric" and keeps the run's correctness and failure
+// counts; a go-bench line's custom units make no row.
+func TestParseCustomMetrics(t *testing.T) {
+	s, err := parse(strings.NewReader(`BenchmarkServe-2  100  150000 ns/op  900000 p99-ns  1234.5 req/s
+churn-http {"correct":true,"attempted":1700,"failed":2,"metrics":{"throughput_rps":{"value":2100.5,"unit":"1/s"},"latency_p99_ms":{"value":9.5,"unit":"ms"}}}
+churn-http {"correct":false,"attempted":1700,"failed":0,"metrics":{"throughput_rps":{"value":1900,"unit":"1/s"},"latency_p99_ms":{"value":8.5,"unit":"ms"}}}
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(traj.History) != 2 {
-		t.Fatalf("want 2 history entries, got %d", len(traj.History))
+	want := map[string][]float64{
+		"BenchmarkServe-2":          {150000},
+		"churn-http throughput_rps": {2100.5, 1900},
+		"churn-http latency_p99_ms": {9.5, 8.5},
 	}
-	if traj.History[0].Commit != "aaa" || traj.History[1].Commit != "bbb" {
-		t.Errorf("commits wrong: %q %q", traj.History[0].Commit, traj.History[1].Commit)
+	if len(s.rows) != len(want) {
+		t.Fatalf("rows %v, want %v", s.rows, want)
 	}
-
-	snap, err := latestSnapshot(out)
-	if err != nil {
-		t.Fatal(err)
+	for name, v := range want {
+		if !slices.Equal(s.rows[name], v) {
+			t.Errorf("row %s = %v, want %v", name, s.rows[name], v)
+		}
 	}
-	if snap.Commit != "bbb" || len(snap.Benchmarks) != 2 {
-		t.Errorf("latest snapshot wrong: %+v", snap)
+	runs := s.runs["churn-http"]
+	if len(runs) != 2 || !runs[0].Correct || runs[0].Failed != 2 || runs[0].Attempted != 1700 || runs[1].Correct {
+		t.Errorf("runs %+v, want a correct run failing 2 of 1700, then an incorrect one", runs)
 	}
-}
-
-func TestTrajectoryMigratesFlatReport(t *testing.T) {
-	dir := t.TempDir()
-	in := writeBenchFile(t, dir, benchText)
-	out := filepath.Join(dir, "legacy.json")
-
-	// Seed a pre-trajectory flat report.
-	legacy := Report{Benchmarks: []Entry{{Name: "BenchmarkOld", Runs: 1, MeanNsPerOp: 50}}}
-	data, _ := json.Marshal(legacy)
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr bytes.Buffer
-	if code := runGenerate([]string{"-o", out, "-commit", "ccc", in}, &stdout, &stderr); code != 0 {
-		t.Fatalf("append over flat report exited %d: %s", code, stderr.String())
-	}
-	traj, err := loadTrajectory(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(traj.History) != 2 {
-		t.Fatalf("want migrated entry + new entry, got %d", len(traj.History))
-	}
-	if traj.History[0].Benchmarks[0].Name != "BenchmarkOld" {
-		t.Errorf("flat report not migrated as oldest entry: %+v", traj.History[0])
-	}
-}
-
-func TestFlatOutput(t *testing.T) {
-	dir := t.TempDir()
-	in := writeBenchFile(t, dir, benchText)
-	out := filepath.Join(dir, "flat.json")
-	var stdout, stderr bytes.Buffer
-	if code := runGenerate([]string{"-flat", "-o", out, in}, &stdout, &stderr); code != 0 {
-		t.Fatalf("flat exited %d: %s", code, stderr.String())
-	}
-	snap, err := latestSnapshot(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Benchmarks) != 2 {
-		t.Errorf("flat snapshot wrong: %+v", snap)
-	}
-}
-
-func writeSnapshot(t *testing.T, dir, name string, entries []Entry) string {
-	t.Helper()
-	p := filepath.Join(dir, name)
-	data, err := json.Marshal(Report{Benchmarks: entries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 func TestCompareExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{
-		{Name: "BenchmarkA", MeanNsPerOp: 1000},
-		{Name: "BenchmarkB", MeanNsPerOp: 1000},
-	})
+	a, b := noisy(1000), noisy(5000)
 	cases := []struct {
-		name string
-		newA float64
-		newB float64
-		want int
+		name   string
+		fa, fb []float64 // per-round factors of the change
+		want   int
 	}{
-		{"improvement", 800, 900, 0},
-		{"small regression", 1050, 1000, 0},
-		{"warn regression", 1150, 1000, 1},
-		{"hard regression", 1300, 1000, 2},
-		{"hard beats warn", 1150, 1300, 2},
+		{"improvement", []float64{0.8}, []float64{0.9}, 0},
+		{"small regression", []float64{1.05}, []float64{1}, 0},
+		{"warn regression", []float64{1.15}, []float64{1}, 1},
+		{"hard regression", []float64{1.30}, []float64{1}, 2},
+		{"hard beats warn", []float64{1.15}, []float64{1.30}, 2},
+		{"30 pct slower in 9 of 10 rounds", []float64{1.3, 1.3, 1.3, 1.3, 0.95, 1.3, 1.3, 1.3, 1.3, 1.3}, []float64{1}, 2},
+		{"12 pct slower", []float64{1.12}, []float64{1}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newer := writeSnapshot(t, dir, "new.json", []Entry{
-				{Name: "BenchmarkA", MeanNsPerOp: tc.newA},
-				{Name: "BenchmarkB", MeanNsPerOp: tc.newB},
-			})
-			var stdout, stderr bytes.Buffer
-			got := runCompare([]string{"-warn", "0.10", "-fail", "0.25", old, newer}, &stdout, &stderr)
+			base := benchRows("BenchmarkA", a) + benchRows("BenchmarkB", b)
+			change := benchRows("BenchmarkA", scaled(a, tc.fa...)) + benchRows("BenchmarkB", scaled(b, tc.fb...))
+			got, stdout, stderr := compareSides(t, base, change, "-warn", "0.10", "-fail", "0.25")
 			if got != tc.want {
-				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout.String(), stderr.String())
+				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout, stderr)
 			}
 		})
 	}
 }
 
-const serveBenchText = `BenchmarkServeLoad 	    2000	      150000 ns/op	      900000 p99-ns	      1234.5 req/s	        4096 vp50-cycles	       65536 vp99-cycles
-BenchmarkServeLoad 	    2000	      160000 ns/op	     1100000 p99-ns	      1200.5 req/s	        4096 vp50-cycles	       65536 vp99-cycles
-PASS
-`
-
-func TestParseCustomMetrics(t *testing.T) {
-	rep, err := parse(strings.NewReader(serveBenchText))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Benchmarks) != 1 {
-		t.Fatalf("want 1 benchmark, got %d", len(rep.Benchmarks))
-	}
-	e := rep.Benchmarks[0]
-	if e.Runs != 2 || e.MeanNsPerOp != 155000 {
-		t.Errorf("ns/op aggregation wrong: %+v", e)
-	}
-	want := map[string]float64{
-		"p99-ns":      1000000,
-		"req/s":       1217.5,
-		"vp50-cycles": 4096,
-		"vp99-cycles": 65536,
-	}
-	for unit, v := range want {
-		if got := e.Metrics[unit]; got != v {
-			t.Errorf("metric %s = %v, want %v", unit, got, v)
-		}
-	}
-	if got := e.MetricsMin["p99-ns"]; got != 900000 {
-		t.Errorf("metric min p99-ns = %v, want 900000", got)
-	}
-}
-
+// TestCompareGatesOnLatencyMetrics: perfbench end-to-end metrics gate on
+// their BENCHMARK.json bounds (0.25 for both below) and directions.
 func TestCompareGatesOnLatencyMetrics(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{{
-		Name: "BenchmarkServeLoad", MeanNsPerOp: 1000,
-		Metrics: map[string]float64{"p99-ns": 1000, "req/s": 500},
-	}})
+	p99, rps := noisy(30), noisy(2000)
 	cases := []struct {
-		name string
-		p99  float64
-		rps  float64
-		want int
+		name   string
+		fp, fr float64
+		want   int
 	}{
-		{"all flat", 1000, 500, 0},
-		{"p99 warn", 1150, 500, 1},
-		{"p99 fail", 1300, 500, 2},
-		{"throughput drop is informational", 1000, 100, 0},
+		{"all flat", 1, 1, 0},
+		{"p99 warn", 1.15, 1, 1},
+		{"p99 fail", 1.30, 1, 2},
+		{"throughput drop fails", 1, 0.70, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			newer := writeSnapshot(t, dir, "new.json", []Entry{{
-				Name: "BenchmarkServeLoad", MeanNsPerOp: 1000,
-				Metrics: map[string]float64{"p99-ns": tc.p99, "req/s": tc.rps},
-			}})
-			var stdout, stderr bytes.Buffer
-			got := runCompare([]string{"-warn", "0.10", "-fail", "0.25", old, newer}, &stdout, &stderr)
+			base := perfRows("warm-closed", "latency_p99_ms", p99) + perfRows("warm-closed", "throughput_rps", rps)
+			change := perfRows("warm-closed", "latency_p99_ms", scaled(p99, tc.fp)) +
+				perfRows("warm-closed", "throughput_rps", scaled(rps, tc.fr))
+			got, stdout, stderr := compareSides(t, base, change, "-warn", "0.10", "-fail", "0.25")
 			if got != tc.want {
-				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout.String(), stderr.String())
+				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout, stderr)
 			}
 		})
 	}
 }
 
-// TestCompareGatesOnMinOfRuns: when both sides recorded a min, the gate
-// judges min-vs-min and ignores mean movement — one descheduled
-// repetition inflating the mean must not read as a regression, while a
-// genuinely slower min must.
-func TestCompareGatesOnMinOfRuns(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{{
-		Name: "BenchmarkA", Runs: 5, MinNsPerOp: 1000, MeanNsPerOp: 1100,
-		Metrics:    map[string]float64{"p99-ns": 1100},
-		MetricsMin: map[string]float64{"p99-ns": 1000},
-	}})
-	cases := []struct {
-		name       string
-		min, mean  float64
-		p99, p99mn float64
-		want       int
-		basis      string
-	}{
-		// Mean blew up 2x (noisy repetition) but the min held: no gate.
-		{"noisy mean ignored", 1000, 2200, 1100, 1000, 0, "min"},
-		{"min regression gates", 1300, 1300, 1100, 1000, 2, "min"},
-		{"metric min regression gates", 1000, 1100, 2200, 1300, 2, "min"},
+// TestCompareAbsorbsHostLoad: host load that moves both sides of each
+// round together, as over ten warm-closed pairs whose parent spread
+// 1479–2303 req/s, cancels in the paired ratios; a 30% drop under the
+// same load still fails.
+func TestCompareAbsorbsHostLoad(t *testing.T) {
+	host := []float64{1479, 2303, 1550, 2176, 1899, 1620, 2250, 1700, 2010, 1820}
+	base := perfRows("warm-closed", "throughput_rps", host)
+	jitter := []float64{0.97, 1.02, 1.01, 0.98, 1.03, 0.99, 1.00, 1.02, 0.97, 1.01}
+	if got, stdout, stderr := compareSides(t, base, perfRows("warm-closed", "throughput_rps", scaled(host, jitter...))); got != 0 {
+		t.Errorf("exit %d under host load alone, want 0\n%s%s", got, stdout, stderr)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			newer := writeSnapshot(t, dir, "new.json", []Entry{{
-				Name: "BenchmarkA", Runs: 5, MinNsPerOp: tc.min, MeanNsPerOp: tc.mean,
-				Metrics:    map[string]float64{"p99-ns": tc.p99},
-				MetricsMin: map[string]float64{"p99-ns": tc.p99mn},
-			}})
-			var stdout, stderr bytes.Buffer
-			got := runCompare([]string{"-warn", "0.10", "-fail", "0.25", old, newer}, &stdout, &stderr)
-			if got != tc.want {
-				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout.String(), stderr.String())
-			}
-			if !strings.Contains(stdout.String(), tc.basis) {
-				t.Errorf("basis %q not printed:\n%s", tc.basis, stdout.String())
-			}
-		})
+	if got, stdout, stderr := compareSides(t, base, perfRows("warm-closed", "throughput_rps", scaled(host, 0.7))); got != 2 {
+		t.Errorf("exit %d on a 30%% drop under host load, want 2\n%s%s", got, stdout, stderr)
 	}
 }
 
-// TestCompareMinFallsBackToMean: baselines written before min recording
-// (MinNsPerOp zero, no MetricsMin) are judged on means, and the row says
-// so.
-func TestCompareMinFallsBackToMean(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{{
-		Name: "BenchmarkA", MeanNsPerOp: 1000,
-		Metrics: map[string]float64{"p99-ns": 1000},
-	}})
-	newer := writeSnapshot(t, dir, "new.json", []Entry{{
-		Name: "BenchmarkA", Runs: 5, MinNsPerOp: 1250, MeanNsPerOp: 1300,
-		Metrics:    map[string]float64{"p99-ns": 1300},
-		MetricsMin: map[string]float64{"p99-ns": 1250},
-	}})
-	var stdout, stderr bytes.Buffer
-	if got := runCompare([]string{"-warn", "0.10", "-fail", "0.25", old, newer}, &stdout, &stderr); got != 2 {
-		t.Errorf("exit %d, want 2 on mean fallback\n%s", got, stdout.String())
+// TestCompareIgnoresOneSlowRound: one paper-batch round whose change run
+// reads latency_p99_ms 1.67× its pair (883.9 against 529.8 ms) moves
+// neither the median ratio nor the count of worse rounds.
+func TestCompareIgnoresOneSlowRound(t *testing.T) {
+	p99 := noisy(529.8)
+	f := []float64{1, 0.99, 1.01, 1, 0.98, 1.02, 1, 883.9 / 529.8, 1, 0.99}
+	got, stdout, stderr := compareSides(t, perfRows("paper-batch", "latency_p99_ms", p99), perfRows("paper-batch", "latency_p99_ms", scaled(p99, f...)))
+	if got != 0 {
+		t.Errorf("exit %d, want 0\n%s%s", got, stdout, stderr)
 	}
-	if !strings.Contains(stdout.String(), "mean") {
-		t.Errorf("mean basis not printed:\n%s", stdout.String())
+}
+
+// TestCompareGatesCorrectness: an incorrect change run, or one failing a
+// larger share of its operations than the base run of its round, fails
+// the comparison whatever its timings; the base's failures do not.
+func TestCompareGatesCorrectness(t *testing.T) {
+	run := func(correct bool, failed int) string {
+		return fmt.Sprintf("churn-http {\"correct\":%t,\"attempted\":1500,\"failed\":%d,\"metrics\":{\"throughput_rps\":{\"value\":2000,\"unit\":\"1/s\"}}}\n", correct, failed)
+	}
+	ok := strings.Repeat(run(true, 0), 9)
+	cases := []struct {
+		name         string
+		base, change string
+		want         int
+	}{
+		{"incorrect change run", ok + run(true, 0), ok + run(false, 0), 2},
+		{"larger failed share", ok + run(true, 1), ok + run(true, 3), 2},
+		{"base failures", ok + run(false, 3), ok + run(true, 0), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, stdout, stderr := compareSides(t, tc.base, tc.change)
+			if got != tc.want {
+				t.Errorf("exit %d, want %d\n%s%s", got, tc.want, stdout, stderr)
+			}
+			if tc.want == 2 && !strings.Contains(stdout, "churn-http round 10") {
+				t.Errorf("failing round not named:\n%s", stdout)
+			}
+		})
 	}
 }
 
 func TestCompareNewBenchmarkIsNotRegression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{{Name: "BenchmarkA", MeanNsPerOp: 1000}})
-	newer := writeSnapshot(t, dir, "new.json", []Entry{
-		{Name: "BenchmarkA", MeanNsPerOp: 1000},
-		{Name: "BenchmarkNew", MeanNsPerOp: 123456},
-	})
-	var stdout, stderr bytes.Buffer
-	if got := runCompare([]string{old, newer}, &stdout, &stderr); got != 0 {
-		t.Errorf("exit %d, want 0 for newly added benchmark\n%s", got, stdout.String())
+	a := noisy(1000)
+	base := benchRows("BenchmarkA", a)
+	// Even a grossly slow row must not gate: it has no pair to regress
+	// against.
+	change := base + benchRows("BenchmarkNew", noisy(9e9))
+	got, stdout, stderr := compareSides(t, base, change, "-warn", "0.01", "-fail", "0.02")
+	if got != 0 {
+		t.Errorf("exit %d, want 0 for a row on the change side only\n%s%s", got, stdout, stderr)
 	}
-	if !strings.Contains(stdout.String(), "new") {
-		t.Errorf("new benchmark not reported:\n%s", stdout.String())
+	if !strings.Contains(stdout, "BenchmarkNew-2") || !strings.Contains(stdout, "change only") {
+		t.Errorf("new row not listed:\n%s", stdout)
 	}
-	if !strings.Contains(stdout.String(), "1 benchmark(s) not in baseline") {
-		t.Errorf("skip note missing:\n%s", stdout.String())
-	}
-	// Even a grossly slower new benchmark must not gate: there is no
-	// baseline to regress against.
-	slower := writeSnapshot(t, dir, "slower.json", []Entry{
-		{Name: "BenchmarkA", MeanNsPerOp: 1000},
-		{Name: "BenchmarkNew", MeanNsPerOp: 9e9},
-	})
-	stdout.Reset()
-	if got := runCompare([]string{"-warn", "0.01", "-fail", "0.02", old, slower}, &stdout, &stderr); got != 0 {
-		t.Errorf("exit %d, want 0: new benchmark gated against missing baseline\n%s", got, stdout.String())
+	if !strings.Contains(stdout, "note: 1 row(s) on one side only") {
+		t.Errorf("one-sided note missing:\n%s", stdout)
 	}
 }
 
 func TestCompareReportsGoneBenchmarks(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", []Entry{
-		{Name: "BenchmarkA", MeanNsPerOp: 1000, Runs: 5},
-		{Name: "BenchmarkRemoved", MeanNsPerOp: 4321, Runs: 5},
-	})
-	newer := writeSnapshot(t, dir, "new.json", []Entry{{Name: "BenchmarkA", MeanNsPerOp: 1000, Runs: 5}})
-	var stdout, stderr bytes.Buffer
-	if got := runCompare([]string{old, newer}, &stdout, &stderr); got != 0 {
-		t.Errorf("exit %d, want 0: a missing benchmark is informational\n%s", got, stdout.String())
+	a := noisy(1000)
+	base := benchRows("BenchmarkA", a) + benchRows("BenchmarkRemoved", []float64{4321})
+	got, stdout, stderr := compareSides(t, base, benchRows("BenchmarkA", a))
+	if got != 0 {
+		t.Errorf("exit %d, want 0: a row missing from the change is informational\n%s%s", got, stdout, stderr)
 	}
 	var row string
-	for _, line := range strings.Split(stdout.String(), "\n") {
-		if strings.HasPrefix(line, "BenchmarkRemoved ") {
+	for _, line := range strings.Split(stdout, "\n") {
+		if strings.HasPrefix(line, "BenchmarkRemoved-2 ") {
 			row = line
 		}
 	}
-	if !strings.Contains(row, "4321") || !strings.Contains(row, "gone") {
-		t.Errorf("removed benchmark not listed as gone with its baseline value:\n%s", stdout.String())
+	if !strings.Contains(row, "4321") || !strings.Contains(row, "base only") {
+		t.Errorf("removed row not listed as base only with its median:\n%s", stdout)
 	}
-	if !strings.Contains(stdout.String(), "note: 1 baseline benchmark(s) missing from the new run") {
-		t.Errorf("gone count note missing:\n%s", stdout.String())
+}
+
+// TestCompareUnequalSamplesIsError: a row whose sides have different
+// sample counts cannot be paired, and is an error rather than a pass.
+func TestCompareUnequalSamplesIsError(t *testing.T) {
+	a := noisy(1000)
+	got, stdout, stderr := compareSides(t, benchRows("BenchmarkA", a), benchRows("BenchmarkA", a[:9]))
+	if got != 2 {
+		t.Errorf("exit %d, want 2\n%s%s", got, stdout, stderr)
+	}
+	if !strings.Contains(stderr, "10 base samples, 9 change samples") {
+		t.Errorf("error does not name the counts:\n%s", stderr)
+	}
+}
+
+// TestCompareUnknownMetricIsError: a perfbench metric BENCHMARK.json
+// gives no bound or direction cannot be judged.
+func TestCompareUnknownMetricIsError(t *testing.T) {
+	rows := perfRows("warm-closed", "no_such_metric", noisy(1))
+	if got, stdout, stderr := compareSides(t, rows, rows); got != 2 || !strings.Contains(stderr, "no end-to-end metric no_such_metric") {
+		t.Errorf("exit %d, want 2 naming the metric\n%s%s", got, stdout, stderr)
+	}
+}
+
+// TestCompareTiesCountForNeitherSide: rounds with equal values are not
+// worse rounds, so 8 slower rounds and 2 ties do not gate although the
+// median ratio is 1.3, while 9 slower rounds and a tie do.
+func TestCompareTiesCountForNeitherSide(t *testing.T) {
+	a := noisy(1000)
+	for _, tc := range []struct {
+		worse, want int
+	}{{8, 0}, {9, 2}} {
+		f := make([]float64, len(a))
+		for k := range f {
+			f[k] = 1
+			if k < tc.worse {
+				f[k] = 1.3
+			}
+		}
+		got, stdout, stderr := compareSides(t, benchRows("BenchmarkA", a), benchRows("BenchmarkA", scaled(a, f...)))
+		if got != tc.want {
+			t.Errorf("%d slower rounds and %d ties: exit %d, want %d\n%s%s", tc.worse, len(a)-tc.worse, got, tc.want, stdout, stderr)
+		}
 	}
 }
 
 func TestCompareMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if got := runCompare([]string{"/nonexistent/a.json", "/nonexistent/b.json"}, &stdout, &stderr); got != 2 {
+	if got := runCompare([]string{"/nonexistent/a.out", "/nonexistent/b.out"}, &stdout, &stderr); got != 2 {
 		t.Errorf("exit %d, want 2 for unreadable input", got)
 	}
 }

@@ -266,15 +266,14 @@ func traceBenches(tr *traffic.Trace) []string {
 func runLoadTest(args []string) {
 	fs := flag.NewFlagSet("evolvevm loadtest", flag.ExitOnError)
 	var (
-		requests  = fs.Int("requests", 2000, "workload size")
-		tenants   = fs.Int("tenants", 8, "tenant count")
-		meanGap   = fs.Int64("mean-gap", 100, "mean inter-arrival gap in virtual microseconds")
-		deadline  = fs.Int64("deadline", 0, "per-request deadline in microseconds (0 = none)")
-		cold      = fs.String("cold", "", "cold-tenant name for the shared-learning experiment")
-		coldReqs  = fs.Int("cold-requests", 16, "cold tenant's request count")
-		compare   = fs.Bool("compare", false, "also run the isolated control arm for the cold-start comparison")
-		traceOut  = fs.String("trace-out", "", "write the generated+recorded trace here")
-		benchName = fs.String("bench", "", "emit a go-bench line under this name instead of JSON")
+		requests = fs.Int("requests", 2000, "workload size")
+		tenants  = fs.Int("tenants", 8, "tenant count")
+		meanGap  = fs.Int64("mean-gap", 100, "mean inter-arrival gap in virtual microseconds")
+		deadline = fs.Int64("deadline", 0, "per-request deadline in microseconds (0 = none)")
+		cold     = fs.String("cold", "", "cold-tenant name for the shared-learning experiment")
+		coldReqs = fs.Int("cold-requests", 16, "cold tenant's request count")
+		compare  = fs.Bool("compare", false, "also run the isolated control arm for the cold-start comparison")
+		traceOut = fs.String("trace-out", "", "write the generated+recorded trace here")
 	)
 	build := serverFlags(fs)
 	startProf, stopProf := profileFlags(fs)
@@ -311,10 +310,6 @@ func runLoadTest(args []string) {
 		if err := tr.WriteFile(*traceOut); err != nil {
 			fatal(err)
 		}
-	}
-	if *benchName != "" {
-		rep.WriteBench(os.Stdout, *benchName)
-		return
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -48,6 +48,6 @@
 //	cmd/xiclc           XICL spec checker and translator
 //	cmd/expdriver       regenerate every table and figure
 //	cmd/tiergen         generate the interpreter tiers from internal/opspec
-//	cmd/benchreport     benchmark output to JSON trajectory, and compare gate
+//	cmd/benchreport     paired comparison of a change's benchmarks with its parent's
 //	examples/...        quickstart, routefinder, evolution, interactive
 package evolvevm

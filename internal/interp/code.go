@@ -57,11 +57,15 @@ type Code struct {
 // installTracePlan builds the register-converted trace plan and installs
 // it CAS-once. The build is deterministic, so whichever of several
 // concurrent builders wins installs an identical plan; losers discard
-// their build (counted in PlanInstallStats).
+// their build and its counts (counted in PlanInstallStats), so the
+// trace counters see each Code's plan once.
 func (c *Code) installTracePlan() {
-	if !c.traces.CompareAndSwap(nil, buildTracePlan(c)) {
+	tp, tally := buildTracePlan(c)
+	if !c.traces.CompareAndSwap(nil, tp) {
 		compileStats.lostTraces.Add(1)
+		return
 	}
+	tally.add()
 }
 
 // TraceReady reports whether a trace plan has been built for this code

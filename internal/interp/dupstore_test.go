@@ -94,7 +94,7 @@ func TestDupStoreNoMove(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			src := strings.NewReplacer("SPILL", tc.spill, "FIX", tc.fix).Replace(dupStoreSrc)
 			p := mustProg(t, src)
-			tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
+			tp, _ := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
 			var loop *trace
 			for _, tr := range tp.tr {
 				if tr != nil {

@@ -211,6 +211,62 @@ func TestTracesFromFirstFrame(t *testing.T) {
 	}
 }
 
+// builtAndDegradedSrc has one loop that converts and one that degrades
+// (NEWARR on its path has no batchable segment).
+const builtAndDegradedSrc = `
+global n
+func main() locals i s a
+sum:
+  load i
+  gload n
+  ige
+  jnz fill
+  load s
+  load i
+  iadd
+  store s
+  iinc i 1
+  jmp sum
+fill:
+  load i
+  const 0
+  ile
+  jnz done
+  const 2
+  newarr
+  store a
+  iinc i -1
+  jmp fill
+done:
+  load s
+  ret
+end
+`
+
+// TestTraceStatsCountInstalledPlans installs one fresh Code's trace plan
+// twice: the second build loses the install, so the counters must read
+// exactly one build's Built and Degrade.
+func TestTraceStatsCountInstalledPlans(t *testing.T) {
+	p := mustProg(t, builtAndDegradedSrc)
+	_, one := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
+	if one.built != 1 || one.degraded[degCold] != 1 {
+		t.Fatalf("one build: built=%d degraded=%v, want one converted and one cold loop", one.built, one.degraded)
+	}
+	c := NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct)
+	ResetTraceStats()
+	c.installTracePlan()
+	c.installTracePlan()
+	st := ReadTraceStats()
+	if st.Built != one.built {
+		t.Errorf("built=%d after two installs, want one build's %d", st.Built, one.built)
+	}
+	for i, n := range one.degraded {
+		if got := st.Degrade[DegradeReasons[i]]; got != n {
+			t.Errorf("degrade %s=%d after two installs, want one build's %d", DegradeReasons[i], got, n)
+		}
+	}
+}
+
 // TestTraceStatsConservation runs one program from G goroutines at once
 // on shared Codes, whose trace plans every engine shares: the per-run
 // counts each engine adds when it returns must sum to exactly G times one

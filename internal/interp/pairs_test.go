@@ -408,7 +408,9 @@ func intGlobals(kv ...any) map[string]bytecode.Value {
 
 // planTraces returns every trace of the entry function's plan.
 func planTraces(p *bytecode.Program) []*trace {
-	tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
+	c := NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct)
+	c.installTracePlan()
+	tp := c.traces.Load()
 	var ts []*trace
 	for _, tr := range tp.tr {
 		if tr != nil {
@@ -587,10 +589,8 @@ func TestFusedPairSkips(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := mustProg(t, tc.src)
 			var loop *trace // the last head: the fill loop's comes first
-			for _, tr := range buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct)).tr {
-				if tr != nil {
-					loop = tr
-				}
+			for _, tr := range planTraces(p) {
+				loop = tr
 			}
 			if loop == nil {
 				t.Fatal("the run-length loop built no trace")

@@ -321,7 +321,8 @@ func trapLocals(t *testing.T, p *bytecode.Program, g map[string]bytecode.Value) 
 	withArrays(t, nil)(e)
 	e.nextSample = math.MaxInt64 / 2
 	c := NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct)
-	tr := buildTracePlan(c).tr[0]
+	tp, _ := buildTracePlan(c)
+	tr := tp.tr[0]
 	if tr == nil {
 		t.Fatal("the loop at pc 0 built no trace")
 	}

@@ -222,7 +222,7 @@ func TestHoistedGlobals(t *testing.T) {
 	p := mustProg(t, hoistSrc)
 	nIdx, _ := p.GlobalIndex("n")
 	gIdx, _ := p.GlobalIndex("g")
-	tp := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
+	tp, _ := buildTracePlan(NewCode(p.Entry, p.Funcs[p.Entry], -1, BaselineScalePct))
 	var heads []*trace
 	for _, tr := range tp.tr {
 		if tr != nil {

@@ -71,8 +71,9 @@ var traceStats struct {
 
 // TraceStats is a point-in-time snapshot of the trace tier's counters.
 type TraceStats struct {
-	// Built counts loops successfully converted to register traces;
-	// Degrade counts refusals per reason (DegradeReasons order).
+	// Built counts loops converted to register traces in installed
+	// plans; Degrade counts their refusals per reason (DegradeReasons
+	// order).
 	Built   int64            `json:"built"`
 	Degrade map[string]int64 `json:"degrade,omitempty"`
 
@@ -125,9 +126,28 @@ func ResetTraceStats() {
 	}
 }
 
-func noteDegrade(reason int) {
+// traceTally is one trace-plan build's counts: loops converted and
+// refusals per reason. Code.installTracePlan adds them to the process
+// totals only when its build is the plan installed, so a build that
+// loses the install race counts nothing.
+type traceTally struct {
+	built    int64
+	degraded [degCount]int64
+}
+
+func (t *traceTally) degrade(reason int) {
 	if reason < 0 || reason >= degCount {
 		reason = degOther
 	}
-	traceStats.degraded[reason].Add(1)
+	t.degraded[reason]++
+}
+
+// add adds the build's counts to the process totals.
+func (t *traceTally) add() {
+	traceStats.built.Add(t.built)
+	for i, n := range t.degraded {
+		if n != 0 {
+			traceStats.degraded[i].Add(n)
+		}
+	}
 }

@@ -73,8 +73,10 @@ type tracePlan struct {
 }
 
 // buildTracePlan discovers and converts every traceable loop of the
-// code, linearizing each over the segment geometry of the code's plan.
-func buildTracePlan(c *Code) *tracePlan {
+// code, linearizing each over the segment geometry of the code's plan,
+// and returns the plan with the build's counts.
+func buildTracePlan(c *Code) (*tracePlan, traceTally) {
+	var tally traceTally
 	n := len(c.Instrs)
 	tp := &tracePlan{tr: make([]*trace, n)}
 	p := c.planFor()
@@ -92,13 +94,13 @@ func buildTracePlan(c *Code) *tracePlan {
 			t, reason = convertTrace(c, lp.Head, pcs)
 		}
 		if t == nil {
-			noteDegrade(reason)
+			tally.degrade(reason)
 			continue
 		}
-		traceStats.built.Add(1)
+		tally.built++
 		tp.tr[lp.Head] = t
 	}
-	return tp
+	return tp, tally
 }
 
 // linearize walks plan segments from head, linearizing the

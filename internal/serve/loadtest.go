@@ -2,8 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"slices"
 	"time"
 
@@ -206,13 +204,4 @@ func coldStart(s *Server, tenant string) *ColdStart {
 		}
 	}
 	return cs
-}
-
-// WriteBench emits the report as go-bench-format lines so cmd/benchreport
-// folds serving latency and throughput into the benchmark trajectory.
-// ns/op is wall p50; p99-ns, req/s, and the virtual quantiles ride along
-// as custom metrics.
-func (r *LoadReport) WriteBench(w io.Writer, name string) {
-	fmt.Fprintf(w, "Benchmark%s 	%8d	%12d ns/op	%12d p99-ns	%12.1f req/s	%12d vp50-cycles	%12d vp99-cycles\n",
-		name, r.Requests, r.WallP50, r.WallP99, r.Throughput, r.VirtualP50, r.VirtualP99)
 }

@@ -3,7 +3,6 @@ package xicl
 import (
 	"fmt"
 	"os"
-	"sort"
 )
 
 // FS abstracts the filesystem the translator reads input files from. The
@@ -47,14 +46,4 @@ func (m MapFS) Size(path string) (int64, error) {
 		return 0, fmt.Errorf("xicl: no such file %q", path)
 	}
 	return int64(len(b)), nil
-}
-
-// Paths returns the files in the map in sorted order.
-func (m MapFS) Paths() []string {
-	paths := make([]string, 0, len(m))
-	for p := range m {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
 }
